@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .esn import ReservoirConfig, build_reservoir, nrmse, run_states
+from .esn import ReservoirConfig, build_reservoir, nrmse, run_states, solve_ridge, zscore
 
 log = logging.getLogger(__name__)
 
@@ -115,16 +115,6 @@ class LagCorrelationCurve:
     skipped: tuple[int, ...] = ()
 
 
-def _solve_ridge(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            f"readout normal equations are singular (ridge={ridge}); use ridge > 0"
-        ) from None
-    return np.linalg.solve(gram, rhs)
-
-
 def cross_map_curve(
     inputs: np.ndarray,
     targets: np.ndarray,
@@ -136,8 +126,8 @@ def cross_map_curve(
 ) -> LagCorrelationCurve:
     """Fit one readout per lag and trace the prediction correlation.
 
-    Reservoir states are computed once from the z-scored input series; per
-    lag, the readout is ridge-trained on the aligned window (the first
+    Reservoir states are computed once from the z-scored input series,
+    unless the caller passes them as ``states``; per lag, the readout is ridge-trained on the aligned window (the first
     ``cfg.washout`` state rows of the series are excluded) and evaluated in
     place. Lags whose effective window is shorter than ``min_window`` are
     skipped with a warning.
@@ -148,14 +138,11 @@ def cross_map_curve(
         raise ValueError("input and target series must be equal-length 1-D arrays")
     t_len = len(x)
     if states is None:
-        sd = float(np.std(x))
-        xz = (x - float(np.mean(x))) / (sd if sd > 0 else 1.0)
-        states = run_states(build_reservoir(cfg), cfg, xz)
+        states = run_states(build_reservoir(cfg), cfg, zscore(x))
 
     lags: list[int] = []
     rhos: list[float] = []
     skipped: list[int] = []
-    eye = np.eye(cfg.size)
     for lag in grid.values():
         if abs(lag) >= t_len:
             skipped.append(lag)
@@ -175,7 +162,7 @@ def cross_map_curve(
             skipped.append(lag)
             continue
         yz = (obs - mu) / sd
-        w = _solve_ridge(u.T @ u + cfg.ridge * eye, u.T @ yz, cfg.ridge)
+        w = solve_ridge(u.T @ u, u.T @ yz, cfg.ridge)
         pred = u @ w
         try:
             rho = pearson(pred, yz)
@@ -251,15 +238,16 @@ def classify(curve_xy: LagCorrelationCurve, curve_yx: LagCorrelationCurve) -> Ca
 def analyze_pair(
     x: np.ndarray,
     y: np.ndarray,
-    cfg_xy: ReservoirConfig,
-    cfg_yx: ReservoirConfig | None = None,
+    cfg: ReservoirConfig,
     grid: LagGrid = LagGrid(),
     min_window: int = MIN_WINDOW,
 ) -> tuple[LagCorrelationCurve, LagCorrelationCurve, CausalVerdict]:
-    """Run both mapping directions and classify the pair."""
-    cfg_yx = cfg_yx or cfg_xy
-    curve_xy = cross_map_curve(x, y, cfg_xy, grid, "x->y", min_window)
-    curve_yx = cross_map_curve(y, x, cfg_yx, grid, "y->x", min_window)
+    """Run both mapping directions through one reservoir and classify the pair."""
+    reservoir = build_reservoir(cfg)
+    states_x = run_states(reservoir, cfg, zscore(x))
+    states_y = run_states(reservoir, cfg, zscore(y))
+    curve_xy = cross_map_curve(x, y, cfg, grid, "x->y", min_window, states=states_x)
+    curve_yx = cross_map_curve(y, x, cfg, grid, "y->x", min_window, states=states_y)
     return curve_xy, curve_yx, classify(curve_xy, curve_yx)
 
 
@@ -330,11 +318,8 @@ def loo_cv_grid_search(
         stats: dict[str, dict] = {}
         for unit in units:
             x, y = panel[unit]
-            x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
-            sd = float(np.std(x))
-            xz = (x - float(np.mean(x))) / (sd if sd > 0 else 1.0)
-            states = run_states(reservoir, base, xz)[base.washout:]
+            states = run_states(reservoir, base, zscore(x))[base.washout:]
             yw = y[base.washout:]
             stats[unit] = {
                 "states": states,
@@ -362,10 +347,10 @@ def loo_cv_grid_search(
                     reason = f"fold {held}: constant pooled training target"
                     break
                 sigma = math.sqrt(var)
-                gram = sum(stats[u]["gram"] for u in others) + cfg.ridge * np.eye(cfg.size)
+                gram = sum(stats[u]["gram"] for u in others)
                 rhs = sum((stats[u]["xty"] - mu * stats[u]["colsum"]) for u in others) / sigma
                 try:
-                    w = _solve_ridge(gram, rhs, cfg.ridge)
+                    w = solve_ridge(gram, rhs, cfg.ridge)
                     pred = stats[held]["states"] @ w * sigma + mu
                     fold_scores.append(nrmse(pred, stats[held]["y"]))
                 except ValueError as exc:

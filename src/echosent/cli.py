@@ -343,10 +343,10 @@ def cmd_ccm(args) -> int:
             raise ValueError("ccm: give --x/--y files, or --series with --input-feature/--target-feature")
         sx = _single_series(series_path, args.input_feature, args.city)
         sy = _single_series(series_path, args.target_feature, args.city)
+    if sx.dates != sy.dates:
+        raise ValueError("ccm: input and target series must cover identical dates")
     x = np.asarray(sx.values)
     y = np.asarray(sy.values)
-    if len(x) != len(y):
-        raise ValueError("ccm: input and target series lengths differ")
     curve_xy, curve_yx, verdict = ccm.analyze_pair(x, y, cfg, grid=grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,8 +24,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-_DENSE_EIG_LIMIT = 300
-
 
 @dataclass(frozen=True)
 class ReservoirConfig:
@@ -62,52 +60,16 @@ class Reservoir:
     achieved_radius: float
 
 
-def spectral_radius(matrix: np.ndarray, method: str = "auto") -> float:
+def spectral_radius(matrix: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a (generally nonsymmetric) matrix.
 
-    ``dense`` uses a full eigensolve; ``power`` a two-step power recurrence
-    that is safe for complex-conjugate dominant pairs; ``auto`` picks dense
-    up to 300x300 and the iteration above that.
+    Uses a full dense eigensolve, so complex-conjugate dominant pairs are
+    handled exactly.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if method == "auto":
-        method = "dense" if m.shape[0] <= _DENSE_EIG_LIMIT else "power"
-    if method == "dense":
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    if method != "power":
-        raise ValueError(f"unknown method {method!r}")
-    return _power_radius(m)
-
-
-def _power_radius(m: np.ndarray, max_iter: int = 5000, tol: float = 1e-13) -> float:
-    """Spectral radius via power iteration with a two-step eigenvalue fit.
-
-    Fitting m v1 ~ a v1 + b v0 and taking the largest root magnitude of
-    mu^2 = a mu + b handles a dominant complex-conjugate pair, where plain
-    Rayleigh iteration would not settle.
-    """
-    n = m.shape[0]
-    rng = np.random.default_rng(12345)
-    v0 = rng.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-    v1 = m @ v0
-    estimate = np.inf
-    for _ in range(max_iter):
-        v2 = m @ v1
-        basis = np.stack([v1, v0], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, v2, rcond=None)
-        roots = np.roots([1.0, -coef[0], -coef[1]])
-        new = float(np.max(np.abs(roots)))
-        if abs(new - estimate) <= tol * max(new, 1e-300):
-            return new
-        estimate = new
-        scale = np.linalg.norm(v2)
-        if scale == 0.0:
-            return 0.0
-        v0, v1 = v1 / scale, v2 / scale
-    return estimate
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def build_reservoir(cfg: ReservoirConfig) -> Reservoir:
@@ -115,7 +77,9 @@ def build_reservoir(cfg: ReservoirConfig) -> Reservoir:
 
     Entries are Bernoulli(sparsity) gates times Uniform[-1, 1] draws, fully
     determined by the seed; the recurrent matrix is rescaled by
-    target / rho(raw). An all-zero raw matrix cannot be rescaled and raises.
+    target / rho(raw), so the achieved radius is rho(raw) times that scale
+    (rho(cA) = c rho(A)) without a second eigensolve. An all-zero raw matrix
+    cannot be rescaled and raises.
     """
     n = cfg.size
     rng = np.random.default_rng(cfg.seed)
@@ -125,14 +89,14 @@ def build_reservoir(cfg: ReservoirConfig) -> Reservoir:
     rho = spectral_radius(raw)
     if rho <= 0.0:
         raise ValueError("degenerate reservoir (zero spectral radius); reseed or raise sparsity")
-    matrix = raw * (cfg.spectral_radius / rho)
+    scale = cfg.spectral_radius / rho
+    matrix = raw * scale
     in_gates = rng.random(n) < cfg.sparsity
     in_draws = rng.uniform(-1.0, 1.0, n)
     input_weights = cfg.input_scale * np.where(in_gates, in_draws, 0.0)
     if not np.any(input_weights):
         log.warning("all input weights are zero (sparsity=%g); reservoir sees no input", cfg.sparsity)
-    achieved = spectral_radius(matrix)
-    return Reservoir(matrix, input_weights, achieved)
+    return Reservoir(matrix, input_weights, rho * scale)
 
 
 def run_states(
@@ -165,9 +129,8 @@ def train_readout(
 ) -> np.ndarray:
     """Closed-form ridge solution of the readout weights on post-washout states.
 
-    Solves (U^T U + ridge I) w = U^T y with U the (rows = time) state matrix.
-    Raises if the normal equations are singular, which can only happen with
-    ridge 0.
+    Solves (U^T U + ridge I) w = U^T y with U the (rows = time) state matrix;
+    see ``solve_ridge``.
     """
     u = np.asarray(states, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -178,22 +141,33 @@ def train_readout(
     n = u.shape[1]
     if len(u) < n:
         log.warning("only %d post-washout samples for %d reservoir units", len(u), n)
-    gram = u.T @ u + ridge * np.eye(n)
-    rhs = u.T @ y
+    return solve_ridge(u.T @ u, u.T @ y, ridge)
+
+
+def solve_ridge(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve the ridge normal equations (gram + ridge I) w = rhs.
+
+    ``gram`` is the unregularized state Gram matrix. Raises if the
+    regularized system is not positive definite, which can only happen with
+    ridge 0.
+    """
+    regularized = gram + ridge * np.eye(gram.shape[0])
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(regularized)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"readout normal equations are singular (ridge={ridge}); use ridge > 0"
         ) from None
-    return np.linalg.solve(gram, rhs)
+    return np.linalg.solve(regularized, rhs)
 
 
 def nrmse(predictions: np.ndarray, observations: np.ndarray) -> float:
-    """Root-mean-squared error divided by the observation mean.
+    """Root-mean-squared error divided by the absolute observation mean.
 
     The observation mean is the normalizer, so it must be bounded away from
-    zero; z-scoring the target is disallowed for this metric.
+    zero; z-scoring the target is disallowed for this metric. Its absolute
+    value keeps the score non-negative, so lower is better whatever the
+    target's sign.
     """
     pred = np.asarray(predictions, dtype=float)
     obs = np.asarray(observations, dtype=float)
@@ -205,7 +179,7 @@ def nrmse(predictions: np.ndarray, observations: np.ndarray) -> float:
             "NRMSE undefined for (near-)zero-mean series; "
             "z-scoring the target is disallowed for this metric"
         )
-    return float(np.sqrt(np.mean((pred - obs) ** 2)) / mean)
+    return float(np.sqrt(np.mean((pred - obs) ** 2)) / abs(mean))
 
 
 @dataclass(eq=False)
@@ -224,6 +198,13 @@ def _scale_stats(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     sd = float(np.std(values))
     return mean, sd if sd > 0 else 1.0
+
+
+def zscore(values: np.ndarray) -> np.ndarray:
+    """Values shifted to zero mean and divided by their sd (1 for a constant series)."""
+    v = np.asarray(values, dtype=float)
+    mean, sd = _scale_stats(v)
+    return (v - mean) / sd
 
 
 def fit_esn(cfg: ReservoirConfig, inputs: np.ndarray, targets: np.ndarray) -> EsnModel:

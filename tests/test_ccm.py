@@ -366,3 +366,55 @@ def test_all_invalid_raises():
     panel = {"a": (x, np.zeros(length)), "b": (x, np.zeros(length))}
     with pytest.raises(ValueError, match="invalid"):
         loo_cv_grid_search(panel, [small_cfg()])
+
+
+def logistic_panel(shift, keep_positive=()):
+    """Four coupled-logistic units with targets moved by ``shift``, except ``keep_positive``."""
+    panel = {}
+    for u in range(4):
+        x, y = gen_coupled_logistic(CoupledMapConfig(length=150, seed=40 + u, coupling_yx=0.3))
+        name = f"unit{u:02d}"
+        panel[name] = (x, y if name in keep_positive else y + shift)
+    return panel
+
+
+def test_negative_mean_target_picks_lowest_error_config():
+    # NRMSE divides by |mean|: with targets shifted below zero the scores stay
+    # non-negative error magnitudes, so min() picks the best fit, not the worst.
+    washout = 10
+    configs = make_quick_grid(seed=0, washout=washout)
+    plain_panel = logistic_panel(0.0)
+    shifted_panel = logistic_panel(-1.2)
+    plain = loo_cv_grid_search(plain_panel, configs)
+    shifted = loo_cv_grid_search(shifted_panel, configs)
+    assert all(np.mean(y) < 0 for _, y in shifted_panel.values())
+    # The fit is shift-equivariant, so each fold's RMSE is unchanged and only
+    # the normalizer moves from |mean| to |mean - 1.2|.
+    for a, b in zip(plain.cells, shifted.cells):
+        assert (a.config_index, a.unit) == (b.config_index, b.unit)
+        mean = float(np.mean(plain_panel[a.unit][1][washout:]))
+        assert b.nrmse * abs(mean - 1.2) == pytest.approx(a.nrmse * abs(mean), rel=1e-8)
+    assert all(s >= 0 for s in shifted.scores.values())
+    assert shifted.scores[shifted.winner_index] == min(shifted.scores.values())
+    assert shifted.scores[shifted.winner_index] < max(shifted.scores.values())
+
+    # one fold whose held-out target mean has the opposite sign
+    mixed_panel = logistic_panel(-1.2, keep_positive=("unit00",))
+    assert np.mean(mixed_panel["unit00"][1]) > 0 > np.mean(mixed_panel["unit01"][1])
+    mixed = loo_cv_grid_search(mixed_panel, configs)
+    assert not mixed.invalid
+    assert all(c.nrmse >= 0 for c in mixed.cells)
+    assert mixed.scores[mixed.winner_index] == min(mixed.scores.values())
+
+
+def test_analyze_pair_matches_independent_curves():
+    x, y = gen_coupled_logistic(CoupledMapConfig(length=300, seed=8, coupling_yx=0.2))
+    cfg = small_cfg()
+    grid = LagGrid(-8, 8)
+    cxy, cyx, _ = analyze_pair(x, y, cfg, grid=grid)
+    ref_xy = cross_map_curve(x, y, cfg, grid, "x->y")
+    ref_yx = cross_map_curve(y, x, cfg, grid, "y->x")
+    for got, ref in ((cxy, ref_xy), (cyx, ref_yx)):
+        assert got.rhos == ref.rhos
+        assert got.lags == ref.lags
+        assert (got.peak_lag, got.peak_rho) == (ref.peak_lag, ref.peak_rho)

@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 from pathlib import Path
 
@@ -221,6 +222,30 @@ def test_synth_ccm_recovers_ground_truth(tmp_path):
     curves = (out_dir / "ccm_curves.csv").read_text().splitlines()
     assert curves[0] == "direction,tau,rho"
     assert sum(1 for l in curves if l.startswith("x->y,")) == 61
+
+
+def test_ccm_rejects_misaligned_dates(tmp_path, capsys):
+    # equal lengths, date ranges shifted by one day
+    values = [0.1 * (i % 7) + 0.2 for i in range(60)]
+    start = dt.date(2020, 3, 1)
+
+    def rows(feature, offset):
+        return [f"{start + dt.timedelta(days=i + offset)},unit00,{feature},{v!r}"
+                for i, v in enumerate(values)]
+
+    header = ["date,city,feature,value"]
+    x_csv = tmp_path / "x.csv"
+    y_csv = tmp_path / "y.csv"
+    both_csv = tmp_path / "both.csv"
+    x_csv.write_text("\n".join(header + rows("x", 0)) + "\n")
+    y_csv.write_text("\n".join(header + rows("y", 1)) + "\n")
+    both_csv.write_text("\n".join(header + rows("x", 0) + rows("y", 1)) + "\n")
+    for args in (["--x", str(x_csv), "--y", str(y_csv)],
+                 ["--series", str(both_csv), "--input-feature", "x", "--target-feature", "y"]):
+        rc = main(["ccm", *args, "--out-dir", str(tmp_path / "ccm")])
+        assert rc == 2
+        assert "identical dates" in capsys.readouterr().err
+    assert not (tmp_path / "ccm" / "ccm_verdict.json").exists()
 
 
 def test_synth_ar1_mode(tmp_path):
