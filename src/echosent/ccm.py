@@ -124,13 +124,23 @@ def cross_map_curve(
     min_window: int = MIN_WINDOW,
     states: np.ndarray | None = None,
 ) -> LagCorrelationCurve:
-    """Fit one readout per lag and trace the prediction correlation.
+    """Trace the prediction correlation of a ridge readout over the lag grid.
 
     Reservoir states are computed once from the z-scored input series,
-    unless the caller passes them as ``states``; per lag, the readout is ridge-trained on the aligned window (the first
-    ``cfg.washout`` state rows of the series are excluded) and evaluated in
-    place. Lags whose effective window is shorter than ``min_window`` are
-    skipped with a warning.
+    unless the caller passes them as ``states``. Per lag, the readout is
+    ridge-trained on the aligned window (the first ``cfg.washout`` state rows
+    of the series are excluded) and evaluated in place. Lags with |lag| not
+    below the series length are skipped; so are lags whose window is shorter
+    than ``min_window``, whose target window is constant or whose prediction
+    is degenerate, each with a warning. ``skipped`` lists them in grid order.
+
+    Lags that share a training window share one Gram matrix and one ridge
+    solve, with each lag's z-scored target as one right-hand-side column.
+    Every window's Gram is downdated from one Gram over the union of the
+    windows by subtracting the rows outside it (at most |lag| at either
+    end), so a scan costs one full Gram plus one factorization per distinct
+    window, not one of each per lag. With ``washout >= |grid.lo|`` all lags
+    <= 0 train on the same rows and share a single solve.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -140,35 +150,55 @@ def cross_map_curve(
     if states is None:
         states = run_states(build_reservoir(cfg), cfg, zscore(x))
 
-    lags: list[int] = []
-    rhos: list[float] = []
-    skipped: list[int] = []
+    # Plan: apply the skip rules and group the usable lags by training window.
+    skipped: set[int] = set()
+    windows: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
     for lag in grid.values():
         if abs(lag) >= t_len:
-            skipped.append(lag)
+            skipped.add(lag)
             continue
-        s_in, s_out = align_window(t_len, lag)
-        shift = max(s_in.start, cfg.washout) - s_in.start
-        u = states[s_in.start + shift:s_in.stop]
-        obs = y[s_out.start + shift:s_out.stop]
-        if len(u) < min_window:
-            log.warning("%s: lag %d skipped (window %d < %d)", direction, lag, len(u), min_window)
-            skipped.append(lag)
+        s_in, _ = align_window(t_len, lag)
+        a = max(s_in.start, cfg.washout)
+        b = s_in.stop
+        width = max(b - a, 0)
+        if width < min_window:
+            log.warning("%s: lag %d skipped (window %d < %d)", direction, lag, width, min_window)
+            skipped.add(lag)
             continue
-        mu = float(np.mean(obs))
+        obs = y[a + lag:b + lag]
         sd = float(np.std(obs))
         if sd == 0.0:
             log.warning("%s: lag %d skipped (constant target window)", direction, lag)
-            skipped.append(lag)
+            skipped.add(lag)
             continue
-        yz = (obs - mu) / sd
-        w = solve_ridge(u.T @ u, u.T @ yz, cfg.ridge)
-        pred = u @ w
+        windows.setdefault((a, b), []).append((lag, (obs - float(np.mean(obs))) / sd))
+
+    # Solve: one downdated Gram and one multi-column ridge solve per window.
+    fits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    if windows:
+        lo = min(a for a, _ in windows)
+        hi = max(b for _, b in windows)
+        full = states[lo:hi].T @ states[lo:hi]
+        for (a, b), members in windows.items():
+            head = states[lo:a]
+            tail = states[b:hi]
+            gram = full - head.T @ head - tail.T @ tail
+            u = states[a:b]
+            targets_z = np.column_stack([yz for _, yz in members])
+            preds = u @ solve_ridge(gram, u.T @ targets_z, cfg.ridge)
+            for k, (lag, yz) in enumerate(members):
+                fits[lag] = (preds[:, k], yz)
+
+    # Score: per-lag correlation in grid order (the grid is ascending).
+    lags: list[int] = []
+    rhos: list[float] = []
+    for lag in sorted(fits):
+        pred, yz = fits[lag]
         try:
             rho = pearson(pred, yz)
         except ValueError:
             log.warning("%s: lag %d skipped (degenerate prediction)", direction, lag)
-            skipped.append(lag)
+            skipped.add(lag)
             continue
         lags.append(lag)
         rhos.append(rho)
@@ -177,7 +207,7 @@ def cross_map_curve(
     order = sorted(range(len(lags)), key=lambda i: (-rhos[i], abs(lags[i]), lags[i]))
     best = order[0]
     return LagCorrelationCurve(
-        direction, tuple(lags), tuple(rhos), lags[best], rhos[best], tuple(skipped)
+        direction, tuple(lags), tuple(rhos), lags[best], rhos[best], tuple(sorted(skipped))
     )
 
 
@@ -332,36 +362,42 @@ def loo_cv_grid_search(
                 "y2sum": float((yw * yw).sum()),
             }
 
-        for ci in group:
-            cfg = configs[ci]
-            fold_scores: list[float] = []
-            reason = None
-            for held in units:
-                others = [u for u in units if u != held]
-                n = sum(stats[u]["n"] for u in others)
-                ysum = sum(stats[u]["ysum"] for u in others)
-                y2sum = sum(stats[u]["y2sum"] for u in others)
-                mu = ysum / n
-                var = y2sum / n - mu * mu
-                if var <= 0:
-                    reason = f"fold {held}: constant pooled training target"
-                    break
-                sigma = math.sqrt(var)
-                gram = sum(stats[u]["gram"] for u in others)
-                rhs = sum((stats[u]["xty"] - mu * stats[u]["colsum"]) for u in others) / sigma
+        # Held-out units outside, configs inside: a fold's pooled gram and
+        # right-hand side depend on the reservoir key, not on ridge, so each
+        # is built once per fold and only one fold's gram is live at a time.
+        fold_scores: dict[int, list[float]] = {ci: [] for ci in group}
+        reasons: dict[int, str] = {}
+        for held in units:
+            live = [ci for ci in group if ci not in reasons]
+            if not live:
+                break
+            others = [u for u in units if u != held]
+            n = sum(stats[u]["n"] for u in others)
+            ysum = sum(stats[u]["ysum"] for u in others)
+            y2sum = sum(stats[u]["y2sum"] for u in others)
+            mu = ysum / n
+            var = y2sum / n - mu * mu
+            if var <= 0:
+                for ci in live:
+                    reasons[ci] = f"fold {held}: constant pooled training target"
+                continue
+            sigma = math.sqrt(var)
+            gram = sum(stats[u]["gram"] for u in others)
+            rhs = sum((stats[u]["xty"] - mu * stats[u]["colsum"]) for u in others) / sigma
+            for ci in live:
                 try:
-                    w = solve_ridge(gram, rhs, cfg.ridge)
+                    w = solve_ridge(gram, rhs, configs[ci].ridge)
                     pred = stats[held]["states"] @ w * sigma + mu
-                    fold_scores.append(nrmse(pred, stats[held]["y"]))
+                    fold_scores[ci].append(nrmse(pred, stats[held]["y"]))
                 except ValueError as exc:
-                    reason = f"fold {held}: {exc}"
-                    break
-            if reason is not None:
-                invalid[ci] = reason
-                log.warning("config %d invalid: %s", ci, reason)
+                    reasons[ci] = f"fold {held}: {exc}"
+        for ci in group:
+            if ci in reasons:
+                invalid[ci] = reasons[ci]
+                log.warning("config %d invalid: %s", ci, reasons[ci])
             else:
-                scores[ci] = float(np.mean(fold_scores))
-                for held, value in zip(units, fold_scores):
+                scores[ci] = float(np.mean(fold_scores[ci]))
+                for held, value in zip(units, fold_scores[ci]):
                     cells.append(CvCell(ci, held, value))
 
     if not scores:

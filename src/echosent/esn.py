@@ -147,9 +147,10 @@ def train_readout(
 def solve_ridge(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
     """Solve the ridge normal equations (gram + ridge I) w = rhs.
 
-    ``gram`` is the unregularized state Gram matrix. Raises if the
-    regularized system is not positive definite, which can only happen with
-    ridge 0.
+    ``gram`` is the unregularized state Gram matrix. ``rhs`` is (N,) or
+    (N, K); the K columns are right-hand sides solved with one factorization.
+    Raises if the regularized system is not positive definite, which can only
+    happen with ridge 0.
     """
     regularized = gram + ridge * np.eye(gram.shape[0])
     try:

@@ -150,9 +150,6 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
         return frozenset(line.strip().casefold() for line in fh if line.strip())
 
 
-load_stopwords = load_wordlist
-
-
 def parse_post(obj: dict) -> RawPost:
     """Build a RawPost from a decoded JSON object, ignoring unknown fields.
 

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosent.ccm import (
     CLASSIFICATIONS,
@@ -19,7 +21,15 @@ from echosent.ccm import (
     make_quick_grid,
     pearson,
 )
-from echosent.esn import ReservoirConfig, build_reservoir, run_states, train_readout, nrmse
+from echosent.esn import (
+    ReservoirConfig,
+    build_reservoir,
+    nrmse,
+    run_states,
+    solve_ridge,
+    train_readout,
+    zscore,
+)
 from echosent.synth import CoupledMapConfig, gen_coupled_logistic
 
 
@@ -255,6 +265,102 @@ def test_analyze_pair_labels_directions():
     assert cxy.direction == "x->y"
     assert cyx.direction == "y->x"
     assert verdict.classification in CLASSIFICATIONS
+
+
+def direct_curve(x, y, cfg, grid, min_window):
+    """Reference lag scan: one Gram and one ridge solve per lag."""
+    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    t_len = len(x)
+    lags, rhos, skipped = [], [], []
+    for lag in grid.values():
+        if abs(lag) >= t_len:
+            skipped.append(lag)
+            continue
+        s_in, s_out = align_window(t_len, lag)
+        shift = max(s_in.start, cfg.washout) - s_in.start
+        u = states[s_in.start + shift:s_in.stop]
+        obs = y[s_out.start + shift:s_out.stop]
+        if len(u) < min_window or np.std(obs) == 0.0:
+            skipped.append(lag)
+            continue
+        yz = (obs - np.mean(obs)) / np.std(obs)
+        pred = u @ solve_ridge(u.T @ u, u.T @ yz, cfg.ridge)
+        try:
+            rhos.append(pearson(pred, yz))
+        except ValueError:
+            skipped.append(lag)
+            continue
+        lags.append(lag)
+    if not lags:
+        return None
+    best = min(range(len(lags)), key=lambda i: (-rhos[i], abs(lags[i]), lags[i]))
+    return lags, rhos, lags[best], skipped
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    t_len=st.integers(12, 60),
+    lo=st.integers(-30, -1),
+    hi=st.integers(1, 30),
+    washout=st.integers(0, 20),
+    min_window=st.integers(2, 12),
+    size=st.integers(3, 25),
+    ridge=st.floats(0.1, 10.0),
+    flat=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_lag_scan_matches_direct_per_lag_fits(
+    t_len, lo, hi, washout, min_window, size, ridge, flat, seed
+):
+    # washout is drawn both below and at or above |lo|, so the negative-lag
+    # windows sometimes differ and sometimes coincide; a constant target tail
+    # and short series make the skip rules fire.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(t_len)
+    y = rng.standard_normal(t_len)
+    y[max(t_len - flat, 0):] = 0.5
+    cfg = small_cfg(size=size, ridge=ridge, washout=washout, seed=seed, sparsity=1.0)
+    grid = LagGrid(lo, hi)
+    expected = direct_curve(x, y, cfg, grid, min_window)
+    if expected is None:
+        with pytest.raises(ValueError, match="no usable lag"):
+            cross_map_curve(x, y, cfg, grid, min_window=min_window)
+        return
+    lags, rhos, peak_lag, skipped = expected
+    curve = cross_map_curve(x, y, cfg, grid, min_window=min_window)
+    assert curve.lags == tuple(lags)
+    assert curve.skipped == tuple(skipped)
+    assert curve.peak_lag == peak_lag
+    assert np.max(np.abs(np.subtract(curve.rhos, rhos))) <= 1e-12
+
+
+def test_skipped_lags_stay_in_grid_order_across_skip_kinds(caplog):
+    # The first 20 inputs z-score to exactly 0, so states stay 0 there and any
+    # window inside them predicts a constant. With washout 0 and T=40, lag L>0
+    # trains on rows [0, 40-L): lags 20..25 give degenerate predictions, the
+    # target is constant on [26, 40) so lags 26..30 have a constant target
+    # window, and lags 31..35 have windows shorter than 10.
+    x = np.concatenate([np.zeros(20), np.tile([1.0, -1.0], 10)])
+    y = np.random.default_rng(12).standard_normal(40)
+    y[26:] = 2.0
+    with caplog.at_level("WARNING"):
+        curve = cross_map_curve(x, y, small_cfg(washout=0), LagGrid(-3, 35))
+    assert curve.skipped == tuple(range(20, 36))
+    assert curve.lags == tuple(range(-3, 20))
+    messages = " ".join(rec.getMessage() for rec in caplog.records)
+    for reason in ("degenerate prediction", "constant target window", "window 9 < 10"):
+        assert reason in messages
+
+
+def test_ridge_zero_on_rank_deficient_window_raises():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(120)
+    y = rng.standard_normal(120)
+    cfg = small_cfg(ridge=0.0, washout=10)
+    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    states[:, 3] = 0.0  # one unit never moves: every window's Gram is singular
+    with pytest.raises(ValueError, match="normal equations are singular"):
+        cross_map_curve(x, y, cfg, LagGrid(-12, 12), states=states)
 
 
 # ---------------------------------------------------------------------------

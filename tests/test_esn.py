@@ -16,6 +16,7 @@ from echosent.esn import (
     predict,
     run_states,
     save_model,
+    solve_ridge,
     spectral_radius,
     train_readout,
 )
@@ -324,3 +325,19 @@ def test_nrmse_zero_mean_rejected():
 def test_nrmse_shape_checks():
     with pytest.raises(ValueError):
         nrmse(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+def test_solve_ridge_columns_match_single_solves():
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal((60, 15))
+    gram = u.T @ u
+    rhs = u.T @ rng.standard_normal((60, 4))
+    block = solve_ridge(gram, rhs, 0.5)
+    assert block.shape == (15, 4)
+    for k in range(4):
+        assert np.max(np.abs(block[:, k] - solve_ridge(gram, rhs[:, k], 0.5))) <= 1e-12
+    singular = u[:, :5].T @ u[:, :5]
+    singular[:, 2] = singular[2, :] = 0.0
+    for b in (rhs[:5], rhs[:5, 0]):
+        with pytest.raises(ValueError, match="normal equations are singular"):
+            solve_ridge(singular, b, 0.0)
