@@ -18,7 +18,7 @@ import datetime as dt
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.resources import files
 from pathlib import Path
 
@@ -28,7 +28,6 @@ from . import ccm, esn, series, synth
 from .lexicon import load_emotion_lexicon, load_valence_lexicon
 from .sentiment import (
     DEFAULT_MODIFIERS,
-    ScoredPost,
     read_scored_csv,
     score_post,
     write_scored_csv,
@@ -127,9 +126,11 @@ def _run_clean(in_path, out_path, wordlist_path, report_path=None):
         "malformed_lines": malformed,
         "rule1_posts_with_artifacts": 0,
         "rule2_removed_non_english": 0,
+        "duplicate_ids_dropped": 0,
         "rule3_tokens_dropped": 0,
         "output_posts": 0,
     }
+    seen_ids: set[str] = set()
     for post in posts:
         stripped = strip_artifacts(post.text)
         if stripped != post.text:
@@ -141,6 +142,11 @@ def _run_clean(in_path, out_path, wordlist_path, report_path=None):
         if not is_english(post, wordlist):
             report["rule2_removed_non_english"] += 1
             continue
+        # ids must be unique downstream: keep the first English post of each id
+        if post.id in seen_ids:
+            report["duplicate_ids_dropped"] += 1
+            continue
+        seen_ids.add(post.id)
         doc = tokenize(post.text)
         nostop = remove_stopwords(doc, stopwords)
         report["rule3_tokens_dropped"] += len(post.text.split()) - len(nostop.tokens)
@@ -150,7 +156,7 @@ def _run_clean(in_path, out_path, wordlist_path, report_path=None):
     if report_path:
         Path(report_path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     bad_fraction = malformed / total_lines if total_lines else 0.0
-    return report, bad_fraction
+    return kept, report, bad_fraction
 
 
 def cmd_clean(args) -> int:
@@ -160,7 +166,7 @@ def cmd_clean(args) -> int:
         raise ValueError("clean: --in is required")
     wordlist = st.get("wordlist", "paths", "wordlist", _default_path("wordlist_en.txt"))
     st.echo("clean")
-    report, bad_fraction = _run_clean(in_path, args.out, wordlist, args.report)
+    _, report, bad_fraction = _run_clean(in_path, args.out, wordlist, args.report)
     for key in sorted(report):
         print(f"{key}: {report[key]}")
     if bad_fraction > 0.01:
@@ -179,8 +185,7 @@ def _load_lexicons(st: Settings):
     return load_valence_lexicon(vpath), load_emotion_lexicon(epath), load_wordlist(spath)
 
 
-def _run_score(in_path, out_path, vlex, elex, stopwords):
-    posts, _ = read_corpus(in_path)
+def _run_score(posts, out_path, vlex, elex, stopwords):
     scored = [score_post(p, vlex, elex, stopwords, DEFAULT_MODIFIERS) for p in posts]
     write_scored_csv(scored, out_path)
     return scored
@@ -195,7 +200,8 @@ def cmd_score(args) -> int:
     st.echo("score")
     print(f"# valence lexicon sha256 {vlex.checksum}")
     print(f"# emotion lexicon sha256 {elex.checksum}")
-    scored = _run_score(in_path, args.out, vlex, elex, stopwords)
+    posts, _ = read_corpus(in_path)
+    scored = _run_score(posts, args.out, vlex, elex, stopwords)
     print(f"scored_posts: {len(scored)}")
     return 0
 
@@ -206,29 +212,29 @@ def cmd_score(args) -> int:
 _COUNT_FEATURES = ("like_total", "reply_total", "retweet_total")
 
 
-def _join_counts(scored: list[ScoredPost], corpus_path) -> list[ScoredPost]:
+def _join_corpus(scored, corpus_path, keyword=None):
+    """Scored posts with their engagement counts from the corpus, in one read.
+
+    With ``keyword``, only posts whose text contains it are kept. Corpus ids
+    must be unique and every scored id must be in the corpus.
+    """
     posts, _ = read_corpus(corpus_path)
-    by_id = {p.id: p for p in posts}
+    by_id = {}
+    for p in posts:
+        if by_id.setdefault(p.id, p) is not p:
+            raise ValueError(f"{corpus_path}: post id {p.id!r} repeats")
+    keep = {p.id for p in series.keyword_filter(posts, keyword)} if keyword else by_id
     joined = []
     for sp in scored:
         raw = by_id.get(sp.id)
         if raw is None:
-            continue
-        joined.append(
-            ScoredPost(
-                sp.id, sp.date, sp.city, sp.sentiment, sp.emotions,
-                raw.like_count, raw.reply_count, raw.retweet_count,
-            )
-        )
+            raise ValueError(f"scored post {sp.id!r} is not in {corpus_path}")
+        if sp.id in keep:
+            joined.append(replace(
+                sp, like_count=raw.like_count, reply_count=raw.reply_count,
+                retweet_count=raw.retweet_count,
+            ))
     return joined
-
-
-def _run_aggregate(scored, feature_list, cities, start, end):
-    out = []
-    for city in cities:
-        for feature in feature_list:
-            out.append(series.aggregate_daily(scored, city, feature, start, end))
-    return out
 
 
 def cmd_aggregate(args) -> int:
@@ -245,27 +251,19 @@ def cmd_aggregate(args) -> int:
     periods_path = st.get("periods", "paths", "periods", None)
     st.echo("aggregate")
 
+    if keyword and not corpus_path:
+        raise ValueError("aggregate: --keyword needs --corpus for the post text")
     scored = read_scored_csv(scored_path)
     if corpus_path:
-        scored = _join_counts(scored, corpus_path)
-    if keyword:
-        if not corpus_path:
-            raise ValueError("aggregate: --keyword needs --corpus for the post text")
-        posts, _ = read_corpus(corpus_path)
-        keep = {p.id for p in series.keyword_filter(posts, keyword)}
-        scored = [sp for sp in scored if sp.id in keep]
+        scored = _join_corpus(scored, corpus_path, keyword)
     if features_opt:
         feature_list = [f.strip() for f in features_opt.split(",")]
     else:
         feature_list = ["compound_mean", "tweet_count"]
         if corpus_path:
             feature_list += list(_COUNT_FEATURES)
-    cities = (
-        [c.strip() for c in cities_opt.split(",")]
-        if cities_opt
-        else sorted({sp.city for sp in scored})
-    )
-    built = _run_aggregate(scored, feature_list, cities, start, end)
+    cities = [c.strip() for c in cities_opt.split(",")] if cities_opt else None
+    built = series.aggregate_daily(scored, feature_list, cities, start, end)
     series.write_series_csv(built, args.out)
     print(f"series_written: {len(built)}")
     if periods_path:
@@ -505,12 +503,10 @@ def cmd_pipeline(args) -> int:
     cleaned = out_dir / "cleaned.jsonl"
     scored_path = out_dir / "scored.csv"
     series_path = out_dir / "series.csv"
-    report, bad_fraction = _run_clean(in_path, cleaned, wordlist)
-    scored = _run_score(cleaned, scored_path, vlex, elex, stopwords)
-    scored = _join_counts(scored, cleaned)
-    cities = sorted({sp.city for sp in scored})
-    feature_list = ["compound_mean", "tweet_count"] + list(_COUNT_FEATURES)
-    built = _run_aggregate(scored, feature_list, cities, None, None)
+    kept, report, bad_fraction = _run_clean(in_path, cleaned, wordlist)
+    # score_post carries the engagement counts, so no corpus join is needed
+    scored = _run_score(kept, scored_path, vlex, elex, stopwords)
+    built = series.aggregate_daily(scored, ["compound_mean", "tweet_count", *_COUNT_FEATURES])
     series.write_series_csv(built, series_path)
     for key in sorted(report):
         print(f"{key}: {report[key]}")

@@ -1,5 +1,5 @@
 """Leaky echo state network: reservoir construction, state evolution,
-ridge-regularized readout training, prediction and NRMSE.
+ridge-regularized readout training and NRMSE.
 
 The recurrent weights are random and fixed; only the linear readout is
 trained. State update with leak rate psi:
@@ -9,16 +9,14 @@ trained. State update with leak rate psi:
 
 The recurrent matrix is generated sparse-uniform and rescaled so its
 spectral radius hits the configured target; a target below 1 is the
-fading-memory (echo state) necessary condition. Inputs and targets are
-z-scored inside the model; predictions are mapped back to the target scale.
+fading-memory (echo state) necessary condition. Callers z-score inputs and
+targets with ``zscore`` before driving the reservoir.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -183,18 +181,6 @@ def nrmse(predictions: np.ndarray, observations: np.ndarray) -> float:
     return float(np.sqrt(np.mean((pred - obs) ** 2)) / abs(mean))
 
 
-@dataclass(eq=False)
-class EsnModel:
-    reservoir: Reservoir
-    config: ReservoirConfig
-    readout: np.ndarray
-    input_mean: float
-    input_sd: float
-    target_mean: float
-    target_sd: float
-    trained: bool = False
-
-
 def _scale_stats(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     sd = float(np.std(values))
@@ -206,84 +192,3 @@ def zscore(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     mean, sd = _scale_stats(v)
     return (v - mean) / sd
-
-
-def fit_esn(cfg: ReservoirConfig, inputs: np.ndarray, targets: np.ndarray) -> EsnModel:
-    """Build the reservoir, run z-scored inputs, train the readout on z-scored targets."""
-    x = np.asarray(inputs, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise ValueError("inputs and targets must be equal-length 1-D arrays (length >= 2)")
-    reservoir = build_reservoir(cfg)
-    x_mean, x_sd = _scale_stats(x)
-    y_mean, y_sd = _scale_stats(y)
-    states = run_states(reservoir, cfg, (x - x_mean) / x_sd)
-    readout = train_readout(states, (y - y_mean) / y_sd, cfg.ridge, cfg.washout)
-    return EsnModel(reservoir, cfg, readout, x_mean, x_sd, y_mean, y_sd, trained=True)
-
-
-def predict(model: EsnModel, inputs: np.ndarray) -> np.ndarray:
-    """Readout applied to fresh states, mapped back to the target scale."""
-    if not model.trained:
-        raise ValueError("model is untrained")
-    x = np.asarray(inputs, dtype=float)
-    states = run_states(model.reservoir, model.config, (x - model.input_mean) / model.input_sd)
-    return states @ model.readout * model.target_sd + model.target_mean
-
-
-# ---------------------------------------------------------------------------
-# Model dump format: a .npz archive, format version 1, with the config as a
-# JSON header string and the weight matrices as arrays.
-
-_DUMP_VERSION = 1
-
-
-def save_model(model: EsnModel, path: str | Path) -> None:
-    header = {
-        "format_version": _DUMP_VERSION,
-        "config": {
-            "size": model.config.size,
-            "spectral_radius": model.config.spectral_radius,
-            "leak": model.config.leak,
-            "input_scale": model.config.input_scale,
-            "sparsity": model.config.sparsity,
-            "ridge": model.config.ridge,
-            "seed": model.config.seed,
-            "washout": model.config.washout,
-        },
-        "trained": model.trained,
-        "input_mean": model.input_mean,
-        "input_sd": model.input_sd,
-        "target_mean": model.target_mean,
-        "target_sd": model.target_sd,
-        "achieved_radius": model.reservoir.achieved_radius,
-    }
-    with Path(path).open("wb") as fh:
-        np.savez(
-            fh,
-            header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-            matrix=model.reservoir.matrix,
-            input_weights=model.reservoir.input_weights,
-            readout=model.readout,
-        )
-
-
-def load_model(path: str | Path) -> EsnModel:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("format_version") != _DUMP_VERSION:
-            raise ValueError(f"unsupported model dump version {header.get('format_version')}")
-        cfg = ReservoirConfig(**header["config"])
-        reservoir = Reservoir(
-            data["matrix"].copy(), data["input_weights"].copy(), header["achieved_radius"]
-        )
-        return EsnModel(
-            reservoir,
-            cfg,
-            data["readout"].copy(),
-            header["input_mean"],
-            header["input_sd"],
-            header["target_mean"],
-            header["target_sd"],
-            trained=header["trained"],
-        )

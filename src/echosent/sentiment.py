@@ -130,17 +130,6 @@ def _token_valences(doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables) ->
     return out
 
 
-def word_valences(
-    doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables = DEFAULT_MODIFIERS
-) -> list[float]:
-    """Adjusted valences of the lexicon-matched tokens, in document order."""
-    return [
-        v
-        for v, tok in zip(_token_valences(doc, lex, mods), doc.tokens)
-        if tok.surface in lex
-    ]
-
-
 def compound_score(
     valences: Sequence[float], doc: CleanDoc, mods: ModifierTables = DEFAULT_MODIFIERS
 ) -> float:
@@ -176,14 +165,6 @@ def polarity_proportions(
         positive=pos_sum / total,
         compound=compound_score(vals, doc, mods),
     )
-
-
-def mean_word_score(doc: CleanDoc, lex: ValenceLexicon) -> float:
-    """Sum of raw matched valences over the total token count."""
-    if not doc.tokens:
-        raise ValueError("empty document")
-    total = sum(lex.lookup(tok.surface) or 0.0 for tok in doc.tokens)
-    return total / len(doc.tokens)
 
 
 def emotion_profile(doc: CleanDoc, lex: EmotionLexicon) -> EmotionProfile:

@@ -60,77 +60,69 @@ class CitySeries:
         return len(self.dates)
 
 
+#: Value of each aggregated feature on a day with posts.
+_DAY_VALUE = {
+    "compound_mean": lambda group: sum(p.sentiment.compound for p in group) / len(group),
+    "tweet_count": lambda group: float(len(group)),
+    "like_total": lambda group: float(sum(p.like_count for p in group)),
+    "reply_total": lambda group: float(sum(p.reply_count for p in group)),
+    "retweet_total": lambda group: float(sum(p.retweet_count for p in group)),
+}
+
+
 def aggregate_daily(
-    posts: Sequence[ScoredPost],
-    city: str,
-    feature: str,
+    posts: Iterable[ScoredPost],
+    features: Sequence[str],
+    cities: Sequence[str] | None = None,
     start: dt.date | None = None,
     end: dt.date | None = None,
-) -> CitySeries:
-    """Aggregate scored posts for one city into a gap-free daily series.
+) -> list[CitySeries]:
+    """Aggregate scored posts into gap-free daily series, one per (city, feature).
 
-    ``compound_mean`` is the arithmetic mean of the day's compound scores;
-    count features are daily sums. Days without posts get 0 for counts and a
-    carried-forward mean for ``compound_mean`` (carried backward at a leading
-    gap), flagged in ``filled``.
+    The posts are grouped once by (city, day). Series come city-major, then
+    in ``features`` order; ``cities=None`` means every city, sorted. Each
+    city spans its own first to last post day unless ``start``/``end`` are
+    given. ``compound_mean`` is the arithmetic mean of the day's compound
+    scores; count features are daily sums. Days without posts get 0 for
+    counts and a carried-forward mean for ``compound_mean`` (carried backward
+    at a leading gap), flagged in ``filled``.
     """
-    if feature == "cases":
-        raise ValueError("case counts are external data; load them with read_series_csv")
-    if feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}")
-    sel = [p for p in posts if p.city == city]
-    if not sel:
-        raise ValueError(f"unknown city {city!r}: no posts")
-    start = start or min(p.date for p in sel)
-    end = end or max(p.date for p in sel)
-    if end < start:
-        raise ValueError(f"empty range {start}..{end}")
-    sel = [p for p in sel if start <= p.date <= end]
-    if not sel:
-        raise ValueError(f"no posts for {city!r} in {start}..{end}")
+    for feature in features:
+        if feature == "cases":
+            raise ValueError("case counts are external data; load them with read_series_csv")
+        if feature not in FEATURES:
+            raise ValueError(f"unknown feature {feature!r}")
+    by_city: dict[str, dict[dt.date, list[ScoredPost]]] = {}
+    for p in posts:
+        by_city.setdefault(p.city, {}).setdefault(p.date, []).append(p)
 
-    by_day: dict[dt.date, list[ScoredPost]] = {}
-    for p in sel:
-        by_day.setdefault(p.date, []).append(p)
-
-    dates: list[dt.date] = []
-    values: list[float] = []
-    filled: list[bool] = []
-    day = start
-    while day <= end:
-        dates.append(day)
-        group = by_day.get(day)
-        if feature == "compound_mean":
-            if group:
-                values.append(sum(p.sentiment.compound for p in group) / len(group))
-                filled.append(False)
+    out: list[CitySeries] = []
+    for city in sorted(by_city) if cities is None else cities:
+        by_day = by_city.get(city)
+        if not by_day:
+            raise ValueError(f"unknown city {city!r}: no posts")
+        lo = start or min(by_day)
+        hi = end or max(by_day)
+        if hi < lo:
+            raise ValueError(f"empty range {lo}..{hi}")
+        if not any(lo <= day <= hi for day in by_day):
+            raise ValueError(f"no posts for {city!r} in {lo}..{hi}")
+        dates = tuple(lo + i * _ONE_DAY for i in range((hi - lo).days + 1))
+        filled = tuple(day not in by_day for day in dates)
+        for feature in features:
+            value = _DAY_VALUE[feature]
+            observed = [value(by_day[day]) if day in by_day else None for day in dates]
+            if feature == "compound_mean":
+                # a leading gap has no previous mean; carry the first observed one back
+                last = next(v for v in observed if v is not None)
+                values = []
+                for v in observed:
+                    last = last if v is None else v
+                    values.append(last)
             else:
-                values.append(values[-1] if values else math.nan)
-                filled.append(True)
-        else:
-            if group:
-                if feature == "tweet_count":
-                    values.append(float(len(group)))
-                elif feature == "like_total":
-                    values.append(float(sum(p.like_count for p in group)))
-                elif feature == "reply_total":
-                    values.append(float(sum(p.reply_count for p in group)))
-                else:
-                    values.append(float(sum(p.retweet_count for p in group)))
-                filled.append(False)
-            else:
-                values.append(0.0)
-                filled.append(True)
-        day += _ONE_DAY
-    # a leading gap has no previous mean; carry the first observed one back
-    if feature == "compound_mean" and values and math.isnan(values[0]):
-        first = next(v for v in values if not math.isnan(v))
-        for i in range(len(values)):
-            if math.isnan(values[i]):
-                values[i] = first
-            else:
-                break
-    return CitySeries(city, feature, tuple(dates), tuple(values), tuple(filled))
+                values = [0.0 if v is None else v for v in observed]
+            out.append(CitySeries(city, feature, dates, tuple(values), filled))
+    return out
 
 
 def keyword_filter(posts: Sequence, keyword: str) -> list:
@@ -217,16 +209,22 @@ def period_summary(posts: Sequence[ScoredPost], periods: PeriodConfig) -> list[P
     Posts dated outside every period land in a remainder bucket. The sample
     standard deviation (n-1) is reported only for n >= 2.
     """
+    by_city: dict[str, list[ScoredPost]] = {}
+    for p in posts:
+        by_city.setdefault(p.city, []).append(p)
     out: list[PeriodSummary] = []
-    for city in sorted({p.city for p in posts}):
-        city_posts = [p for p in posts if p.city == city]
-        assigned: set[str] = set()
-        for period in periods.periods_for(city):
-            group = [p for p in city_posts if period.start <= p.date <= period.end]
-            assigned.update(p.id for p in group)
-            out.append(_summarize(city, period.label, group))
-        rest = [p for p in city_posts if p.id not in assigned]
-        out.append(_summarize(city, REMAINDER_LABEL, rest))
+    for city in sorted(by_city):
+        city_periods = periods.periods_for(city)
+        # one group per period, then the remainder
+        groups: list[list[ScoredPost]] = [[] for _ in range(len(city_periods) + 1)]
+        for p in by_city[city]:
+            slot = next(
+                (k for k, period in enumerate(city_periods) if period.start <= p.date <= period.end),
+                len(city_periods),
+            )
+            groups[slot].append(p)
+        labels = [period.label for period in city_periods] + [REMAINDER_LABEL]
+        out.extend(_summarize(city, label, group) for label, group in zip(labels, groups))
     return out
 
 

@@ -189,6 +189,89 @@ def test_aggregate_keyword_filters(tmp_path, fixtures_dir):
     assert rows[0].endswith("2.0")
 
 
+def write_posts(path: Path, posts) -> None:
+    """Posts as (id, date, city, text, like_count) in a JSON-lines corpus."""
+    path.write_text("".join(
+        json.dumps({"id": pid, "date": day, "city": city, "text": text, "like_count": likes}) + "\n"
+        for pid, day, city, text, likes in posts
+    ))
+
+
+def test_duplicate_ids_keep_first_post(tmp_path, capsys):
+    corpus = tmp_path / "raw.jsonl"
+    write_posts(corpus, [
+        ("p1", "2020-03-01", "Toronto", ENGLISH_TEXTS[0], 1),
+        ("p1", "2020-03-02", "Toronto", ENGLISH_TEXTS[1], 7),
+    ])
+    assert main(["pipeline", "--in", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "duplicate_ids_dropped: 1" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "series.csv").read_text().splitlines()
+    likes = [row for row in rows if ",like_total," in row]
+    assert likes == ["2020-03-01,Toronto,like_total,1.0"]
+    report_path = tmp_path / "report.json"
+    assert main(["clean", "--in", str(corpus), "--out", str(tmp_path / "c.jsonl"),
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["duplicate_ids_dropped"] == 1
+    assert report["output_posts"] == 1
+
+
+def test_clean_keeps_first_english_post_of_each_id(tmp_path):
+    # the first "p1" fails the language filter, so the second one is kept
+    corpus = tmp_path / "raw.jsonl"
+    corpus.write_text("".join(json.dumps(rec) + "\n" for rec in [
+        {"id": "p1", "date": "2020-03-01", "city": "X", "text": FRENCH_TEXTS[0], "lang": "fr"},
+        {"id": "p1", "date": "2020-03-02", "city": "X", "text": ENGLISH_TEXTS[0]},
+        {"id": "p1", "date": "2020-03-03", "city": "X", "text": ENGLISH_TEXTS[1]},
+    ]))
+    out = tmp_path / "clean.jsonl"
+    report_path = tmp_path / "report.json"
+    assert main(["clean", "--in", str(corpus), "--out", str(out),
+                 "--report", str(report_path)]) == 0
+    kept = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(p["id"], p["date"]) for p in kept] == [("p1", "2020-03-02")]
+    report = json.loads(report_path.read_text())
+    assert report["rule2_removed_non_english"] == 1
+    assert report["duplicate_ids_dropped"] == 1
+
+
+def aggregate_against_corpus(tmp_path, capsys, corpus_posts):
+    """Score posts "a" and "b", then aggregate them against another corpus."""
+    cleaned = tmp_path / "cleaned.jsonl"
+    scored = tmp_path / "scored.csv"
+    write_posts(cleaned, [
+        ("a", "2020-03-01", "Toronto", ENGLISH_TEXTS[0], 1),
+        ("b", "2020-03-02", "Toronto", ENGLISH_TEXTS[1], 2),
+    ])
+    assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
+    corpus = tmp_path / "corpus.jsonl"
+    write_posts(corpus, corpus_posts)
+    out = tmp_path / "series.csv"
+    capsys.readouterr()
+    rc = main(["aggregate", "--scored", str(scored), "--corpus", str(corpus), "--out", str(out)])
+    return rc, capsys.readouterr().err, out.exists()
+
+
+def test_aggregate_rejects_repeated_corpus_ids(tmp_path, capsys):
+    rc, err, written = aggregate_against_corpus(tmp_path, capsys, [
+        ("a", "2020-03-01", "Toronto", ENGLISH_TEXTS[0], 1),
+        ("b", "2020-03-02", "Toronto", ENGLISH_TEXTS[1], 2),
+        ("b", "2020-03-03", "Toronto", ENGLISH_TEXTS[2], 3),
+    ])
+    assert rc == 2
+    assert "post id 'b' repeats" in err
+    assert not written
+
+
+def test_aggregate_rejects_scored_id_missing_from_corpus(tmp_path, capsys):
+    rc, err, written = aggregate_against_corpus(tmp_path, capsys, [
+        ("a", "2020-03-01", "Toronto", ENGLISH_TEXTS[0], 1),
+    ])
+    assert rc == 2
+    assert "scored post 'b' is not in" in err
+    assert not written
+
+
 def test_aggregate_periods_summary(tmp_path, fixtures_dir):
     cleaned, scored = scored_setup(tmp_path, fixtures_dir)
     periods = tmp_path / "periods.ini"
@@ -279,23 +362,37 @@ def test_gridsearch_tiny_grid_winner_is_that_cell(tmp_path):
 
 
 def test_pipeline_equals_staged_composition(tmp_path, fixtures_dir):
-    staged = tmp_path / "staged"
-    staged.mkdir()
-    cleaned = staged / "cleaned.jsonl"
-    scored = staged / "scored.csv"
-    series_csv = staged / "series.csv"
-    assert main(["clean", "--in", f"{fixtures_dir}/toronto_feb24.jsonl",
-                 "--out", str(cleaned)]) == 0
-    assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
-    assert main(["aggregate", "--scored", str(scored), "--corpus", str(cleaned),
-                 "--out", str(series_csv)]) == 0
+    # two cities with their own ranges and gap days; listed Toronto first
+    two_city = tmp_path / "two_city.jsonl"
+    write_posts(two_city, [
+        ("t1", "2020-03-02", "Toronto", ENGLISH_TEXTS[0], 3),
+        ("m1", "2020-03-01", "Montreal", ENGLISH_TEXTS[1], 1),
+        ("t2", "2020-03-05", "Toronto", ENGLISH_TEXTS[4], 0),
+        ("m2", "2020-03-04", "Montreal", ENGLISH_TEXTS[5], 2),
+        ("t3", "2020-03-05", "Toronto", ENGLISH_TEXTS[7], 5),
+        ("m3", "2020-03-09", "Montreal", ENGLISH_TEXTS[6], 4),
+    ])
+    for corpus in (f"{fixtures_dir}/toronto_feb24.jsonl", str(two_city)):
+        run_dir = tmp_path / Path(corpus).stem
+        staged = run_dir / "staged"
+        staged.mkdir(parents=True)
+        cleaned = staged / "cleaned.jsonl"
+        scored = staged / "scored.csv"
+        series_csv = staged / "series.csv"
+        assert main(["clean", "--in", corpus, "--out", str(cleaned)]) == 0
+        assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
+        assert main(["aggregate", "--scored", str(scored), "--corpus", str(cleaned),
+                     "--out", str(series_csv)]) == 0
 
-    oneshot = tmp_path / "oneshot"
-    assert main(["pipeline", "--in", f"{fixtures_dir}/toronto_feb24.jsonl",
-                 "--out-dir", str(oneshot)]) == 0
-    assert (oneshot / "cleaned.jsonl").read_bytes() == cleaned.read_bytes()
-    assert (oneshot / "scored.csv").read_bytes() == scored.read_bytes()
-    assert (oneshot / "series.csv").read_bytes() == series_csv.read_bytes()
+        oneshot = run_dir / "oneshot"
+        assert main(["pipeline", "--in", corpus, "--out-dir", str(oneshot)]) == 0
+        assert (oneshot / "cleaned.jsonl").read_bytes() == cleaned.read_bytes()
+        assert (oneshot / "scored.csv").read_bytes() == scored.read_bytes()
+        assert (oneshot / "series.csv").read_bytes() == series_csv.read_bytes()
+    rows = series_csv.read_text().splitlines()
+    assert rows[1].startswith("2020-03-01,Montreal,compound_mean,")
+    assert "2020-03-03,Toronto,like_total,0.0" in rows
+    assert sum(1 for row in rows if ",Montreal,tweet_count," in row) == 9
 
 
 def test_byte_identical_reruns(tmp_path, fixtures_dir):

@@ -6,16 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from echosent.esn import (
-    EsnModel,
     Reservoir,
     ReservoirConfig,
     build_reservoir,
-    fit_esn,
-    load_model,
     nrmse,
-    predict,
     run_states,
-    save_model,
     solve_ridge,
     spectral_radius,
     train_readout,
@@ -224,80 +219,6 @@ def test_washout_drops_leading_rows():
     w_cut = train_readout(states, targets, ridge=0.1, washout=10)
     w_manual = train_readout(states[10:], targets[10:], ridge=0.1)
     assert np.array_equal(w_cut, w_manual)
-
-
-# ---------------------------------------------------------------------------
-# model fit / predict
-
-
-def test_zero_readout_predicts_target_mean():
-    c = cfg()
-    res = build_reservoir(c)
-    model = EsnModel(res, c, np.zeros(c.size), 0.0, 1.0, 3.5, 2.0, trained=True)
-    preds = predict(model, np.random.default_rng(11).standard_normal(20))
-    assert np.allclose(preds, 3.5)
-
-
-def test_identity_fixture_recovered():
-    # model whose readout picks the first state coordinate: predictions must
-    # equal the designated scaled coordinate computed independently
-    c = cfg(size=10, ridge=0.0, sparsity=1.0, seed=3)
-    res = build_reservoir(c)
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal(300)
-    readout = np.zeros(c.size)
-    readout[0] = 1.0
-    model = EsnModel(res, c, readout, float(x.mean()), float(x.std()), 0.5, 3.0, trained=True)
-    xz = (x - x.mean()) / x.std()
-    states = run_states(res, c, xz)
-    targets = 3.0 * states[:, 0] + 0.5
-    assert predict(model, x) == pytest.approx(targets, abs=1e-6)
-
-
-def test_fit_recovers_learnable_map_closely():
-    # noiseless linear-in-states target: in-sample NRMSE is tiny (the small
-    # residual is the centering constant outside the state column space)
-    c = cfg(size=10, ridge=0.0, sparsity=1.0, seed=3)
-    res = build_reservoir(c)
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal(300)
-    xz = (x - x.mean()) / x.std()
-    states = run_states(res, c, xz)
-    y = 3.0 * states[:, 0] + 0.5
-    model = fit_esn(c, x, y)
-    assert nrmse(predict(model, x), y) < 1e-2
-
-
-def test_untrained_model_rejected():
-    c = cfg()
-    model = EsnModel(build_reservoir(c), c, np.zeros(c.size), 0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="untrained"):
-        predict(model, np.zeros(5))
-
-
-def test_full_determinism():
-    c = cfg(size=30, ridge=0.5)
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal(200)
-    y = np.roll(x, 1) + 0.1 * rng.standard_normal(200) + 1.0
-    m1 = fit_esn(c, x, y)
-    m2 = fit_esn(c, x, y)
-    assert np.array_equal(m1.readout, m2.readout)
-    assert np.array_equal(predict(m1, x), predict(m2, x))
-
-
-def test_save_load_roundtrip(tmp_path):
-    c = cfg(size=15, ridge=0.5)
-    rng = np.random.default_rng(14)
-    x = rng.standard_normal(100)
-    y = np.cumsum(x) + 5.0
-    model = fit_esn(c, x, y)
-    path = tmp_path / "model.npz"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.config == model.config
-    assert np.array_equal(back.readout, model.readout)
-    assert np.array_equal(predict(back, x), predict(model, x))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ from echosent.sentiment import (
     DEFAULT_MODIFIERS,
     ModifierTables,
     SentimentScore,
+    _token_valences,
     compound_score,
     emotion_profile,
-    mean_word_score,
     polarity_proportions,
-    word_valences,
 )
 from echosent.textpipe import remove_stopwords, tokenize
 
@@ -22,8 +21,14 @@ def doc(text, vlex=None):
     return tokenize(text, emoticons)
 
 
+def word_valences(d, vlex):
+    """Adjusted valences of the lexicon-matched tokens, in document order."""
+    vals = _token_valences(d, vlex, DEFAULT_MODIFIERS)
+    return [v for v, tok in zip(vals, d.tokens) if tok.surface in vlex]
+
+
 # ---------------------------------------------------------------------------
-# word_valences
+# adjusted valences of matched tokens
 
 
 def test_negated_positive_word(vlex):
@@ -170,23 +175,6 @@ def test_sentiment_score_validates():
         SentimentScore(0.5, 0.2, 0.5, 0.0)
     with pytest.raises(ValueError):
         SentimentScore(0.0, 1.0, 0.0, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# mean_word_score
-
-
-def test_mean_word_score_cases(vlex):
-    assert mean_word_score(doc("good aaa bbb ccc"), vlex) == pytest.approx(1.9 / 4)
-    assert mean_word_score(doc("aaa bbb ccc ddd eee"), vlex) == 0.0
-    assert mean_word_score(doc("lol"), vlex) == 2.9
-    with pytest.raises(ValueError):
-        mean_word_score(doc(""), vlex)
-
-
-def test_mean_word_score_uses_raw_valences(vlex):
-    # no caps/negation adjustment on this metric
-    assert mean_word_score(doc("not GOOD"), vlex) == pytest.approx(1.9 / 2)
 
 
 # ---------------------------------------------------------------------------

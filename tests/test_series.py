@@ -1,7 +1,10 @@
 import datetime as dt
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosent.sentiment import EmotionProfile, ScoredPost, SentimentScore
 from echosent.series import (
@@ -39,7 +42,7 @@ def sp(pid, day, city, compound, likes=0, replies=0, retweets=0):
 
 def test_singleton_day_mean():
     posts = [sp("a", D(2020, 3, 1), "Toronto", 0.5)]
-    s = aggregate_daily(posts, "Toronto", "compound_mean")
+    s = aggregate_daily(posts, ["compound_mean"], ["Toronto"])[0]
     assert s.dates == (D(2020, 3, 1),)
     assert s.values == (0.5,)
 
@@ -50,7 +53,7 @@ def test_three_post_mean_matches_bruteforce():
         sp("b", D(2020, 3, 1), "Toronto", -0.2),
         sp("c", D(2020, 3, 1), "Toronto", 0.6),
     ]
-    s = aggregate_daily(posts, "Toronto", "compound_mean")
+    s = aggregate_daily(posts, ["compound_mean"], ["Toronto"])[0]
     oracle = (0.2 + -0.2 + 0.6) / 3
     assert s.values[0] == pytest.approx(oracle)
     assert s.values[0] == pytest.approx(0.2)
@@ -61,7 +64,7 @@ def test_gap_day_carried_forward_and_flagged():
         sp("a", D(2020, 3, 1), "Toronto", 0.4),
         sp("b", D(2020, 3, 3), "Toronto", -0.4),
     ]
-    s = aggregate_daily(posts, "Toronto", "compound_mean")
+    s = aggregate_daily(posts, ["compound_mean"], ["Toronto"])[0]
     assert s.dates == (D(2020, 3, 1), D(2020, 3, 2), D(2020, 3, 3))
     assert s.values == (0.4, 0.4, -0.4)
     assert s.filled == (False, True, False)
@@ -72,14 +75,14 @@ def test_gap_day_zero_for_counts():
         sp("a", D(2020, 3, 1), "Toronto", 0.4, likes=2),
         sp("b", D(2020, 3, 3), "Toronto", -0.4, likes=5),
     ]
-    s = aggregate_daily(posts, "Toronto", "like_total")
+    s = aggregate_daily(posts, ["like_total"], ["Toronto"])[0]
     assert s.values == (2.0, 0.0, 5.0)
     assert s.filled == (False, True, False)
 
 
 def test_leading_gap_carried_backward():
     posts = [sp("a", D(2020, 3, 3), "Toronto", 0.7)]
-    s = aggregate_daily(posts, "Toronto", "compound_mean", start=D(2020, 3, 1))
+    s = aggregate_daily(posts, ["compound_mean"], ["Toronto"], start=D(2020, 3, 1))[0]
     assert s.values == (0.7, 0.7, 0.7)
     assert s.filled == (True, True, False)
 
@@ -89,10 +92,10 @@ def test_count_features():
         sp("a", D(2020, 3, 1), "Toronto", 0.0, likes=1, replies=2, retweets=3),
         sp("b", D(2020, 3, 1), "Toronto", 0.0, likes=4, replies=5, retweets=6),
     ]
-    assert aggregate_daily(posts, "Toronto", "tweet_count").values == (2.0,)
-    assert aggregate_daily(posts, "Toronto", "like_total").values == (5.0,)
-    assert aggregate_daily(posts, "Toronto", "reply_total").values == (7.0,)
-    assert aggregate_daily(posts, "Toronto", "retweet_total").values == (9.0,)
+    assert aggregate_daily(posts, ["tweet_count"], ["Toronto"])[0].values == (2.0,)
+    assert aggregate_daily(posts, ["like_total"], ["Toronto"])[0].values == (5.0,)
+    assert aggregate_daily(posts, ["reply_total"], ["Toronto"])[0].values == (7.0,)
+    assert aggregate_daily(posts, ["retweet_total"], ["Toronto"])[0].values == (9.0,)
 
 
 def test_tweet_count_sums_to_corpus_size():
@@ -101,7 +104,7 @@ def test_tweet_count_sums_to_corpus_size():
         sp(f"p{i}", D(2020, 3, 1) + dt.timedelta(days=rng.randrange(10)), "X", 0.0)
         for i in range(200)
     ]
-    s = aggregate_daily(posts, "X", "tweet_count", D(2020, 3, 1), D(2020, 3, 10))
+    s = aggregate_daily(posts, ["tweet_count"], ["X"], D(2020, 3, 1), D(2020, 3, 10))[0]
     assert sum(s.values) == 200
 
 
@@ -111,22 +114,112 @@ def test_aggregate_permutation_invariant():
         sp(f"p{i}", D(2020, 3, 1) + dt.timedelta(days=i % 5), "X", rng.uniform(-1, 1))
         for i in range(50)
     ]
-    base = aggregate_daily(posts, "X", "compound_mean")
+    base = aggregate_daily(posts, ["compound_mean"], ["X"])[0]
     shuffled = posts[:]
     rng.shuffle(shuffled)
-    assert aggregate_daily(shuffled, "X", "compound_mean").values == pytest.approx(base.values)
+    assert aggregate_daily(shuffled, ["compound_mean"], ["X"])[0].values == pytest.approx(base.values)
 
 
 def test_aggregate_errors():
     posts = [sp("a", D(2020, 3, 1), "Toronto", 0.0)]
     with pytest.raises(ValueError):
-        aggregate_daily(posts, "Atlantis", "compound_mean")
+        aggregate_daily(posts, ["compound_mean"], ["Atlantis"])
     with pytest.raises(ValueError):
-        aggregate_daily(posts, "Toronto", "nonsense")
+        aggregate_daily(posts, ["nonsense"], ["Toronto"])
     with pytest.raises(ValueError):
-        aggregate_daily(posts, "Toronto", "compound_mean", D(2020, 3, 5), D(2020, 3, 1))
+        aggregate_daily(posts, ["compound_mean"], ["Toronto"], D(2020, 3, 5), D(2020, 3, 1))
     with pytest.raises(ValueError):
-        aggregate_daily(posts, "Toronto", "cases")
+        aggregate_daily(posts, ["cases"], ["Toronto"])
+
+
+def per_city_feature_oracle(posts, city, feature, start=None, end=None):
+    """One (city, feature) series, built by rescanning every post for it."""
+    sel = [p for p in posts if p.city == city]
+    if not sel:
+        raise ValueError("unknown city")
+    start = start or min(p.date for p in sel)
+    end = end or max(p.date for p in sel)
+    if end < start:
+        raise ValueError("empty range")
+    sel = [p for p in sel if start <= p.date <= end]
+    if not sel:
+        raise ValueError("no posts in range")
+    dates, values, filled = [], [], []
+    day = start
+    while day <= end:
+        group = [p for p in sel if p.date == day]
+        dates.append(day)
+        filled.append(not group)
+        if feature == "compound_mean":
+            if group:
+                values.append(sum(p.sentiment.compound for p in group) / len(group))
+            else:
+                values.append(values[-1] if values else math.nan)
+        elif not group:
+            values.append(0.0)
+        elif feature == "tweet_count":
+            values.append(float(len(group)))
+        else:
+            attr = {"like_total": "like_count", "reply_total": "reply_count",
+                    "retweet_total": "retweet_count"}[feature]
+            values.append(float(sum(getattr(p, attr) for p in group)))
+        day += dt.timedelta(days=1)
+    first = next(v for v in values if not math.isnan(v))
+    values = [first if math.isnan(v) else v for v in values]
+    return tuple(dates), tuple(values), tuple(filled)
+
+
+ALL_FEATURES = ["compound_mean", "tweet_count", "like_total", "reply_total", "retweet_total"]
+
+post_rows = st.lists(
+    st.tuples(
+        st.sampled_from("ABCD"),
+        st.integers(0, 20),
+        st.floats(-1.0, 1.0),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        st.integers(0, 5),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=post_rows,
+    start=st.none() | st.integers(-3, 8),
+    end=st.none() | st.integers(12, 24),
+    features=st.lists(st.sampled_from(ALL_FEATURES), min_size=1, max_size=5, unique=True),
+    city_order=st.none() | st.randoms(use_true_random=False),
+)
+def test_one_pass_aggregation_matches_per_city_feature_oracle(rows, start, end, features, city_order):
+    base = D(2020, 3, 1)
+    posts = [
+        sp(f"p{i}", base + dt.timedelta(days=off), city, c, likes, replies, retweets)
+        for i, (city, off, c, likes, replies, retweets) in enumerate(rows)
+    ]
+    lo = None if start is None else base + dt.timedelta(days=start)
+    hi = None if end is None else base + dt.timedelta(days=end)
+    present = sorted({p.city for p in posts})
+    cities = None
+    if city_order is not None:
+        cities = present[:]
+        city_order.shuffle(cities)
+    try:
+        want = {
+            (city, f): per_city_feature_oracle(posts, city, f, lo, hi)
+            for city in present for f in features
+        }
+    except ValueError:
+        with pytest.raises(ValueError):
+            aggregate_daily(posts, features, cities, lo, hi)
+        return
+    got = aggregate_daily(posts, features, cities, lo, hi)
+    order = present if cities is None else cities
+    assert [(s.city, s.feature) for s in got] == [(c, f) for c in order for f in features]
+    for s in got:
+        assert (s.dates, s.values, s.filled) == want[(s.city, s.feature)]
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +288,15 @@ def test_period_summary_against_bruteforce():
     assert rest.n_tweets == 1
     assert rest.sd is None
     assert p1.n_tweets + p2.n_tweets + rest.n_tweets == len(posts)
+
+
+def test_period_remainder_assigns_by_date_not_id():
+    # two posts share an id: one inside period1, one outside every period
+    posts = [sp("p1", D(2020, 3, 2), "X", 0.2), sp("p1", D(2020, 3, 25), "X", 0.6)]
+    rows = {r.period: r for r in period_summary(posts, config())}
+    assert rows["period1"].n_tweets == 1
+    assert rows["(outside)"].n_tweets == 1
+    assert rows["(outside)"].mean == 0.6
 
 
 def test_single_post_period_sd_absent():
