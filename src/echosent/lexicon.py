@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -57,6 +57,12 @@ class ValenceLexicon:
     entries: Mapping[str, float]
     source: str
     checksum: str
+    _symbols: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Built once per lexicon: scoring asks for it on every post.
+        symbols = frozenset(t for t in self.entries if not any(c.isalpha() for c in t))
+        object.__setattr__(self, "_symbols", symbols)
 
     def lookup(self, token: str) -> float | None:
         return self.entries.get(normalize_token(token))
@@ -69,7 +75,7 @@ class ValenceLexicon:
 
     def symbol_tokens(self) -> frozenset[str]:
         """Tokens with no letters (emoticons); the tokenizer's emoticon inventory."""
-        return frozenset(t for t in self.entries if not any(c.isalpha() for c in t))
+        return self._symbols
 
 
 @dataclass(frozen=True)

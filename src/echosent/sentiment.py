@@ -111,7 +111,7 @@ def _token_valences(doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables) ->
     out: list[float] = []
     toks = doc.tokens
     for i, tok in enumerate(toks):
-        base = lex.lookup(tok.surface)
+        base = lex.entries.get(tok.normalized)
         if base is None:
             out.append(0.0)
             continue
@@ -172,7 +172,7 @@ def emotion_profile(doc: CleanDoc, lex: EmotionLexicon) -> EmotionProfile:
     n = len(doc.tokens)
     counts = [0] * len(EMOTION_CATEGORIES)
     for tok in doc.tokens:
-        emotions = lex.lookup(tok.surface)
+        emotions = lex.entries.get(tok.normalized)
         if not emotions:
             continue
         for j, cat in enumerate(EMOTION_CATEGORIES):
@@ -250,13 +250,20 @@ def write_scored_csv(posts: Iterable[ScoredPost], path: str | Path) -> None:
 
 
 def read_scored_csv(path: str | Path) -> list[ScoredPost]:
-    """Read scored rows; engagement counts are not part of this format."""
+    """Read scored rows; engagement counts are not part of this format.
+
+    Post ids must be unique: a repeated id raises ``ValueError`` naming it.
+    """
     out: list[ScoredPost] = []
+    seen: set[str] = set()
     with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != SCORED_COLUMNS:
             raise ValueError(f"{path}: unexpected scored CSV header")
         for row in reader:
+            if row["id"] in seen:
+                raise ValueError(f"{path}: scored post id {row['id']!r} repeats")
+            seen.add(row["id"])
             freqs = tuple(float(row[f"emo_{c}"]) for c in EMOTION_CATEGORIES)
             out.append(
                 ScoredPost(

@@ -14,6 +14,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -317,9 +318,10 @@ def write_series_csv(series: Iterable[CitySeries], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "city", "feature", "value"])
+        iso: dict[dt.date, str] = {}
         for s in series:
-            for d, v in zip(s.dates, s.values):
-                writer.writerow([d.isoformat(), s.city, s.feature, repr(v)])
+            days = [iso.get(d) or iso.setdefault(d, d.isoformat()) for d in s.dates]
+            writer.writerows(zip(days, repeat(s.city), repeat(s.feature), map(repr, s.values)))
 
 
 def read_series_csv(path: str | Path) -> list[CitySeries]:

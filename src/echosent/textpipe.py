@@ -17,9 +17,11 @@ import json
 import logging
 import re
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+from .lexicon import normalize_token
 
 log = logging.getLogger(__name__)
 
@@ -56,8 +58,7 @@ class RawPost:
                 raise ValueError(f"post {name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     normalized: str
     all_caps: bool
@@ -76,10 +77,15 @@ class CleanDoc:
 
 
 def strip_artifacts(text: str) -> str:
-    """Remove URLs, @-handles and '#' symbols (the tag word is kept)."""
+    """Remove URLs, @-handles and '#' symbols (the tag word is kept).
+
+    Idempotent: URLs are matched again after '#' removal, because dropping a
+    '#' can join a URL back together ("http#s://x", "t.#co/x").
+    """
     text = _URL_RE.sub(" ", text)
     text = _HANDLE_RE.sub(" ", text)
-    text = text.replace("#", "")
+    if "#" in text:
+        text = _URL_RE.sub(" ", text.replace("#", ""))
     return " ".join(text.split())
 
 
@@ -110,10 +116,9 @@ def tokenize(text: str, emoticons: frozenset[str] = frozenset(), source_id: str 
     stripped; the length of a text-final "!" run and the presence of a
     text-final "??"-or-longer run are recorded on the document; remaining
     punctuation and spam markers are dropped. Stopwords are retained here
-    (removal is a separate, later step).
+    (removal is a separate, later step). ``Token.normalized`` is the
+    lexicon key, ``lexicon.normalize_token`` of the surface.
     """
-    from .lexicon import normalize_token
-
     excl = _TRAILING_EXCL_RE.search(text)
     n_excl = len(excl.group(1)) if excl else 0
     double_q = _TRAILING_QQ_RE.search(text) is not None
@@ -129,11 +134,17 @@ def tokenize(text: str, emoticons: frozenset[str] = frozenset(), source_id: str 
         if stripped in emoticons:
             tokens.append(Token(stripped, normalize_token(stripped), False, True))
             continue
-        if stripped.casefold() in MEANINGLESS_TOKENS:
+        folded = stripped.casefold()
+        if folded in MEANINGLESS_TOKENS:
             continue
-        n_letters = sum(1 for c in stripped if c.isalpha())
-        all_caps = n_letters >= 2 and stripped.isupper()
-        tokens.append(Token(stripped, normalize_token(stripped), all_caps, False))
+        # casefold changes an ASCII string only through its letters; other
+        # changed strings may be letter-free symbols ("Ⅻ"), kept verbatim
+        if folded != stripped and not stripped.isascii() and not any(
+            c.isalpha() for c in stripped
+        ):
+            folded = stripped
+        all_caps = stripped.isupper() and sum(1 for c in stripped if c.isalpha()) >= 2
+        tokens.append(Token(stripped, folded, all_caps, False))
     return CleanDoc(tuple(tokens), n_excl, double_q, source_id)
 
 
@@ -141,7 +152,7 @@ def remove_stopwords(doc: CleanDoc, stoplist: Iterable[str]) -> CleanDoc:
     """Drop tokens whose normalized form is in the stoplist; emphasis is kept."""
     stops = set(stoplist) if not isinstance(stoplist, (set, frozenset)) else stoplist
     kept = tuple(t for t in doc.tokens if t.normalized not in stops)
-    return replace(doc, tokens=kept)
+    return CleanDoc(kept, doc.trailing_exclamations, doc.trailing_double_question, doc.source_id)
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:

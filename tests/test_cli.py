@@ -2,6 +2,8 @@ import datetime as dt
 import json
 from pathlib import Path
 
+import pytest
+
 from echosent.cli import main
 
 ENGLISH_TEXTS = [
@@ -270,6 +272,31 @@ def test_aggregate_rejects_scored_id_missing_from_corpus(tmp_path, capsys):
     assert rc == 2
     assert "scored post 'b' is not in" in err
     assert not written
+
+
+@pytest.mark.parametrize("with_corpus", [False, True])
+def test_aggregate_rejects_repeated_scored_ids(tmp_path, capsys, with_corpus):
+    cleaned = tmp_path / "cleaned.jsonl"
+    scored = tmp_path / "scored.csv"
+    write_posts(cleaned, [
+        ("a", "2020-03-01", "Toronto", ENGLISH_TEXTS[0], 1),
+        ("b", "2020-03-01", "Toronto", ENGLISH_TEXTS[1], 2),
+        ("b", "2020-03-02", "Toronto", ENGLISH_TEXTS[2], 3),
+    ])
+    assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
+    out = tmp_path / "series.csv"
+    argv = ["aggregate", "--scored", str(scored), "--out", str(out)]
+    if with_corpus:
+        corpus = tmp_path / "corpus.jsonl"
+        write_posts(corpus, [
+            ("a", "2020-03-01", "Toronto", ENGLISH_TEXTS[0], 1),
+            ("b", "2020-03-01", "Toronto", ENGLISH_TEXTS[1], 2),
+        ])
+        argv += ["--corpus", str(corpus)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "scored post id 'b' repeats" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_aggregate_periods_summary(tmp_path, fixtures_dir):

@@ -1,9 +1,11 @@
+import datetime as dt
 import math
 import random
+from collections.abc import Mapping
 
 import pytest
 
-from echosent.lexicon import EMOTION_CATEGORIES
+from echosent.lexicon import EMOTION_CATEGORIES, ValenceLexicon
 from echosent.sentiment import (
     DEFAULT_MODIFIERS,
     ModifierTables,
@@ -12,8 +14,9 @@ from echosent.sentiment import (
     compound_score,
     emotion_profile,
     polarity_proportions,
+    score_post,
 )
-from echosent.textpipe import remove_stopwords, tokenize
+from echosent.textpipe import RawPost, remove_stopwords, tokenize
 
 
 def doc(text, vlex=None):
@@ -241,3 +244,37 @@ def test_modifier_table_validation():
     assert DEFAULT_MODIFIERS.is_negator("not")
     assert DEFAULT_MODIFIERS.is_negator("couldn't")
     assert not DEFAULT_MODIFIERS.is_negator("knot")
+
+
+# ---------------------------------------------------------------------------
+# per-post cost: the emoticon inventory is built once per lexicon
+
+
+class _CountingEntries(Mapping):
+    """Lexicon entries that count how often they are iterated over."""
+
+    def __init__(self, entries):
+        self._entries = dict(entries)
+        self.iterations = 0
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self._entries)
+
+
+def test_scoring_does_not_rebuild_the_emoticon_inventory(vlex, elex, stopwords):
+    assert vlex.symbol_tokens() is vlex.symbol_tokens()
+    entries = _CountingEntries(vlex.entries)
+    counted = ValenceLexicon(entries, vlex.source, vlex.checksum)
+    assert counted.symbol_tokens() == vlex.symbol_tokens()
+    built = entries.iterations
+    for i in range(20):
+        post = RawPost(f"p{i}", dt.date(2020, 3, 1), "Toronto", "so GOOD :-) not bad!!")
+        assert score_post(post, counted, elex, stopwords) == score_post(post, vlex, elex, stopwords)
+    assert entries.iterations == built

@@ -1,10 +1,15 @@
 import datetime as dt
 import random
+import re
 import string
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosent.textpipe import (
+    MEANINGLESS_TOKENS,
     RawPost,
     is_english,
     parse_post,
@@ -30,6 +35,7 @@ def test_strip_artifacts_examples():
     assert strip_artifacts("@bob see https://t.co/x #covid now") == "see covid now"
     assert strip_artifacts("no urls here") == "no urls here"
     assert strip_artifacts("##covid") == "covid"
+    assert strip_artifacts("@user#tag yes") == "tag yes"
 
 
 def test_strip_artifacts_removes_scheme_and_www():
@@ -54,6 +60,38 @@ def test_strip_artifacts_idempotent_on_examples():
     ]:
         once = strip_artifacts(text)
         assert strip_artifacts(once) == once
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("see http#s://x.com/a now", "see now"),
+    ("www#.evil.com", ""),
+    ("t.#co/abc", ""),
+])
+def test_strip_artifacts_drops_urls_joined_by_hash_removal(text, expected):
+    assert strip_artifacts(text) == expected
+    assert strip_artifacts(expected) == expected
+
+
+@st.composite
+def _artifact_texts(draw):
+    """Words built around URL, handle and tag markers, with '#' dropped in anywhere."""
+    words = []
+    for _ in range(draw(st.integers(0, 5))):
+        word = draw(st.sampled_from(["", "a", "@", "#"]))
+        word += draw(st.sampled_from(["", "http://", "https://", "www.", "t.co/", "@", "#"]))
+        word += draw(st.sampled_from(["", "x", "x.com/a", "é", "@u", "#t"]))
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(word)))
+            word = word[:i] + "#" + word[i:]
+        words.append(word)
+    return draw(st.sampled_from([" ", "  ", "\t"])).join(words)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_artifact_texts(), st.text(max_size=40)))
+def test_strip_artifacts_idempotent_property(text):
+    once = strip_artifacts(text)
+    assert strip_artifacts(once) == once
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +176,89 @@ def test_no_empty_surfaces_and_count_bound(vlex):
         assert len(doc.tokens) <= len(text.split()) + sum(
             1 for c in text.split() if c in emoticons
         )
+
+
+# Reference tokenizer for the parity test: every token's normalized form goes
+# through the lexicon's normalization rule on its own, instead of reusing the
+# casefold the tokenizer's loop computes.
+
+_ORACLE_STRIP_CHARS = string.punctuation + "…“”‘’«»¡¿"
+
+
+def _oracle_normalize_token(token):
+    return token.casefold() if any(ch.isalpha() for ch in token) else token
+
+
+@dataclass(frozen=True)
+class _OracleToken:
+    surface: str
+    normalized: str
+    all_caps: bool
+    is_emoticon: bool
+
+
+def _oracle_tokenize(text, emoticons=frozenset()):
+    excl = re.search(r"(!+)\s*$", text)
+    n_excl = len(excl.group(1)) if excl else 0
+    double_q = re.search(r"(\?{2,})\s*$", text) is not None
+    tokens = []
+    for chunk in text.split():
+        if chunk in emoticons:
+            tokens.append(_OracleToken(chunk, _oracle_normalize_token(chunk), False, True))
+            continue
+        stripped = chunk.strip(_ORACLE_STRIP_CHARS)
+        if not stripped:
+            continue
+        if stripped in emoticons:
+            tokens.append(_OracleToken(stripped, _oracle_normalize_token(stripped), False, True))
+            continue
+        if stripped.casefold() in MEANINGLESS_TOKENS:
+            continue
+        n_letters = sum(1 for c in stripped if c.isalpha())
+        all_caps = n_letters >= 2 and stripped.isupper()
+        tokens.append(_OracleToken(stripped, _oracle_normalize_token(stripped), all_caps, False))
+    return tokens, n_excl, double_q
+
+
+_WORD_PIECES = [
+    "GOOD", "Good", "good", "LOL", "lol", "OK", "I", "sss", "SSS", "Sss", "123", "A1", "COVID-19",
+    "don't", "straße", "STRASSE", "ﬁne", "İstanbul", "ΣΊΣΥΦΟΣ", "déjà", "ǅ", "Ⅻ", "ⓐⒶ", "\u0345",
+    "Ａ", "μ", "—", "…", "(", ")", '"', ",", "!", "??", "#",
+]
+_EXTRA_EMOTICONS = frozenset({"XD", ":P", "Ⓧ_Ⓧ"})
+
+
+@st.composite
+def _tokenizer_texts(draw, emoticons):
+    pieces = _WORD_PIECES + sorted(emoticons | _EXTRA_EMOTICONS) + ["xd", "ⓧ_ⓧ"]
+    word = st.one_of(
+        st.sampled_from(pieces),
+        st.lists(st.sampled_from(pieces), min_size=2, max_size=3).map("".join),
+        st.text(min_size=1, max_size=5),
+    )
+    words = draw(st.lists(word, max_size=12))
+    tail = draw(st.sampled_from(["", "!", "!!!", " !!", "??", "???", "?", "?!", "!?? "]))
+    return " ".join(words) + tail
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), which=st.sampled_from(["lexicon", "empty", "extra"]))
+def test_tokenize_matches_reference_tokenizer(vlex, elex, data, which):
+    emoticons = {
+        "lexicon": vlex.symbol_tokens(),
+        "empty": frozenset(),
+        "extra": vlex.symbol_tokens() | _EXTRA_EMOTICONS,
+    }[which]
+    text = data.draw(_tokenizer_texts(emoticons))
+    doc = tokenize(text, emoticons)
+    want, n_excl, double_q = _oracle_tokenize(text, emoticons)
+    assert [(t.surface, t.normalized, t.all_caps, t.is_emoticon) for t in doc.tokens] == [
+        (t.surface, t.normalized, t.all_caps, t.is_emoticon) for t in want
+    ]
+    assert (doc.trailing_exclamations, doc.trailing_double_question) == (n_excl, double_q)
+    for tok in doc.tokens:
+        assert vlex.entries.get(tok.normalized) == vlex.lookup(tok.surface)
+        assert elex.entries.get(tok.normalized) == elex.lookup(tok.surface)
 
 
 # ---------------------------------------------------------------------------
