@@ -22,7 +22,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .esn import ReservoirConfig, build_reservoir, nrmse, run_states, solve_ridge, zscore
+from .esn import (
+    Reservoir,
+    ReservoirConfig,
+    build_reservoir,
+    draw_reservoir,
+    nrmse,
+    run_states,
+    scale_reservoir,
+    solve_ridge,
+    zscore,
+)
 
 log = logging.getLogger(__name__)
 
@@ -272,12 +282,16 @@ def analyze_pair(
     grid: LagGrid = LagGrid(),
     min_window: int = MIN_WINDOW,
 ) -> tuple[LagCorrelationCurve, LagCorrelationCurve, CausalVerdict]:
-    """Run both mapping directions through one reservoir and classify the pair."""
-    reservoir = build_reservoir(cfg)
-    states_x = run_states(reservoir, cfg, zscore(x))
-    states_y = run_states(reservoir, cfg, zscore(y))
-    curve_xy = cross_map_curve(x, y, cfg, grid, "x->y", min_window, states=states_x)
-    curve_yx = cross_map_curve(y, x, cfg, grid, "y->x", min_window, states=states_y)
+    """Run both mapping directions through one reservoir and classify the pair.
+
+    The two z-scored series are driven as one two-column state block; each
+    column's states equal those of a one-column run.
+    """
+    if np.shape(x) != np.shape(y) or np.ndim(x) != 1:
+        raise ValueError("input and target series must be equal-length 1-D arrays")
+    block = run_states(build_reservoir(cfg), cfg, np.column_stack([zscore(x), zscore(y)]))
+    curve_xy = cross_map_curve(x, y, cfg, grid, "x->y", min_window, states=block[0])
+    curve_yx = cross_map_curve(y, x, cfg, grid, "y->x", min_window, states=block[1])
     return curve_xy, curve_yx, classify(curve_xy, curve_yx)
 
 
@@ -305,7 +319,71 @@ class CvReport:
 
 
 def _reservoir_key(cfg: ReservoirConfig) -> tuple:
-    return (cfg.size, cfg.spectral_radius, cfg.leak, cfg.input_scale, cfg.sparsity, cfg.seed)
+    """Everything but ridge: configs with one key share their states.
+
+    The draw's (size, sparsity, seed) leads, so sorting by key puts all
+    rescalings of one draw next to each other.
+    """
+    return (cfg.size, cfg.sparsity, cfg.seed, cfg.spectral_radius, cfg.input_scale,
+            cfg.leak, cfg.washout)
+
+
+def _loo_folds(
+    reservoir: Reservoir,
+    group: Sequence[ReservoirConfig],
+    blocks: Sequence[tuple[list[str], np.ndarray]],
+    targets: Mapping[str, np.ndarray],
+) -> tuple[list[list[float]], list[str]]:
+    """Held-out NRMSE per unit for configs that differ only in ridge.
+
+    ``blocks`` holds, per series length, its units and their z-scored inputs
+    as one (T, B) block. Returns per config its fold scores in sorted unit
+    order and its invalidity reason ("" if every fold succeeded); a config
+    stops at its first failing fold.
+    """
+    base = group[0]
+    states: dict[str, np.ndarray] = {}
+    for members, block in blocks:
+        unit_states = run_states(reservoir, base, block)
+        for k, unit in enumerate(members):
+            states[unit] = unit_states[k, base.washout:]
+    units = sorted(states)
+    ys = {u: targets[u][base.washout:] for u in units}
+    grams = {u: states[u].T @ states[u] for u in units}
+    xtys = {u: states[u].T @ ys[u] for u in units}
+    colsums = {u: states[u].sum(axis=0) for u in units}
+    gram_all = sum(grams.values())
+    xty_all = sum(xtys.values())
+    colsum_all = sum(colsums.values())
+    n_all = sum(len(ys[u]) for u in units)
+    ysum_all = sum(float(ys[u].sum()) for u in units)
+    # A pool is constant exactly when every value equals the first, i.e.
+    # when its units' minima and maxima are all one value.
+    ends = {u: {float(ys[u].min()), float(ys[u].max())} if len(ys[u]) else set() for u in units}
+
+    fold_scores: list[list[float]] = [[] for _ in group]
+    reasons = [""] * len(group)
+    # Held-out units outside, configs inside: a fold's pooled gram and
+    # right-hand side (totals minus the held unit) do not depend on ridge, so
+    # each is built once per fold.
+    for held in units:
+        live = [k for k in range(len(group)) if not reasons[k]]
+        if not live:
+            break
+        if len(set().union(*(ends[u] for u in units if u != held))) <= 1:
+            for k in live:
+                reasons[k] = f"fold {held}: constant pooled training target"
+            continue
+        mu = (ysum_all - float(ys[held].sum())) / (n_all - len(ys[held]))
+        gram = gram_all - grams[held]
+        rhs = (xty_all - xtys[held]) - mu * (colsum_all - colsums[held])
+        for k in live:
+            try:
+                w = solve_ridge(gram, rhs, group[k].ridge)
+                fold_scores[k].append(nrmse(states[held] @ w + mu, ys[held]))
+            except ValueError as exc:
+                reasons[k] = f"fold {held}: {exc}"
+    return fold_scores, reasons
 
 
 def loo_cv_grid_search(
@@ -315,12 +393,16 @@ def loo_cv_grid_search(
     """Score each config by mean NRMSE over leave-one-unit-out folds.
 
     Each fold trains the readout on the pooled post-washout states of the
-    other units (inputs z-scored per unit, targets z-scored with pooled
-    training statistics; the reservoir state resets at unit boundaries) and
+    other units (inputs z-scored per unit, targets centred on their pooled
+    training mean; the reservoir state resets at unit boundaries) and
     evaluates raw-scale NRMSE on the held-out unit. A fold that fails (for
     example a constant or zero-mean target) invalidates the whole config.
     Units are processed in sorted order, so unit ordering cannot change the
     winner; score ties break toward smaller reservoirs, then smaller ridge.
+
+    Cost: one draw (one eigensolve) per distinct (size, sparsity, seed), one
+    state block per reservoir key and unit length, and per fold one Cholesky
+    probe and solve per config.
     """
     units = sorted(panel)
     if len(units) < 2:
@@ -332,73 +414,36 @@ def loo_cv_grid_search(
         if np.asarray(x).shape != np.asarray(y).shape:
             raise ValueError(f"unit {unit!r}: input/target length mismatch")
 
+    # Units of one length run as one block of z-scored input columns.
+    by_length: dict[int, list[str]] = {}
+    for unit in units:
+        by_length.setdefault(len(panel[unit][0]), []).append(unit)
+    blocks = [
+        (members, np.column_stack([zscore(panel[u][0]) for u in members]))
+        for members in by_length.values()
+    ]
+    targets = {u: np.asarray(panel[u][1], dtype=float) for u in units}
+
     cells: list[CvCell] = []
     scores: dict[int, float] = {}
     invalid: dict[int, str] = {}
 
     by_key = sorted(range(len(configs)), key=lambda i: (_reservoir_key(configs[i]), i))
-    pos = 0
-    while pos < len(by_key):
-        key = _reservoir_key(configs[by_key[pos]])
-        group = [i for i in by_key[pos:] if _reservoir_key(configs[i]) == key]
-        pos += len(group)
-
-        base = configs[group[0]]
-        reservoir = build_reservoir(base)
-        stats: dict[str, dict] = {}
-        for unit in units:
-            x, y = panel[unit]
-            y = np.asarray(y, dtype=float)
-            states = run_states(reservoir, base, zscore(x))[base.washout:]
-            yw = y[base.washout:]
-            stats[unit] = {
-                "states": states,
-                "y": yw,
-                "gram": states.T @ states,
-                "xty": states.T @ yw,
-                "colsum": states.sum(axis=0),
-                "n": len(yw),
-                "ysum": float(yw.sum()),
-                "y2sum": float((yw * yw).sum()),
-            }
-
-        # Held-out units outside, configs inside: a fold's pooled gram and
-        # right-hand side depend on the reservoir key, not on ridge, so each
-        # is built once per fold and only one fold's gram is live at a time.
-        fold_scores: dict[int, list[float]] = {ci: [] for ci in group}
-        reasons: dict[int, str] = {}
-        for held in units:
-            live = [ci for ci in group if ci not in reasons]
-            if not live:
-                break
-            others = [u for u in units if u != held]
-            n = sum(stats[u]["n"] for u in others)
-            ysum = sum(stats[u]["ysum"] for u in others)
-            y2sum = sum(stats[u]["y2sum"] for u in others)
-            mu = ysum / n
-            var = y2sum / n - mu * mu
-            if var <= 0:
-                for ci in live:
-                    reasons[ci] = f"fold {held}: constant pooled training target"
-                continue
-            sigma = math.sqrt(var)
-            gram = sum(stats[u]["gram"] for u in others)
-            rhs = sum((stats[u]["xty"] - mu * stats[u]["colsum"]) for u in others) / sigma
-            for ci in live:
-                try:
-                    w = solve_ridge(gram, rhs, configs[ci].ridge)
-                    pred = stats[held]["states"] @ w * sigma + mu
-                    fold_scores[ci].append(nrmse(pred, stats[held]["y"]))
-                except ValueError as exc:
-                    reasons[ci] = f"fold {held}: {exc}"
-        for ci in group:
-            if ci in reasons:
-                invalid[ci] = reasons[ci]
-                log.warning("config %d invalid: %s", ci, reasons[ci])
-            else:
-                scores[ci] = float(np.mean(fold_scores[ci]))
-                for held, value in zip(units, fold_scores[ci]):
-                    cells.append(CvCell(ci, held, value))
+    for draw_key, same_draw in itertools.groupby(by_key, lambda i: _reservoir_key(configs[i])[:3]):
+        raw = draw_reservoir(*draw_key)
+        for _, same_key in itertools.groupby(same_draw, lambda i: _reservoir_key(configs[i])):
+            group = list(same_key)
+            fold_scores, reasons = _loo_folds(
+                scale_reservoir(raw, configs[group[0]]), [configs[ci] for ci in group],
+                blocks, targets,
+            )
+            for ci, folds, reason in zip(group, fold_scores, reasons):
+                if reason:
+                    invalid[ci] = reason
+                    log.warning("config %d invalid: %s", ci, reason)
+                else:
+                    scores[ci] = float(np.mean(folds))
+                    cells.extend(CvCell(ci, held, value) for held, value in zip(units, folds))
 
     if not scores:
         raise ValueError("every config was invalid")

@@ -405,6 +405,10 @@ def cmd_gridsearch(args) -> int:
     for city, feats in sorted(by_city.items()):
         if args.input_feature not in feats or args.target_feature not in feats:
             raise ValueError(f"gridsearch: unit {city!r} lacks required features")
+        if feats[args.input_feature].dates != feats[args.target_feature].dates:
+            raise ValueError(
+                f"gridsearch: unit {city!r}: input and target series must cover identical dates"
+            )
         panel[city] = (
             np.asarray(feats[args.input_feature].values),
             np.asarray(feats[args.target_feature].values),

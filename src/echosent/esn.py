@@ -70,31 +70,53 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def build_reservoir(cfg: ReservoirConfig) -> Reservoir:
-    """Draw sparse-uniform recurrent/input weights and rescale to the target radius.
+@dataclass(eq=False)
+class RawReservoir:
+    """One unscaled random draw: everything a reservoir needs that depends
+    only on (size, sparsity, seed)."""
+
+    matrix: np.ndarray          # (N, N) sparse-uniform recurrent draw
+    radius: float               # spectral radius of ``matrix``
+    input_weights: np.ndarray   # (N,) sparse-uniform input draw
+
+
+def draw_reservoir(size: int, sparsity: float, seed: int) -> RawReservoir:
+    """Draw the sparse-uniform recurrent and input weights of one seed.
 
     Entries are Bernoulli(sparsity) gates times Uniform[-1, 1] draws, fully
-    determined by the seed; the recurrent matrix is rescaled by
-    target / rho(raw), so the achieved radius is rho(raw) times that scale
-    (rho(cA) = c rho(A)) without a second eigensolve. An all-zero raw matrix
-    cannot be rescaled and raises.
+    determined by the seed; the one eigensolve of a reservoir happens here.
+    An all-zero recurrent draw cannot be rescaled and raises.
     """
-    n = cfg.size
-    rng = np.random.default_rng(cfg.seed)
-    gates = rng.random((n, n)) < cfg.sparsity
-    draws = rng.uniform(-1.0, 1.0, (n, n))
+    rng = np.random.default_rng(seed)
+    gates = rng.random((size, size)) < sparsity
+    draws = rng.uniform(-1.0, 1.0, (size, size))
     raw = np.where(gates, draws, 0.0)
     rho = spectral_radius(raw)
     if rho <= 0.0:
         raise ValueError("degenerate reservoir (zero spectral radius); reseed or raise sparsity")
-    scale = cfg.spectral_radius / rho
-    matrix = raw * scale
-    in_gates = rng.random(n) < cfg.sparsity
-    in_draws = rng.uniform(-1.0, 1.0, n)
-    input_weights = cfg.input_scale * np.where(in_gates, in_draws, 0.0)
+    in_gates = rng.random(size) < sparsity
+    in_draws = rng.uniform(-1.0, 1.0, size)
+    input_weights = np.where(in_gates, in_draws, 0.0)
     if not np.any(input_weights):
-        log.warning("all input weights are zero (sparsity=%g); reservoir sees no input", cfg.sparsity)
-    return Reservoir(matrix, input_weights, rho * scale)
+        log.warning("all input weights are zero (sparsity=%g); reservoir sees no input", sparsity)
+    return RawReservoir(raw, rho, input_weights)
+
+
+def scale_reservoir(raw: RawReservoir, cfg: ReservoirConfig) -> Reservoir:
+    """Rescale a draw to the configured spectral radius and input scale.
+
+    The recurrent matrix is multiplied by target / rho(raw), so the achieved
+    radius is rho(raw) times that scale (rho(cA) = c rho(A)) without a second
+    eigensolve. The draw must come from ``draw_reservoir(cfg.size,
+    cfg.sparsity, cfg.seed)``.
+    """
+    scale = cfg.spectral_radius / raw.radius
+    return Reservoir(raw.matrix * scale, cfg.input_scale * raw.input_weights, raw.radius * scale)
+
+
+def build_reservoir(cfg: ReservoirConfig) -> Reservoir:
+    """The reservoir of one config: its seed's draw, rescaled."""
+    return scale_reservoir(draw_reservoir(cfg.size, cfg.sparsity, cfg.seed), cfg)
 
 
 def run_states(
@@ -103,23 +125,45 @@ def run_states(
     inputs: np.ndarray,
     initial_state: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Drive the reservoir with a (normalized) input sequence; returns (T, N) states."""
+    """Drive the reservoir with (normalized) inputs.
+
+    A (T,) sequence gives (T, N) states. A (T, B) block holds B independent
+    sequences, driven together with one stacked matrix product per step, and
+    gives (B, T, N) states: unit-major, so each column's states are one
+    contiguous (T, N) slab. A (N,) ``initial_state`` starts every column;
+    the default is zero.
+
+    Each column gets its own matrix-vector product with the same operands
+    as a one-column run, so a column's states do not depend on the block
+    width or on the column's position in the block.
+    """
     x = np.asarray(inputs, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("inputs must be one-dimensional")
+    if x.ndim not in (1, 2):
+        raise ValueError("inputs must be (T,) or (T, B)")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
+    block = x[:, None] if x.ndim == 1 else x
     n = reservoir.matrix.shape[0]
-    u = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float).copy()
+    u = np.zeros(n) if initial_state is None else np.asarray(initial_state, dtype=float)
     if u.shape != (n,):
         raise ValueError("initial state has wrong shape")
+    t_len, width = block.shape
     leak = cfg.leak
-    states = np.empty((len(x), n))
-    for t in range(len(x)):
-        candidate = np.tanh(reservoir.matrix @ u + reservoir.input_weights * x[t])
-        u = (1.0 - leak) * u + leak * candidate
-        states[t] = u
-    return states
+    # Each step's row of ``states`` holds the input drive w_in * x_t until
+    # the step overwrites it with the new state.
+    states = np.multiply.outer(block.T, reservoir.input_weights)
+    prev = np.broadcast_to(u, (width, n))
+    candidate = np.empty((width, n))
+    for t in range(t_len):
+        cur = states[:, t]
+        np.matmul(reservoir.matrix, prev[:, :, None], out=candidate[:, :, None])
+        candidate += cur
+        np.tanh(candidate, out=candidate)
+        np.multiply(prev, 1.0 - leak, out=cur)
+        candidate *= leak
+        cur += candidate
+        prev = cur
+    return states[0] if x.ndim == 1 else states
 
 
 def train_readout(

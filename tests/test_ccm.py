@@ -30,6 +30,7 @@ from echosent.esn import (
     train_readout,
     zscore,
 )
+from echosent import esn
 from echosent.synth import CoupledMapConfig, gen_coupled_logistic
 
 
@@ -78,6 +79,22 @@ def test_align_window_exhaustive_lengths_and_bounds():
         # pairing: target index = input index + lag
         assert s_out.start == s_in.start + lag
         assert s_out.stop == s_in.stop + lag
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), length=st.integers(1, 5000))
+def test_align_window_random_lengths_and_lags(data, length):
+    lag = data.draw(st.integers(-length - 3, length + 3))
+    if abs(lag) >= length:
+        with pytest.raises(ValueError):
+            align_window(length, lag)
+        return
+    s_in, s_out = align_window(length, lag)
+    h = max(lag, 0)
+    assert (s_in.start + 1, s_in.stop) == (1 + abs(lag) - h, length - h)
+    idx = np.arange(length)
+    assert len(idx[s_in]) == len(idx[s_out]) == length - abs(lag)
+    assert np.array_equal(idx[s_in] + lag, idx[s_out])
 
 
 def test_align_window_lag_too_large():
@@ -428,13 +445,12 @@ def test_unit_order_does_not_change_winner_or_scores():
     assert again.cells == base.cells
 
 
-def test_gram_assembly_matches_naive_training():
-    # pooled-Gram fold solution equals vstack + train_readout
-    panel = make_panel(3, length=80, seed=9)
-    cfg = small_cfg(size=20, washout=4)
-    report = loo_cv_grid_search(panel, [cfg])
+def naive_fold_nrmse(panel, cfg):
+    """Per held-out unit: NRMSE of a readout trained on the vstacked states
+    of the other units, one-column state runs, z-scored targets."""
     units = sorted(panel)
     reservoir = build_reservoir(cfg)
+    out = {}
     for held in units:
         train_states, train_targets = [], []
         for unit in units:
@@ -450,9 +466,84 @@ def test_gram_assembly_matches_naive_training():
         t = np.concatenate(train_targets)
         mu, sd = t.mean(), t.std()
         w = train_readout(u, (t - mu) / sd, cfg.ridge)
-        expected = nrmse(held_states @ w * sd + mu, held_y)
-        cell = next(c for c in report.cells if c.unit == held)
-        assert cell.nrmse == pytest.approx(expected, rel=1e-10)
+        out[held] = nrmse(held_states @ w * sd + mu, held_y)
+    return out
+
+
+def test_gram_assembly_matches_naive_training():
+    # pooled-Gram fold solution equals vstack + train_readout, for equal
+    # lengths (one state block) and for unequal ones (one block per length)
+    cfg = small_cfg(size=20, washout=4)
+    long_unit = make_panel(1, length=95, seed=10)["unit00"]
+    for panel in (
+        make_panel(3, length=80, seed=9),
+        {**make_panel(2, length=80, seed=9), "unit02": long_unit},
+    ):
+        report = loo_cv_grid_search(panel, [cfg])
+        expected = naive_fold_nrmse(panel, cfg)
+        assert len(report.cells) == len(panel)
+        for cell in report.cells:
+            assert cell.nrmse == pytest.approx(expected[cell.unit], rel=1e-10)
+
+
+def test_grid_search_draws_once_per_size_sparsity_seed(monkeypatch):
+    calls = []
+    real = esn.spectral_radius
+
+    def counting(matrix):
+        calls.append(matrix.shape[0])
+        return real(matrix)
+
+    monkeypatch.setattr(esn, "spectral_radius", counting)
+    panel = make_panel(3, length=60, seed=2)
+    configs = (
+        make_quick_grid(seed=0, washout=5)
+        + make_quick_grid(seed=1, washout=5)[::3]
+        + [c for c in make_default_grid(seed=0, washout=5)
+           if c.size == 50 and c.leak == 0.5 and c.ridge == 10.0]
+    )
+    report = loo_cv_grid_search(panel, configs)
+    draws = {(c.size, c.sparsity, c.seed) for c in configs}
+    assert len(draws) == 6  # sizes 50/150 at seeds 0/1, plus sparsity 0.4/0.7
+    assert len(calls) == len(draws)
+    assert len(report.scores) + len(report.invalid) == len(configs)
+
+
+def test_near_constant_offset_target_is_not_marked_constant():
+    # Targets 1e8 + N(0, 1): a one-pass pooled variance cancels to <= 0 here.
+    rng = np.random.default_rng(21)
+    panel = {}
+    for u in range(4):
+        x = rng.standard_normal(120).cumsum() * 0.1 + 5.0
+        panel[f"unit{u}"] = (x, 1e8 + rng.standard_normal(120))
+    report = loo_cv_grid_search(panel, make_quick_grid(seed=0, washout=10))
+    assert not report.invalid
+    assert len(report.scores) == 16
+    assert all(0 < c.nrmse < 1e-7 for c in report.cells)
+
+
+def test_constant_pool_is_detected_exactly():
+    x = np.linspace(1.0, 2.0, 60)
+    varying = 3.0 + np.sin(np.arange(60.0))
+    cfg = small_cfg(washout=0)
+    # held out "c": the pool of "a" and "b" is one repeated value
+    same = {"a": (x, np.full(60, 5.0)), "b": (x + 1, np.full(60, 5.0)), "c": (x, varying)}
+    with pytest.raises(ValueError, match="every config was invalid"):
+        loo_cv_grid_search(same, [cfg])
+    # two different constants pool into a non-constant target
+    differ = {**same, "b": (x + 1, np.full(60, 6.0))}
+    report = loo_cv_grid_search(differ, [cfg])
+    assert not report.invalid
+    assert [c.unit for c in report.cells] == ["a", "b", "c"]
+
+
+def test_configs_differing_only_in_washout_are_scored_apart():
+    panel = make_panel(3, length=80, seed=5)
+    short, long = small_cfg(washout=0), small_cfg(washout=20)
+    together = loo_cv_grid_search(panel, [short, long])
+    for i, cfg in enumerate((short, long)):
+        alone = loo_cv_grid_search(panel, [cfg])
+        assert together.scores[i] == alone.scores[0]
 
 
 def test_invalid_fold_excludes_config():

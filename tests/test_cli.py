@@ -384,6 +384,28 @@ def test_gridsearch_tiny_grid_winner_is_that_cell(tmp_path):
     assert len(cells) == 1 + 4  # header + one row per fold
 
 
+def test_gridsearch_rejects_misaligned_dates(tmp_path, capsys):
+    # equal lengths; city A's cases start 10 days after its compound_mean
+    start = dt.date(2020, 3, 1)
+
+    def rows(city, feature, offset, scale):
+        return [f"{start + dt.timedelta(days=i + offset)},{city},{feature},"
+                f"{1.0 + scale * ((i * 7) % 11)!r}" for i in range(60)]
+
+    lines = ["date,city,feature,value"]
+    for city, offset in (("A", 10), ("B", 0)):
+        lines += rows(city, "compound_mean", 0, 0.05) + rows(city, "cases", offset, 0.3)
+    panel = tmp_path / "panel.csv"
+    panel.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "gs"
+    rc = main(["gridsearch", "--panel", str(panel), "--input-feature", "compound_mean",
+               "--target-feature", "cases", "--grid", "tiny", "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'A'" in err and "identical dates" in err
+    assert not (out_dir / "gridsearch_winner.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # composition and reproducibility
 

@@ -9,6 +9,7 @@ from echosent.esn import (
     Reservoir,
     ReservoirConfig,
     build_reservoir,
+    draw_reservoir,
     nrmse,
     run_states,
     solve_ridge,
@@ -81,6 +82,43 @@ def test_build_reservoir_deterministic():
     assert np.array_equal(a.input_weights, b.input_weights)
 
 
+def frozen_build_reservoir(cfg):
+    """The one-step draw-and-rescale code that ``build_reservoir`` replaced,
+    kept as the oracle for byte-identical reservoirs."""
+    n = cfg.size
+    rng = np.random.default_rng(cfg.seed)
+    gates = rng.random((n, n)) < cfg.sparsity
+    draws = rng.uniform(-1.0, 1.0, (n, n))
+    raw = np.where(gates, draws, 0.0)
+    rho = float(np.max(np.abs(np.linalg.eigvals(raw))))
+    scale = cfg.spectral_radius / rho
+    matrix = raw * scale
+    in_gates = rng.random(n) < cfg.sparsity
+    in_draws = rng.uniform(-1.0, 1.0, n)
+    input_weights = cfg.input_scale * np.where(in_gates, in_draws, 0.0)
+    return matrix, input_weights, rho * scale
+
+
+@pytest.mark.parametrize("size", [1, 7, 50, 101, 250])
+@pytest.mark.parametrize("sparsity", [0.1, 0.4, 1.0])
+def test_build_reservoir_matches_frozen_draw(size, sparsity):
+    for seed, radius, input_scale in ((0, 0.1, 0.3), (7, 0.5, 0.6), (123, 0.9, 0.9)):
+        c = cfg(size=size, sparsity=sparsity, seed=seed, spectral_radius=radius,
+                input_scale=input_scale)
+        try:
+            matrix, input_weights, achieved = frozen_build_reservoir(c)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="degenerate"):
+                build_reservoir(c)
+            continue
+        res = build_reservoir(c)
+        assert res.matrix.tobytes() == matrix.tobytes()
+        assert res.input_weights.tobytes() == input_weights.tobytes()
+        assert res.achieved_radius == achieved
+        raw = draw_reservoir(size, sparsity, seed)
+        assert raw.radius == spectral_radius(raw.matrix)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg(spectral_radius=1.0)
@@ -144,6 +182,42 @@ def test_non_finite_input_rejected():
     c = cfg()
     with pytest.raises(ValueError):
         run_states(build_reservoir(c), c, np.array([1.0, np.nan]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    size=st.integers(1, 60),
+    t_len=st.integers(0, 80),
+    seed=st.integers(0, 2**16),
+    with_initial=st.booleans(),
+)
+def test_block_columns_equal_one_column_runs(size, t_len, seed, with_initial):
+    c = cfg(size=size, seed=seed, sparsity=1.0, leak=0.7)
+    res = build_reservoir(c)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((t_len, 8)) * 2.0
+    u0 = rng.uniform(-1, 1, size) if with_initial else None
+    single = [run_states(res, c, x[:, k], initial_state=u0) for k in range(8)]
+    for k in range(8):
+        assert single[k].shape == (t_len, size)
+    for width in (1, 2, 8):
+        for perm in (list(range(width)), list(rng.permutation(8)[:width])[::-1]):
+            block = run_states(res, c, x[:, perm], initial_state=u0)
+            assert block.shape == (width, t_len, size)
+            for j, k in enumerate(perm):
+                assert np.array_equal(block[j], single[k])
+                assert block[j].flags.c_contiguous
+
+
+def test_block_rejects_bad_shapes():
+    c = cfg()
+    res = build_reservoir(c)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_states(res, c, np.array([[1.0, 0.0], [np.inf, 0.0]]))
+    with pytest.raises(ValueError, match=r"\(T,\) or \(T, B\)"):
+        run_states(res, c, np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match="initial state"):
+        run_states(res, c, np.zeros((3, 2)), initial_state=np.zeros((2, c.size)))
 
 
 def test_fading_memory_single_case():

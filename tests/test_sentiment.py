@@ -1,20 +1,28 @@
 import datetime as dt
 import math
 import random
+import tempfile
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echosent.lexicon import EMOTION_CATEGORIES, ValenceLexicon
 from echosent.sentiment import (
     DEFAULT_MODIFIERS,
+    EmotionProfile,
     ModifierTables,
+    ScoredPost,
     SentimentScore,
     _token_valences,
     compound_score,
     emotion_profile,
     polarity_proportions,
+    read_scored_csv,
     score_post,
+    write_scored_csv,
 )
 from echosent.textpipe import RawPost, remove_stopwords, tokenize
 
@@ -278,3 +286,34 @@ def test_scoring_does_not_rebuild_the_emoticon_inventory(vlex, elex, stopwords):
         post = RawPost(f"p{i}", dt.date(2020, 3, 1), "Toronto", "so GOOD :-) not bad!!")
         assert score_post(post, counted, elex, stopwords) == score_post(post, vlex, elex, stopwords)
     assert entries.iterations == built
+
+
+# Any Unicode text but lone surrogates, which UTF-8 cannot encode; commas,
+# quotes and line breaks included.
+CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def scored_posts(draw, pid):
+    weights = draw(st.tuples(UNIT, UNIT, UNIT).filter(lambda w: sum(w) > 0))
+    total = sum(weights)
+    sentiment = SentimentScore(*(w / total for w in weights), draw(st.floats(-1.0, 1.0)))
+    freqs = tuple(draw(st.lists(UNIT, min_size=10, max_size=10)))
+    return ScoredPost(pid, draw(st.dates()), draw(CSV_TEXT), sentiment,
+                      EmotionProfile((0,) * 10, freqs, 0, degenerate=True))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), ids=st.lists(CSV_TEXT, max_size=5, unique=True))
+def test_scored_csv_roundtrip_property(data, ids):
+    # Engagement counts and emotion counts are not part of the format.
+    posts = [data.draw(scored_posts(pid)) for pid in ids]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scored.csv"
+        write_scored_csv(posts, path)
+        back = read_scored_csv(path)
+    assert back == posts
+    for got, want in zip(back, posts):
+        assert repr(got.sentiment) == repr(want.sentiment)
+        assert list(map(repr, got.emotions.frequencies)) == list(map(repr, want.emotions.frequencies))

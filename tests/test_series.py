@@ -1,6 +1,8 @@
 import datetime as dt
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -409,6 +411,38 @@ def test_series_csv_roundtrip(tmp_path):
     by_key = {(s.city, s.feature): s for s in back}
     assert by_key[("A", "compound_mean")].values == a.values
     assert by_key[("B", "tweet_count")].dates == b.dates
+
+
+# Any Unicode text but lone surrogates, which UTF-8 cannot encode; commas,
+# quotes and line breaks included.
+CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def series_sets(draw):
+    keys = draw(st.lists(st.tuples(CSV_TEXT, CSV_TEXT.filter(bool)),
+                         min_size=1, max_size=4, unique=True))
+    out = []
+    for city, feature in keys:
+        start = draw(st.dates(D(1, 1, 1), D(9999, 12, 1)))
+        values = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
+        dates = tuple(start + dt.timedelta(days=i) for i in range(len(values)))
+        out.append(CitySeries(city, feature, dates, tuple(values)))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(series=series_sets())
+def test_series_csv_roundtrip_property(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        write_series_csv(series, path)
+        back = read_series_csv(path)
+    assert back == sorted(series, key=lambda s: (s.city, s.feature))
+    for got, want in zip(back, sorted(series, key=lambda s: (s.city, s.feature))):
+        assert [math.copysign(1.0, v) for v in got.values] == [
+            math.copysign(1.0, v) for v in want.values
+        ]
 
 
 def test_read_series_csv_rejects_gaps(tmp_path):
