@@ -25,6 +25,7 @@ import numpy as np
 from .esn import (
     Reservoir,
     ReservoirConfig,
+    SingularSystemError,
     build_reservoir,
     draw_reservoir,
     nrmse,
@@ -142,15 +143,18 @@ def cross_map_curve(
     of the series are excluded) and evaluated in place. Lags with |lag| not
     below the series length are skipped; so are lags whose window is shorter
     than ``min_window``, whose target window is constant or whose prediction
-    is degenerate, each with a warning. ``skipped`` lists them in grid order.
+    is constant on its window, each with a warning. ``skipped`` lists them in
+    grid order.
 
-    Lags that share a training window share one Gram matrix and one ridge
-    solve, with each lag's z-scored target as one right-hand-side column.
-    Every window's Gram is downdated from one Gram over the union of the
-    windows by subtracting the rows outside it (at most |lag| at either
-    end), so a scan costs one full Gram plus one factorization per distinct
-    window, not one of each per lag. With ``washout >= |grid.lo|`` all lags
-    <= 0 train on the same rows and share a single solve.
+    Cost: one Gram over the union of the training windows and one ridge
+    factorization, solved for every lag's target at once. A window is the
+    union minus its first or its last few rows (never both), and on each side
+    every window drops a leading block of one row set H. Per side, one small
+    Cholesky factor of ``I - H A^-1 H^T`` (A: the union's regularized Gram)
+    then gives every window's Woodbury correction. One product predicts every
+    lag, and Pearson runs over all lags at once. At ridge 0, a window whose
+    system is singular raises ``SingularSystemError``, as its direct fit
+    would.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -160,10 +164,14 @@ def cross_map_curve(
     if states is None:
         states = run_states(build_reservoir(cfg), cfg, zscore(x))
 
-    # Plan: apply the skip rules and group the usable lags by training window.
+    # Plan: apply the skip rules. Each usable lag gets its training window
+    # [a, b) and one row of ``targets_z``: its z-scored target on [a, b),
+    # zero elsewhere.
     skipped: set[int] = set()
-    windows: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
-    for lag in grid.values():
+    plan: list[tuple[int, int, int]] = []
+    lag_values = grid.values()
+    targets_z = np.zeros((len(lag_values), t_len))
+    for lag in lag_values:
         if abs(lag) >= t_len:
             skipped.add(lag)
             continue
@@ -176,42 +184,97 @@ def cross_map_curve(
             skipped.add(lag)
             continue
         obs = y[a + lag:b + lag]
-        sd = float(np.std(obs))
-        if sd == 0.0:
+        centred = obs - obs.sum() / width
+        squares = float(centred @ centred)
+        if squares == 0.0:
             log.warning("%s: lag %d skipped (constant target window)", direction, lag)
             skipped.add(lag)
             continue
-        windows.setdefault((a, b), []).append((lag, (obs - float(np.mean(obs))) / sd))
+        np.divide(centred, math.sqrt(squares / width), out=targets_z[len(plan), a:b])
+        plan.append((lag, a, b))
+    if not plan:
+        raise ValueError("no usable lag in the grid (series too short?)")
 
-    # Solve: one downdated Gram and one multi-column ridge solve per window.
-    fits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if windows:
-        lo = min(a for a, _ in windows)
-        hi = max(b for _, b in windows)
-        full = states[lo:hi].T @ states[lo:hi]
-        for (a, b), members in windows.items():
-            head = states[lo:a]
-            tail = states[b:hi]
-            gram = full - head.T @ head - tail.T @ tail
-            u = states[a:b]
-            targets_z = np.column_stack([yz for _, yz in members])
-            preds = u @ solve_ridge(gram, u.T @ targets_z, cfg.ridge)
-            for k, (lag, yz) in enumerate(members):
-                fits[lag] = (preds[:, k], yz)
+    # Solve. Lags >= 0 start at the washout and lags <= 0 end at the series
+    # end, so every window starts at the union's start lo or ends at its end
+    # hi: it drops either its first or its last union rows, never both. Each
+    # side's rows are ordered so that a window drops a leading block of them;
+    # ``drops`` counts that block per lag.
+    lo = min(a for _, a, _ in plan)
+    hi = max(b for _, _, b in plan)
+    head_max = max(a for _, a, _ in plan)
+    tail_min = min(b for _, _, b in plan)
+    starts = np.array([a - lo for _, a, _ in plan])
+    stops = np.array([b - lo for _, _, b in plan])
+    union = states[lo:hi]
+    targets_z = targets_z[:len(plan), lo:hi]
+    if cfg.ridge == 0.0:
+        # Each side's shortest window lies inside all its others. Fewer rows
+        # than units, or a unit that never moves there, make it singular;
+        # checked exactly here, as the Woodbury system below shows it only
+        # up to rounding.
+        for a, b in ((head_max, hi), (lo, tail_min)):
+            if b - a < states.shape[1] or not states[a:b].any(axis=0).all():
+                raise SingularSystemError(cfg.ridge)
+    sides = [(states[lo:head_max], starts), (states[tail_min:hi][::-1], hi - lo - stops)]
+    dropped = np.concatenate([rows for rows, _ in sides])
+    rhs = np.concatenate([dropped, targets_z @ union]).T
+    solved = solve_ridge(union.T @ union, rhs, cfg.ridge)
+    gains = np.split(solved[:, :len(dropped)], [len(sides[0][0])], axis=1)  # A^-1 H^T per side
+    union_weights = solved[:, len(dropped):]
+    weights = union_weights.copy()
+    for (rows, drops), gain in zip(sides, gains):
+        if not len(rows):
+            continue
+        # Woodbury: (A - H_D^T H_D)^-1 = A^-1 + A^-1 H_D^T (I - C_DD)^-1 H_D A^-1
+        # with C = H A^-1 H^T. The Cholesky factor of a leading block of
+        # I - C is the leading block of its factor, and the full block is the
+        # system of the side's shortest window, so one probe checks them all.
+        # At ridge 0 the smallest eigenvalue of I - C is the least share of a
+        # state direction's union energy that this window keeps. An exactly
+        # singular window leaves only rounding noise of either sign there, so
+        # a share below sqrt(eps) counts as singular.
+        system = np.eye(len(rows)) - rows @ gain
+        if cfg.ridge == 0.0 and np.linalg.eigvalsh(system)[0] < math.sqrt(np.finfo(float).eps):
+            raise SingularSystemError(cfg.ridge)
+        try:
+            chol = np.linalg.cholesky(system)
+        except np.linalg.LinAlgError:
+            raise SingularSystemError(cfg.ridge) from None
+        block = np.arange(len(rows))[:, None] < drops
+        fix = np.where(block, rows @ union_weights, 0.0)
+        fix = np.where(block, np.linalg.solve(chol, fix), 0.0)
+        fix = np.where(block, np.linalg.solve(chol.T, fix), 0.0)
+        weights += gain @ fix
 
-    # Score: per-lag correlation in grid order (the grid is ascending).
+    # Score: one product predicts every lag on the whole union; Pearson runs
+    # per row over its window. A prediction that is constant on its window
+    # (every value equal to its first) is degenerate.
+    preds = weights.T @ union.T
+    offsets = np.arange(hi - lo)
+    inside = (offsets >= starts[:, None]) & (offsets < stops[:, None])
+    n = stops - starts
+    preds -= preds[np.arange(len(plan)), starts][:, None]
+    preds *= inside
+    flat = ~preds.any(axis=1)
+    preds -= (preds.sum(axis=1) / n)[:, None]
+    preds *= inside
+    # Both sides are centred already (the targets' mean is rounding noise),
+    # so the covariance needs no second centring of the targets.
+    var_y = np.einsum("ij,ij->i", targets_z, targets_z) - targets_z.sum(axis=1) ** 2 / n
+    var_p = np.einsum("ij,ij->i", preds, preds)
+    cov = np.einsum("ij,ij->i", preds, targets_z)
     lags: list[int] = []
     rhos: list[float] = []
-    for lag in sorted(fits):
-        pred, yz = fits[lag]
-        try:
-            rho = pearson(pred, yz)
-        except ValueError:
+    for (lag, _, _), degenerate, c, vp, vy in zip(
+        plan, flat.tolist(), cov.tolist(), var_p.tolist(), var_y.tolist()
+    ):
+        if degenerate:
             log.warning("%s: lag %d skipped (degenerate prediction)", direction, lag)
             skipped.add(lag)
             continue
         lags.append(lag)
-        rhos.append(rho)
+        rhos.append(c / math.sqrt(vp * vy))
     if not lags:
         raise ValueError("no usable lag in the grid (series too short?)")
     order = sorted(range(len(lags)), key=lambda i: (-rhos[i], abs(lags[i]), lags[i]))

@@ -6,7 +6,10 @@ commands). Every option can also come from an INI config file (sections
 [paths], [run], [reservoir], [lags]) or from environment variables named
 ECHOSENT_<SECTION>_<KEY>; precedence is flag > environment > config file >
 built-in default. Each command prints its resolved settings, seed included,
-and identical settings produce byte-identical CSV/JSON/SVG outputs.
+and identical settings produce byte-identical CSV/JSON/SVG outputs. Log
+messages (skipped lags, invalid grid configs) go to stderr; the global
+``--log-level`` flag, given before the subcommand, sets their threshold and
+changes no output file.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import configparser
 import csv
 import datetime as dt
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -537,6 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="echosent",
         description="Per-city sentiment series and reservoir cross-mapping causal analysis",
     )
+    parser.add_argument(
+        "--log-level", dest="log_level", type=str.upper, default="WARNING",
+        choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
+        help="lowest level of log messages printed to stderr (default WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -635,6 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

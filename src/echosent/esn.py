@@ -186,21 +186,26 @@ def train_readout(
     return solve_ridge(u.T @ u, u.T @ y, ridge)
 
 
+class SingularSystemError(ValueError):
+    """The regularized readout normal equations are not positive definite."""
+
+    def __init__(self, ridge: float) -> None:
+        super().__init__(f"readout normal equations are singular (ridge={ridge}); use ridge > 0")
+
+
 def solve_ridge(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
     """Solve the ridge normal equations (gram + ridge I) w = rhs.
 
     ``gram`` is the unregularized state Gram matrix. ``rhs`` is (N,) or
     (N, K); the K columns are right-hand sides solved with one factorization.
-    Raises if the regularized system is not positive definite, which can only
-    happen with ridge 0.
+    Raises ``SingularSystemError`` if the regularized system is not positive
+    definite, which can only happen with ridge 0.
     """
     regularized = gram + ridge * np.eye(gram.shape[0])
     try:
         np.linalg.cholesky(regularized)
     except np.linalg.LinAlgError:
-        raise ValueError(
-            f"readout normal equations are singular (ridge={ridge}); use ridge > 0"
-        ) from None
+        raise SingularSystemError(ridge) from None
     return np.linalg.solve(regularized, rhs)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -31,7 +32,7 @@ from echosent.esn import (
     zscore,
 )
 from echosent import esn
-from echosent.synth import CoupledMapConfig, gen_coupled_logistic
+from echosent.synth import CoupledMapConfig, gen_ar1, gen_coupled_logistic
 
 
 def small_cfg(**kw):
@@ -351,6 +352,29 @@ def test_lag_scan_matches_direct_per_lag_fits(
     assert np.max(np.abs(np.subtract(curve.rhos, rhos))) <= 1e-12
 
 
+def _default_size_pair(kind, t_len):
+    if kind == "logistic":
+        return gen_coupled_logistic(CoupledMapConfig(length=t_len, seed=t_len, coupling_yx=0.3))
+    return gen_ar1(0.5, t_len, t_len), gen_ar1(0.5, t_len, t_len + 1)
+
+
+@pytest.mark.parametrize("washout", [30, 0])
+@pytest.mark.parametrize("kind", ["logistic", "ar1"])
+@pytest.mark.parametrize("t_len", [500, 1000])
+def test_default_config_scan_matches_direct_per_lag_fits(t_len, kind, washout):
+    # The bench-sized scan: N=100 and lags -30..30. With washout 0 the
+    # negative-lag windows also lose head rows.
+    x, y = _default_size_pair(kind, t_len)
+    cfg = dataclasses.replace(default_ccm_config(3), washout=washout)
+    grid = LagGrid(-30, 30)
+    lags, rhos, peak_lag, skipped = direct_curve(x, y, cfg, grid, 10)
+    curve = cross_map_curve(x, y, cfg, grid)
+    assert curve.lags == tuple(lags)
+    assert curve.skipped == tuple(skipped)
+    assert curve.peak_lag == peak_lag
+    assert np.max(np.abs(np.subtract(curve.rhos, rhos))) <= 1e-12
+
+
 def test_skipped_lags_stay_in_grid_order_across_skip_kinds(caplog):
     # The first 20 inputs z-score to exactly 0, so states stay 0 there and any
     # window inside them predicts a constant. With washout 0 and T=40, lag L>0
@@ -378,6 +402,61 @@ def test_ridge_zero_on_rank_deficient_window_raises():
     states[:, 3] = 0.0  # one unit never moves: every window's Gram is singular
     with pytest.raises(ValueError, match="normal equations are singular"):
         cross_map_curve(x, y, cfg, LagGrid(-12, 12), states=states)
+
+
+@pytest.mark.parametrize("washout, live_rows", [(12, slice(117, 120)), (0, slice(0, 3))])
+def test_ridge_zero_singular_only_on_shorter_windows_raises(washout, live_rows):
+    # Unit 3 moves only in the union window's last (or first) three rows, so
+    # the union's system is positive definite at ridge 0 while every window
+    # that drops those rows (lags >= 3, or <= -3 when washout is 0) is not.
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal(120)
+    y = rng.standard_normal(120)
+    cfg = small_cfg(ridge=0.0, washout=washout)
+    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    live = states[live_rows, 3].copy()
+    states[:, 3] = 0.0
+    states[live_rows, 3] = live
+    union = states[washout:]
+    np.linalg.cholesky(union.T @ union)
+    with pytest.raises(ValueError, match=r"normal equations are singular \(ridge=0\.0\)"):
+        cross_map_curve(x, y, cfg, LagGrid(-12, 12), states=states)
+
+
+def test_ridge_zero_window_with_fewer_rows_than_units_raises():
+    # 20 rows for 14 units: the union's system is positive definite at ridge
+    # 0, but lags 7 and 8 train on 13 and 12 rows. The union is so badly
+    # conditioned that the Woodbury system's eigenvalues are rounding noise
+    # well above sqrt(eps); only the row count tells.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(20)
+    y = rng.standard_normal(20)
+    cfg = small_cfg(size=14, ridge=0.0, washout=0)
+    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    np.linalg.cholesky(states.T @ states)
+    with pytest.raises(ValueError, match=r"normal equations are singular \(ridge=0\.0\)"):
+        cross_map_curve(x, y, cfg, LagGrid(-5, 8))
+
+
+@pytest.mark.parametrize("copies", [1, 8])
+def test_ridge_zero_collinear_units_on_shorter_windows_raise(copies):
+    # Units 3, 4, ... copy unit 2 except in the union's last ``copies`` rows:
+    # windows of lags >= copies lose that many ranks while every unit still
+    # moves in them, so only the Woodbury system shows the loss. With one
+    # copy its Cholesky pivot is rounding noise of either sign.
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal(120)
+    y = rng.standard_normal(120)
+    cfg = small_cfg(ridge=0.0, washout=15)
+    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    units = slice(3, 3 + copies)
+    live = states[-copies:, units].copy()
+    states[:, units] = states[:, [2]]
+    states[-copies:, units] = live
+    union = states[15:]
+    np.linalg.cholesky(union.T @ union)
+    with pytest.raises(ValueError, match=r"normal equations are singular \(ridge=0\.0\)"):
+        cross_map_curve(x, y, cfg, LagGrid(-15, 15), states=states)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import echosent
 from echosent.cli import main
 
 ENGLISH_TEXTS = [
@@ -487,3 +491,31 @@ def test_flag_overrides_config(tmp_path, capsys):
 def test_unknown_errors_exit_2(tmp_path):
     rc = main(["score", "--in", "/nonexistent.jsonl", "--out", str(tmp_path / "s.csv")])
     assert rc == 2
+
+
+def test_log_level_controls_skip_warnings_only(tmp_path):
+    # A 45-day pair leaves positive lags past 5 with windows under 10 rows.
+    # The CLI runs in its own process so that its logging set-up is the one
+    # a user gets.
+    series_csv = tmp_path / "short.csv"
+    assert main(["synth", "--mode", "ar1", "--length", "45", "--units", "1",
+                 "--seed", "2", "--out", str(series_csv)]) == 0
+    src = str(Path(echosent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runs = {}
+    for level in (None, "ERROR"):
+        out_dir = tmp_path / f"ccm_{level}"
+        flags = ["--log-level", level] if level else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "echosent.cli", *flags, "ccm", "--series", str(series_csv),
+             "--input-feature", "x", "--target-feature", "y", "--out-dir", str(out_dir)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        runs[level] = (proc.stderr, out_dir)
+    default_err, default_dir = runs[None]
+    quiet_err, quiet_dir = runs["ERROR"]
+    assert "WARNING echosent.ccm: x->y: lag 6 skipped (window 9 < 10)" in default_err
+    assert "y->x: lag 30 skipped" in default_err
+    assert quiet_err == ""
+    for name in ("ccm_curves.csv", "ccm_verdict.json"):
+        assert (default_dir / name).read_bytes() == (quiet_dir / name).read_bytes()
