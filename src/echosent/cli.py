@@ -32,12 +32,15 @@ from . import ccm, esn, series, synth
 from .lexicon import load_emotion_lexicon, load_valence_lexicon
 from .sentiment import (
     DEFAULT_MODIFIERS,
+    SCORED_COLUMNS,
     read_scored_csv,
     score_post,
+    scored_row,
     write_scored_csv,
 )
 from .textpipe import (
     RawPost,
+    corpus_line,
     is_english,
     load_wordlist,
     read_corpus,
@@ -119,48 +122,54 @@ def _date(value: str | None) -> dt.date | None:
 # ---------------------------------------------------------------------------
 # clean
 
-def _run_clean(in_path, out_path, wordlist_path, report_path=None):
-    wordlist = load_wordlist(wordlist_path)
-    stopwords = load_wordlist(_default_path("stopwords_en.txt"))
-    posts, malformed = read_corpus(in_path, skip_malformed=True)
-    total_lines = len(posts) + malformed
-    kept: list[RawPost] = []
-    report = {
-        "input_posts": len(posts),
-        "malformed_lines": malformed,
-        "rule1_posts_with_artifacts": 0,
-        "rule2_removed_non_english": 0,
-        "duplicate_ids_dropped": 0,
-        "rule3_tokens_dropped": 0,
-        "output_posts": 0,
-    }
+def _stripped(post: RawPost) -> RawPost:
+    """The post with artifact-stripped text; ``post`` itself when nothing was stripped."""
+    text = strip_artifacts(post.text)
+    if text == post.text:
+        return post
+    return RawPost(
+        post.id, post.date, post.city, text,
+        post.like_count, post.reply_count, post.retweet_count, post.lang,
+    )
+
+
+def _kept_posts(posts, wordlist, report):
+    """Stream the posts that pass rules 1-2 and the id rule, artifact-stripped.
+
+    Each post is stripped once. ``report`` gets every count but rule 3, which
+    needs the token stream; ``malformed_lines`` is set once ``posts`` is
+    exhausted.
+    """
     seen_ids: set[str] = set()
     for post in posts:
-        stripped = strip_artifacts(post.text)
-        if stripped != post.text:
+        kept = _stripped(post)
+        if kept is not post:
             report["rule1_posts_with_artifacts"] += 1
-        post = RawPost(
-            post.id, post.date, post.city, stripped,
-            post.like_count, post.reply_count, post.retweet_count, post.lang,
-        )
-        if not is_english(post, wordlist):
+        if not is_english(kept, wordlist):
             report["rule2_removed_non_english"] += 1
             continue
         # ids must be unique downstream: keep the first English post of each id
-        if post.id in seen_ids:
+        if kept.id in seen_ids:
             report["duplicate_ids_dropped"] += 1
             continue
-        seen_ids.add(post.id)
-        doc = tokenize(post.text)
-        nostop = remove_stopwords(doc, stopwords)
-        report["rule3_tokens_dropped"] += len(post.text.split()) - len(nostop.tokens)
-        kept.append(post)
-    report["output_posts"] = len(kept)
-    write_corpus(kept, out_path)
-    if report_path:
-        Path(report_path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    bad_fraction = malformed / total_lines if total_lines else 0.0
-    return kept, report, bad_fraction
+        seen_ids.add(kept.id)
+        report["output_posts"] += 1
+        yield kept
+    report["input_posts"] = posts.posts_read
+    report["malformed_lines"] = posts.malformed
+
+
+def _new_report() -> dict:
+    return dict.fromkeys((
+        "input_posts", "malformed_lines", "rule1_posts_with_artifacts",
+        "rule2_removed_non_english", "duplicate_ids_dropped",
+        "rule3_tokens_dropped", "output_posts",
+    ), 0)
+
+
+def _bad_fraction(report: dict) -> float:
+    total_lines = report["input_posts"] + report["malformed_lines"]
+    return report["malformed_lines"] / total_lines if total_lines else 0.0
 
 
 def cmd_clean(args) -> int:
@@ -168,11 +177,32 @@ def cmd_clean(args) -> int:
     in_path = st.get("in_path", "paths", "corpus", None)
     if in_path is None:
         raise ValueError("clean: --in is required")
-    wordlist = st.get("wordlist", "paths", "wordlist", _default_path("wordlist_en.txt"))
+    wordlist = load_wordlist(
+        st.get("wordlist", "paths", "wordlist", _default_path("wordlist_en.txt"))
+    )
+    # rule 3 is counted on the token stream that score sees
+    vlex_path = st.get(
+        "valence_lexicon", "paths", "valence_lexicon", _default_path("vader_lexicon.txt")
+    )
+    stop_path = st.get("stopwords", "paths", "stopwords", _default_path("stopwords_en.txt"))
+    emoticons = load_valence_lexicon(vlex_path).symbol_tokens()
+    stopwords = load_wordlist(stop_path)
     st.echo("clean")
-    _, report, bad_fraction = _run_clean(in_path, args.out, wordlist, args.report)
+    report = _new_report()
+
+    def counted(posts):
+        for post in posts:
+            doc = remove_stopwords(tokenize(post.text, emoticons), stopwords)
+            report["rule3_tokens_dropped"] += len(post.text.split()) - len(doc.tokens)
+            yield post
+
+    kept = _kept_posts(read_corpus(in_path, skip_malformed=True), wordlist, report)
+    write_corpus(counted(kept), args.out)
+    if args.report:
+        Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     for key in sorted(report):
         print(f"{key}: {report[key]}")
+    bad_fraction = _bad_fraction(report)
     if bad_fraction > 0.01:
         print(f"error: {bad_fraction:.1%} malformed lines", file=sys.stderr)
         return 1
@@ -189,12 +219,6 @@ def _load_lexicons(st: Settings):
     return load_valence_lexicon(vpath), load_emotion_lexicon(epath), load_wordlist(spath)
 
 
-def _run_score(posts, out_path, vlex, elex, stopwords):
-    scored = [score_post(p, vlex, elex, stopwords, DEFAULT_MODIFIERS) for p in posts]
-    write_scored_csv(scored, out_path)
-    return scored
-
-
 def cmd_score(args) -> int:
     st = _settings(args)
     in_path = st.get("in_path", "paths", "corpus", None)
@@ -204,9 +228,12 @@ def cmd_score(args) -> int:
     st.echo("score")
     print(f"# valence lexicon sha256 {vlex.checksum}")
     print(f"# emotion lexicon sha256 {elex.checksum}")
-    posts, _ = read_corpus(in_path)
-    scored = _run_score(posts, args.out, vlex, elex, stopwords)
-    print(f"scored_posts: {len(scored)}")
+    posts = read_corpus(in_path)
+    write_scored_csv(
+        (score_post(_stripped(p), vlex, elex, stopwords, DEFAULT_MODIFIERS) for p in posts),
+        args.out,
+    )
+    print(f"scored_posts: {posts.posts_read}")
     return 0
 
 
@@ -222,12 +249,11 @@ def _join_corpus(scored, corpus_path, keyword=None):
     With ``keyword``, only posts whose text contains it are kept. Corpus ids
     must be unique and every scored id must be in the corpus.
     """
-    posts, _ = read_corpus(corpus_path)
     by_id = {}
-    for p in posts:
+    for p in read_corpus(corpus_path):
         if by_id.setdefault(p.id, p) is not p:
             raise ValueError(f"{corpus_path}: post id {p.id!r} repeats")
-    keep = {p.id for p in series.keyword_filter(posts, keyword)} if keyword else by_id
+    keep = {p.id for p in series.keyword_filter(list(by_id.values()), keyword)} if keyword else by_id
     joined = []
     for sp in scored:
         raw = by_id.get(sp.id)
@@ -499,28 +525,51 @@ def cmd_synth(args) -> int:
 # pipeline
 
 def cmd_pipeline(args) -> int:
+    """clean + score + aggregate as one streaming pass over the corpus.
+
+    Each post is stripped once and, if kept, tokenized once; its cleaned line
+    and scored row are written as it passes, and ``aggregate_daily`` keeps
+    per-(city, day) sums only. Rule 3 is the kept post's word count minus its
+    stopword-free token count, which is the emotion profile's word total.
+    """
     st = _settings(args)
     in_path = st.get("in_path", "paths", "corpus", None)
     if in_path is None:
         raise ValueError("pipeline: --in is required")
-    wordlist = st.get("wordlist", "paths", "wordlist", _default_path("wordlist_en.txt"))
+    wordlist = load_wordlist(
+        st.get("wordlist", "paths", "wordlist", _default_path("wordlist_en.txt"))
+    )
     vlex, elex, stopwords = _load_lexicons(st)
     st.echo("pipeline")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cleaned = out_dir / "cleaned.jsonl"
-    scored_path = out_dir / "scored.csv"
-    series_path = out_dir / "series.csv"
-    kept, report, bad_fraction = _run_clean(in_path, cleaned, wordlist)
-    # score_post carries the engagement counts, so no corpus join is needed
-    scored = _run_score(kept, scored_path, vlex, elex, stopwords)
-    built = series.aggregate_daily(scored, ["compound_mean", "tweet_count", *_COUNT_FEATURES])
-    series.write_series_csv(built, series_path)
+    report = _new_report()
+    kept = _kept_posts(read_corpus(in_path, skip_malformed=True), wordlist, report)
+    with (
+        (out_dir / "cleaned.jsonl").open("w", encoding="utf-8") as cleaned,
+        (out_dir / "scored.csv").open("w", encoding="utf-8", newline="") as scored_fh,
+    ):
+        scored_csv = csv.writer(scored_fh)
+        scored_csv.writerow(SCORED_COLUMNS)
+
+        def scored():
+            for post in kept:
+                cleaned.write(corpus_line(post))
+                # score_post carries the engagement counts, so no corpus join is needed
+                sp = score_post(post, vlex, elex, stopwords, DEFAULT_MODIFIERS)
+                report["rule3_tokens_dropped"] += len(post.text.split()) - sp.emotions.word_total
+                scored_csv.writerow(scored_row(sp))
+                yield sp
+
+        built = series.aggregate_daily(
+            scored(), ["compound_mean", "tweet_count", *_COUNT_FEATURES]
+        )
+    series.write_series_csv(built, out_dir / "series.csv")
     for key in sorted(report):
         print(f"{key}: {report[key]}")
-    print(f"scored_posts: {len(scored)}")
+    print(f"scored_posts: {report['output_posts']}")
     print(f"series_written: {len(built)}")
-    return 1 if bad_fraction > 0.01 else 0
+    return 1 if _bad_fraction(report) > 0.01 else 0
 
 
 # ---------------------------------------------------------------------------

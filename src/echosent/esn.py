@@ -199,14 +199,16 @@ def solve_ridge(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
     ``gram`` is the unregularized state Gram matrix. ``rhs`` is (N,) or
     (N, K); the K columns are right-hand sides solved with one factorization.
     Raises ``SingularSystemError`` if the regularized system is not positive
-    definite, which can only happen with ridge 0.
+    definite, which can only happen with ridge 0: when the Cholesky probe
+    fails, and when a rank-deficient system passes the probe on a rounding
+    pivot and the solve then fails.
     """
     regularized = gram + ridge * np.eye(gram.shape[0])
     try:
         np.linalg.cholesky(regularized)
+        return np.linalg.solve(regularized, rhs)
     except np.linalg.LinAlgError:
         raise SingularSystemError(ridge) from None
-    return np.linalg.solve(regularized, rhs)
 
 
 def nrmse(predictions: np.ndarray, observations: np.ndarray) -> float:

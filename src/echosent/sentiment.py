@@ -22,7 +22,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .lexicon import EMOTION_CATEGORIES, EmotionLexicon, ValenceLexicon
-from .textpipe import CleanDoc, RawPost, remove_stopwords, strip_artifacts, tokenize
+from .textpipe import CleanDoc, RawPost, remove_stopwords, tokenize
+# Re-exported: the benchmark tracer (bench/spans.py) wraps it under this name.
+from .textpipe import strip_artifacts  # noqa: F401
 
 _INCR = 0.293
 _DECR = -0.293
@@ -218,10 +220,12 @@ def score_post(
 ) -> ScoredPost:
     """Run one already-English post through tokenize -> score -> profile.
 
+    ``post.text`` must already be artifact-stripped; it is tokenized once.
     Polarity is computed on the full token stream (negators must survive);
-    the emotion profile uses the stopword-free stream.
+    the emotion profile uses the stopword-free stream, so its ``word_total``
+    is the post's token count after stopword removal.
     """
-    doc = tokenize(strip_artifacts(post.text), valence_lex.symbol_tokens(), post.id)
+    doc = tokenize(post.text, valence_lex.symbol_tokens(), post.id)
     sent = polarity_proportions(doc, valence_lex, mods)
     emo = emotion_profile(remove_stopwords(doc, stopwords), emotion_lex)
     return ScoredPost(
@@ -236,17 +240,22 @@ def score_post(
     )
 
 
+def scored_row(p: ScoredPost) -> list[str]:
+    """One scored post as its CSV fields, in ``SCORED_COLUMNS`` order."""
+    s = p.sentiment
+    return [
+        p.id, p.date.isoformat(), p.city,
+        repr(s.negative), repr(s.neutral), repr(s.positive), repr(s.compound),
+        *map(repr, p.emotions.frequencies),
+    ]
+
+
 def write_scored_csv(posts: Iterable[ScoredPost], path: str | Path) -> None:
+    """Write scored posts as CSV rows, each as soon as ``posts`` yields it."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORED_COLUMNS)
-        for p in posts:
-            s = p.sentiment
-            writer.writerow(
-                [p.id, p.date.isoformat(), p.city]
-                + [repr(x) for x in (s.negative, s.neutral, s.positive, s.compound)]
-                + [repr(f) for f in p.emotions.frequencies]
-            )
+        writer.writerows(map(scored_row, posts))
 
 
 def read_scored_csv(path: str | Path) -> list[ScoredPost]:

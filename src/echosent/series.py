@@ -12,9 +12,10 @@ from __future__ import annotations
 import configparser
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -61,13 +62,36 @@ class CitySeries:
         return len(self.dates)
 
 
+class _DaySums:
+    """Running sums of one (city, day): posts, compounds and engagement counts.
+
+    Compounds are added one at a time in post order, starting from 0.0, so
+    the day's mean is bit-identical to ``sum(compounds) / len(compounds)``
+    under the sequential float ``sum`` of Python 3.10 and 3.11.
+    """
+
+    __slots__ = ("n", "compound", "likes", "replies", "retweets")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.compound = 0.0
+        self.likes = self.replies = self.retweets = 0
+
+    def add(self, p: ScoredPost) -> None:
+        self.n += 1
+        self.compound += p.sentiment.compound
+        self.likes += p.like_count
+        self.replies += p.reply_count
+        self.retweets += p.retweet_count
+
+
 #: Value of each aggregated feature on a day with posts.
 _DAY_VALUE = {
-    "compound_mean": lambda group: sum(p.sentiment.compound for p in group) / len(group),
-    "tweet_count": lambda group: float(len(group)),
-    "like_total": lambda group: float(sum(p.like_count for p in group)),
-    "reply_total": lambda group: float(sum(p.reply_count for p in group)),
-    "retweet_total": lambda group: float(sum(p.retweet_count for p in group)),
+    "compound_mean": lambda day: day.compound / day.n,
+    "tweet_count": lambda day: float(day.n),
+    "like_total": lambda day: float(day.likes),
+    "reply_total": lambda day: float(day.replies),
+    "retweet_total": lambda day: float(day.retweets),
 }
 
 
@@ -80,10 +104,11 @@ def aggregate_daily(
 ) -> list[CitySeries]:
     """Aggregate scored posts into gap-free daily series, one per (city, feature).
 
-    The posts are grouped once by (city, day). Series come city-major, then
-    in ``features`` order; ``cities=None`` means every city, sorted. Each
-    city spans its own first to last post day unless ``start``/``end`` are
-    given. ``compound_mean`` is the arithmetic mean of the day's compound
+    ``posts`` is read once, as it comes (a generator streams through), into
+    running sums per (city, day); no post is kept. Series come city-major,
+    then in ``features`` order; ``cities=None`` means every city, sorted.
+    Each city spans its own first to last post day unless ``start``/``end``
+    are given. ``compound_mean`` is the arithmetic mean of the day's compound
     scores; count features are daily sums. Days without posts get 0 for
     counts and a carried-forward mean for ``compound_mean`` (carried backward
     at a leading gap), flagged in ``filled``.
@@ -93,9 +118,15 @@ def aggregate_daily(
             raise ValueError("case counts are external data; load them with read_series_csv")
         if feature not in FEATURES:
             raise ValueError(f"unknown feature {feature!r}")
-    by_city: dict[str, dict[dt.date, list[ScoredPost]]] = {}
+    by_city: dict[str, dict[dt.date, _DaySums]] = {}
     for p in posts:
-        by_city.setdefault(p.city, {}).setdefault(p.date, []).append(p)
+        by_day = by_city.get(p.city)
+        if by_day is None:
+            by_day = by_city[p.city] = {}
+        sums = by_day.get(p.date)
+        if sums is None:
+            sums = by_day[p.date] = _DaySums()
+        sums.add(p)
 
     out: list[CitySeries] = []
     for city in sorted(by_city) if cities is None else cities:
@@ -315,13 +346,29 @@ def write_heatmap_svg(
 # Series CSV I/O (also the interchange format for external case counts).
 
 def write_series_csv(series: Iterable[CitySeries], path: str | Path) -> None:
+    """Write series in long format, one ``fh.write`` per series.
+
+    A series' ``,city,feature,`` middle is quoted once by ``csv.writer``;
+    ISO dates and ``repr`` floats never need quoting.
+    """
+    quoted = io.StringIO()
+    # the default "\r\n" terminator also makes csv quote fields with line breaks
+    middle = csv.writer(quoted)
+    iso: dict[dt.date, str] = {}
+    dates: tuple[dt.date, ...] = ()
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "city", "feature", "value"])
-        iso: dict[dt.date, str] = {}
+        fh.write("date,city,feature,value\r\n")
         for s in series:
-            days = [iso.get(d) or iso.setdefault(d, d.isoformat()) for d in s.dates]
-            writer.writerows(zip(days, repeat(s.city), repeat(s.feature), map(repr, s.values)))
+            quoted.seek(0)
+            quoted.truncate()
+            middle.writerow(("", s.city, s.feature, ""))
+            mid = quoted.getvalue()[:-2]
+            if s.dates is not dates:  # one city's features share their dates tuple
+                dates = s.dates
+                days = [iso.get(d) or iso.setdefault(d, d.isoformat()) for d in dates]
+            fh.write("".join(chain.from_iterable(
+                zip(days, repeat(mid), map(repr, s.values), repeat("\r\n"))
+            )))
 
 
 def read_series_csv(path: str | Path) -> list[CitySeries]:

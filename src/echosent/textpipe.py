@@ -7,7 +7,9 @@ before punctuation is dropped, so scoring downstream can still apply them.
 
 Corpus files are JSON lines, one post per line with fields ``id``, ``date``
 ("YYYY-MM-DD"), ``city``, ``text``, optional ``like_count``, ``reply_count``,
-``retweet_count`` and ``lang``; unknown fields are ignored.
+``retweet_count`` and ``lang``; unknown fields are ignored. ``read_corpus``
+parses them lazily, one post per iteration step, and ``write_corpus`` writes
+posts as it draws them, so a corpus streams through without being held.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .lexicon import normalize_token
 
@@ -92,16 +94,14 @@ def strip_artifacts(text: str) -> str:
 def is_english(post: RawPost, wordlist: Iterable[str]) -> bool:
     """Language filter: honor the post's tag, else a wordlist ratio heuristic.
 
-    Untagged posts pass when at least 40% of their alphabetic tokens appear
-    in the reference wordlist; posts with no alphabetic tokens are kept.
+    ``post.text`` must already be artifact-stripped. Untagged posts pass when
+    at least 40% of their alphabetic tokens appear in the reference
+    wordlist; posts with no alphabetic tokens are kept.
     """
     if post.lang is not None:
         return post.lang == "en"
     words = set(wordlist) if not isinstance(wordlist, (set, frozenset)) else wordlist
-    alpha = [
-        chunk.strip(_STRIP_CHARS).casefold()
-        for chunk in strip_artifacts(post.text).split()
-    ]
+    alpha = [chunk.strip(_STRIP_CHARS).casefold() for chunk in post.text.split()]
     alpha = [a for a in alpha if a.isalpha()]
     if not alpha:
         return True
@@ -183,40 +183,61 @@ def parse_post(obj: dict) -> RawPost:
         raise ValueError(f"bad post record: {exc}") from exc
 
 
-def read_corpus(path: str | Path, skip_malformed: bool = False) -> tuple[list[RawPost], int]:
-    """Read a JSON-lines corpus; returns (posts, number of malformed lines).
+class CorpusReader:
+    """The posts of a JSON-lines corpus, parsed lazily in file order.
 
-    With ``skip_malformed`` false the first bad line raises ``ValueError``
-    with file/line context.
+    Iterate it once. ``posts_read`` counts the posts yielded so far and
+    ``malformed`` the lines skipped so far; with ``skip_malformed`` false the
+    first bad line raises ``ValueError`` with file/line context instead.
     """
-    posts: list[RawPost] = []
-    malformed = 0
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                posts.append(parse_post(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
-                if not skip_malformed:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                malformed += 1
-                log.warning("%s:%d: skipping malformed line", path, lineno)
-    return posts, malformed
+
+    def __init__(self, path: str | Path, skip_malformed: bool = False) -> None:
+        self.path = path
+        self.skip_malformed = skip_malformed
+        self.posts_read = 0
+        self.malformed = 0
+        # opened now, so a missing file fails before any output is written
+        self._fh = Path(path).open(encoding="utf-8")
+
+    def __iter__(self) -> Iterator[RawPost]:
+        with self._fh as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    post = parse_post(json.loads(line))
+                except (json.JSONDecodeError, ValueError) as exc:
+                    if not self.skip_malformed:
+                        raise ValueError(f"{self.path}:{lineno}: {exc}") from exc
+                    self.malformed += 1
+                    log.warning("%s:%d: skipping malformed line", self.path, lineno)
+                    continue
+                self.posts_read += 1
+                yield post
+
+
+def read_corpus(path: str | Path, skip_malformed: bool = False) -> CorpusReader:
+    """Open a JSON-lines corpus for one lazy pass over its posts."""
+    return CorpusReader(path, skip_malformed)
+
+
+def corpus_line(p: RawPost) -> str:
+    """One post as a corpus JSON line, newline included."""
+    rec = {
+        "id": p.id,
+        "date": p.date.isoformat(),
+        "city": p.city,
+        "text": p.text,
+        "like_count": p.like_count,
+        "reply_count": p.reply_count,
+        "retweet_count": p.retweet_count,
+    }
+    if p.lang is not None:
+        rec["lang"] = p.lang
+    return json.dumps(rec, ensure_ascii=False) + "\n"
 
 
 def write_corpus(posts: Iterable[RawPost], path: str | Path) -> None:
+    """Write posts as JSON lines, each as soon as ``posts`` yields it."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for p in posts:
-            rec = {
-                "id": p.id,
-                "date": p.date.isoformat(),
-                "city": p.city,
-                "text": p.text,
-                "like_count": p.like_count,
-                "reply_count": p.reply_count,
-                "retweet_count": p.retweet_count,
-            }
-            if p.lang is not None:
-                rec["lang"] = p.lang
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        fh.writelines(map(corpus_line, posts))

@@ -51,7 +51,7 @@ def test_c01_lexicon_goldens(vlex):
 
 
 def test_c02_scored_tweet_goldens(vlex, elex, stopwords, fixtures_dir):
-    posts, _ = read_corpus(f"{fixtures_dir}/toronto_feb24.jsonl")
+    posts = list(read_corpus(f"{fixtures_dir}/toronto_feb24.jsonl"))
     expected = [
         (0.0, 1.0, 0.0, 0.0),
         (0.0, 1.0, 0.0, 0.0),

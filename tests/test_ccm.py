@@ -636,6 +636,21 @@ def test_invalid_fold_excludes_config():
     assert report.winner_index == 1
 
 
+def test_grid_config_failing_in_the_solve_stage_is_invalid_with_the_ridge(monkeypatch):
+    # the 10-unit ridge-0 config passes the Cholesky probe, then its solve fails
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        if a.shape[0] == 10:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(esn.np.linalg, "solve", solve)
+    report = loo_cv_grid_search(make_panel(3), [small_cfg(size=10, ridge=0.0), small_cfg(size=12)])
+    assert "readout normal equations are singular (ridge=0.0)" in report.invalid[0]
+    assert report.winner_index == 1
+
+
 def test_all_invalid_raises():
     length = 60
     x = np.linspace(0, 1, length)

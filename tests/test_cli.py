@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import echosent
+from echosent import cli, sentiment, textpipe
 from echosent.cli import main
 
 ENGLISH_TEXTS = [
@@ -59,6 +60,61 @@ def test_clean_reports_rule2_removals(tmp_path, capsys):
     assert report["input_posts"] == 10
     assert report["rule2_removed_non_english"] == 2
     assert report["output_posts"] == 8
+
+
+def emoticon_corpus(tmp_path) -> Path:
+    corpus = tmp_path / "raw.jsonl"
+    corpus.write_text(json.dumps({"id": "e1", "date": "2020-03-01", "city": "Toronto",
+                                  "text": "great day :) :D", "lang": "en"}) + "\n")
+    return corpus
+
+
+def test_rule3_counts_emoticons_that_scoring_keeps(tmp_path, capsys):
+    # ":)" is in the valence lexicon's emoticon set, so scoring keeps it; the
+    # report used to count it as dropped (rule3_tokens_dropped: 1)
+    corpus = emoticon_corpus(tmp_path)
+    report_path = tmp_path / "report.json"
+    assert main(["clean", "--in", str(corpus), "--out", str(tmp_path / "clean.jsonl"),
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert (report["output_posts"], report["rule3_tokens_dropped"]) == (1, 0)
+    capsys.readouterr()
+    assert main(["pipeline", "--in", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "rule3_tokens_dropped: 0" in capsys.readouterr().out
+
+
+def test_clean_rule3_uses_the_configured_lexicon_and_stoplist(tmp_path, monkeypatch):
+    corpus = emoticon_corpus(tmp_path)
+    lexicon = tmp_path / "valence.txt"
+    lexicon.write_text("great\t3.1\n")
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("day\n")
+    monkeypatch.setenv("ECHOSENT_PATHS_VALENCE_LEXICON", str(lexicon))
+    report_path = tmp_path / "report.json"
+    config = tmp_path / "run.ini"
+    config.write_text(f"[paths]\nstopwords = {stoplist}\n")
+    assert main(["clean", "--config", str(config), "--in", str(corpus),
+                 "--out", str(tmp_path / "clean.jsonl"), "--report", str(report_path)]) == 0
+    # no emoticon set: ":)" is dropped as punctuation; "day" is a stopword
+    report = json.loads(report_path.read_text())
+    assert (report["output_posts"], report["rule3_tokens_dropped"]) == (1, 2)
+
+
+def test_pipeline_report_equals_clean_report(tmp_path, capsys):
+    corpus = tmp_path / "raw.jsonl"
+    write_mixed_corpus(corpus)
+    with corpus.open("a") as fh:
+        fh.write(json.dumps({"id": "x1", "date": "2020-03-02", "city": "Toronto",
+                             "text": "so GOOD :-) see https://t.co/abc @you !!", "lang": "en"}) + "\n")
+    report_path = tmp_path / "report.json"
+    assert main(["clean", "--in", str(corpus), "--out", str(tmp_path / "clean.jsonl"),
+                 "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    capsys.readouterr()
+    assert main(["pipeline", "--in", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert all(f"{key}: {value}" in printed for key, value in report.items())
+    assert report["rule1_posts_with_artifacts"] == 1
 
 
 def test_clean_idempotent(tmp_path):
@@ -446,6 +502,47 @@ def test_pipeline_equals_staged_composition(tmp_path, fixtures_dir):
     assert rows[1].startswith("2020-03-01,Montreal,compound_mean,")
     assert "2020-03-03,Toronto,like_total,0.0" in rows
     assert sum(1 for row in rows if ",Montreal,tweet_count," in row) == 9
+
+
+def counting(monkeypatch, counts, name, owners):
+    """Count calls of the function ``name`` as each of ``owners`` resolves it."""
+    original = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        assert getattr(owner, name) is original
+        monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "mixed"])
+def test_pipeline_strips_each_post_once_and_tokenizes_each_kept_post_once(
+    tmp_path, fixtures_dir, monkeypatch, capsys, corpus
+):
+    if corpus == "fixture":
+        path = Path(fixtures_dir) / "toronto_feb24.jsonl"
+    else:
+        path = tmp_path / "raw.jsonl"
+        write_mixed_corpus(path)
+        with path.open("a") as fh:
+            fh.write(json.dumps({"id": "en0", "date": "2020-03-02", "city": "X",
+                                 "text": "see @you at https://t.co/x #home"}) + "\n")
+    counts = dict.fromkeys(("strip_artifacts", "tokenize", "read_corpus", "is_english"), 0)
+    counting(monkeypatch, counts, "strip_artifacts", [cli, sentiment, textpipe])
+    counting(monkeypatch, counts, "tokenize", [cli, sentiment, textpipe])
+    counting(monkeypatch, counts, "read_corpus", [cli, textpipe])
+    counting(monkeypatch, counts, "is_english", [cli, textpipe])
+    assert main(["pipeline", "--in", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    n_input = sum(1 for line in path.read_text().splitlines() if line.strip())
+    n_kept = len((tmp_path / "out" / "cleaned.jsonl").read_text().splitlines())
+    assert f"input_posts: {n_input}" in out and f"output_posts: {n_kept}" in out
+    assert counts == {"strip_artifacts": n_input, "tokenize": n_kept,
+                      "read_corpus": 1, "is_english": n_input}
+    if corpus == "mixed":
+        assert n_kept < n_input
 
 
 def test_byte_identical_reruns(tmp_path, fixtures_dir):

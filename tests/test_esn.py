@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from echosent import esn
 from echosent.esn import (
     Reservoir,
     ReservoirConfig,
+    SingularSystemError,
     build_reservoir,
     draw_reservoir,
     nrmse,
@@ -270,6 +272,18 @@ def test_singular_zero_ridge_raises():
     states = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(ValueError, match="ridge"):
         train_readout(states, np.array([1.0, 2.0, 3.0]), ridge=0.0)
+
+
+def test_solve_stage_failure_at_ridge_zero_names_the_ridge(monkeypatch):
+    # A rank-deficient system can pass the Cholesky probe on a rounding-positive
+    # pivot and then fail inside the LU solve; that failure must carry the hint too.
+    def singular_solve(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(esn.np.linalg, "solve", singular_solve)
+    gram = np.array([[2.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(SingularSystemError, match=r"ridge=0\.0"):
+        solve_ridge(gram, np.array([1.0, 1.0]), 0.0)
 
 
 def test_closed_form_matches_bruteforce_normal_equations():

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echosent.sentiment import EmotionProfile, ScoredPost, SentimentScore
@@ -222,6 +222,80 @@ def test_one_pass_aggregation_matches_per_city_feature_oracle(rows, start, end, 
     assert [(s.city, s.feature) for s in got] == [(c, f) for c in order for f in features]
     for s in got:
         assert (s.dates, s.values, s.filled) == want[(s.city, s.feature)]
+
+
+def bits(values):
+    """Floats by their bit patterns, so 0.0 and -0.0 differ."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["A", "B", "C"]),
+            st.sampled_from([0, 2, 3, 6]),  # gap days in between
+            # nine-digit decimals round when added, so the summation order shows
+            st.floats(-1.0, 1.0) | st.integers(-10**9, 10**9).map(lambda k: k / 10**9),
+            st.integers(0, 10**6),
+            st.integers(0, 9),
+            st.integers(0, 50),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    lead=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# sum([-0.0]) is 0 + -0.0 == 0.0: a sum must start from zero, not from the first value
+@example(rows=[("A", 0, -0.0, 0, 0, 0), ("A", 3, 0.5, 1, 1, 1)], lead=1, seed=0)
+def test_day_sums_equal_per_day_lists_bit_for_bit(rows, lead, seed):
+    # One streamed pass over shuffled posts must give what per-day lists gave:
+    # sum(compounds) / len(compounds) in post order, and integer count sums.
+    base = D(2020, 3, 1)
+    posts = [
+        sp(f"p{i}", base + dt.timedelta(days=off), city, c, likes, replies, retweets)
+        for i, (city, off, c, likes, replies, retweets) in enumerate(rows)
+    ]
+    random.Random(seed).shuffle(posts)
+    start = base - dt.timedelta(days=lead)  # lead > 0: every city has a leading gap
+    end = base + dt.timedelta(days=7)
+    consumed = []
+
+    def stream():
+        for p in posts:
+            consumed.append(p.id)
+            yield p
+
+    got = aggregate_daily(stream(), ALL_FEATURES, None, start, end)
+    assert consumed == [p.id for p in posts]
+    cities = sorted({p.city for p in posts})
+    assert [(s.city, s.feature) for s in got] == [(c, f) for c in cities for f in ALL_FEATURES]
+    days = [start + dt.timedelta(days=k) for k in range((end - start).days + 1)]
+    for city, series in zip(cities, [got[i:i + 5] for i in range(0, len(got), 5)]):
+        groups = {day: [p for p in posts if p.city == city and p.date == day] for day in days}
+        means = [
+            sum(p.sentiment.compound for p in g) / len(g) if g else None
+            for g in groups.values()
+        ]
+        first = next(m for m in means if m is not None)
+        carried, last = [], first  # a leading gap takes the first mean
+        for m in means:
+            last = last if m is None else m
+            carried.append(last)
+        want = {
+            "compound_mean": carried,
+            "tweet_count": [float(len(g)) for g in groups.values()],
+            "like_total": [float(sum(p.like_count for p in g)) for g in groups.values()],
+            "reply_total": [float(sum(p.reply_count for p in g)) for g in groups.values()],
+            "retweet_total": [float(sum(p.retweet_count for p in g)) for g in groups.values()],
+        }
+        for s in series:
+            assert s.dates == tuple(days)
+            assert s.filled == tuple(not g for g in groups.values())
+            assert bits(s.values) == bits(want[s.feature]), (city, s.feature)
+        if lead:
+            assert series[0].values[0] == first and series[0].filled[0]
 
 
 # ---------------------------------------------------------------------------

@@ -333,16 +333,18 @@ def test_corpus_roundtrip(tmp_path):
     ]
     path = tmp_path / "corpus.jsonl"
     write_corpus(posts, path)
-    back, malformed = read_corpus(path)
-    assert back == posts
-    assert malformed == 0
+    reader = read_corpus(path)
+    assert list(reader) == posts
+    assert reader.posts_read == 2
+    assert reader.malformed == 0
 
 
 def test_read_corpus_malformed_handling(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id":"a","date":"2020-03-01","city":"X","text":"hi"}\nnot json\n')
-    with pytest.raises(ValueError):
-        read_corpus(path)
-    posts, malformed = read_corpus(path, skip_malformed=True)
+    with pytest.raises(ValueError, match=r"corpus\.jsonl:2:"):
+        list(read_corpus(path))
+    reader = read_corpus(path, skip_malformed=True)
+    posts = list(reader)
     assert len(posts) == 1
-    assert malformed == 1
+    assert reader.malformed == 1
