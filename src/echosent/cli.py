@@ -22,7 +22,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .lexicon import load_emotion_lexicon, load_valence_lexicon
 from .sentiment import (
     DEFAULT_MODIFIERS,
     SCORED_COLUMNS,
+    ScoredPost,
     read_scored_csv,
     score_post,
     scored_row,
@@ -260,9 +261,9 @@ def _join_corpus(scored, corpus_path, keyword=None):
         if raw is None:
             raise ValueError(f"scored post {sp.id!r} is not in {corpus_path}")
         if sp.id in keep:
-            joined.append(replace(
-                sp, like_count=raw.like_count, reply_count=raw.reply_count,
-                retweet_count=raw.retweet_count,
+            joined.append(ScoredPost(
+                sp.id, sp.date, sp.city, sp.sentiment, sp.emotions,
+                raw.like_count, raw.reply_count, raw.retweet_count,
             ))
     return joined
 
@@ -322,7 +323,7 @@ def cmd_heatmap(args) -> int:
         raise ValueError("heatmap: --series is required")
     feature = st.get("feature", "run", "feature", "compound_mean")
     st.echo("heatmap")
-    all_series = [s for s in series.read_series_csv(series_path) if s.feature == feature]
+    all_series = series.read_series_csv(series_path, features=[feature])
     if not all_series:
         raise ValueError(f"no {feature!r} series in {series_path}")
     cities, dates, matrix = series.heatmap_matrix(all_series)
@@ -340,8 +341,8 @@ def cmd_heatmap(args) -> int:
 # ---------------------------------------------------------------------------
 # ccm
 
-def _single_series(path, feature=None, city=None) -> series.CitySeries:
-    found = series.read_series_csv(path)
+def _single_series(found, path, feature=None, city=None) -> series.CitySeries:
+    """The one series of ``found`` (read from ``path``) with this feature and city."""
     if feature:
         found = [s for s in found if s.feature == feature]
     if city:
@@ -363,14 +364,19 @@ def cmd_ccm(args) -> int:
     st.echo("ccm")
     grid = ccm.LagGrid(lag_lo, lag_hi)
     if args.x and args.y:
-        sx = _single_series(args.x)
-        sy = _single_series(args.y)
+        sx = _single_series(series.read_series_csv(args.x), args.x)
+        sy = _single_series(series.read_series_csv(args.y), args.y)
     else:
         series_path = st.get("series", "paths", "series", None)
         if not (series_path and args.input_feature and args.target_feature):
             raise ValueError("ccm: give --x/--y files, or --series with --input-feature/--target-feature")
-        sx = _single_series(series_path, args.input_feature, args.city)
-        sy = _single_series(series_path, args.target_feature, args.city)
+        found = series.read_series_csv(
+            series_path,
+            features=[args.input_feature, args.target_feature],
+            cities=[args.city] if args.city else None,
+        )
+        sx = _single_series(found, series_path, args.input_feature, args.city)
+        sy = _single_series(found, series_path, args.target_feature, args.city)
     if sx.dates != sy.dates:
         raise ValueError("ccm: input and target series must cover identical dates")
     x = np.asarray(sx.values)
@@ -427,7 +433,9 @@ def cmd_gridsearch(args) -> int:
         configs = [ccm.default_ccm_config(seed)]
     else:
         raise ValueError(f"unknown grid {grid_name!r} (use tiny, quick or default)")
-    found = series.read_series_csv(panel_path)
+    found = series.read_series_csv(
+        panel_path, features=[args.input_feature, args.target_feature]
+    )
     by_city: dict[str, dict[str, series.CitySeries]] = {}
     for s in found:
         by_city.setdefault(s.city, {})[s.feature] = s

@@ -85,6 +85,15 @@ class EmotionLexicon:
     entries: Mapping[str, frozenset[str]]
     source: str
     checksum: str
+    _indices: Mapping[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Built once per lexicon: emotion profiling asks for it on every post.
+        indices = {
+            tok: tuple(j for j, cat in enumerate(EMOTION_CATEGORIES) if cat in emotions)
+            for tok, emotions in self.entries.items()
+        }
+        object.__setattr__(self, "_indices", MappingProxyType(indices))
 
     def lookup(self, token: str) -> frozenset[str] | None:
         return self.entries.get(normalize_token(token))
@@ -94,6 +103,10 @@ class EmotionLexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def category_indices(self) -> Mapping[str, tuple[int, ...]]:
+        """Token -> positions in ``EMOTION_CATEGORIES`` of its emotions, in that order."""
+        return self._indices
 
 
 def load_valence_lexicon(path: str | Path) -> ValenceLexicon:

@@ -112,8 +112,12 @@ def _token_valences(doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables) ->
     """Adjusted valence per token; 0.0 for tokens without a lexicon entry."""
     out: list[float] = []
     toks = doc.tokens
+    entries = lex.entries
+    boosters = mods.boosters
+    is_negator = mods.is_negator
+    lookback = mods.lookback
     for i, tok in enumerate(toks):
-        base = lex.entries.get(tok.normalized)
+        base = entries.get(tok.normalized)
         if base is None:
             out.append(0.0)
             continue
@@ -121,12 +125,15 @@ def _token_valences(doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables) ->
         s = _sign(base)
         if tok.all_caps:
             v += mods.caps_boost * s
-        window = toks[max(0, i - mods.lookback):i]
-        for prev in window:
-            inc = mods.boosters.get(prev.normalized)
+        # one walk over the lookback window finds boosters and any negator
+        negated = False
+        for prev in toks[max(0, i - lookback):i]:
+            inc = boosters.get(prev.normalized)
             if inc is not None:
                 v += inc * s
-        if any(mods.is_negator(prev.normalized) for prev in window):
+            if not negated:
+                negated = is_negator(prev.normalized)
+        if negated:
             v *= mods.negation_factor
         out.append(v)
     return out
@@ -173,13 +180,10 @@ def emotion_profile(doc: CleanDoc, lex: EmotionLexicon) -> EmotionProfile:
     """Per-category hit counts and frequencies on a stopword-free document."""
     n = len(doc.tokens)
     counts = [0] * len(EMOTION_CATEGORIES)
+    indices = lex.category_indices()
     for tok in doc.tokens:
-        emotions = lex.entries.get(tok.normalized)
-        if not emotions:
-            continue
-        for j, cat in enumerate(EMOTION_CATEGORIES):
-            if cat in emotions:
-                counts[j] += 1
+        for j in indices.get(tok.normalized, ()):
+            counts[j] += 1
     if n == 0:
         return EmotionProfile(tuple(counts), (0.0,) * len(counts), 0, degenerate=True)
     return EmotionProfile(tuple(counts), tuple(c / n for c in counts), n)
@@ -261,31 +265,42 @@ def write_scored_csv(posts: Iterable[ScoredPost], path: str | Path) -> None:
 def read_scored_csv(path: str | Path) -> list[ScoredPost]:
     """Read scored rows; engagement counts are not part of this format.
 
-    Post ids must be unique: a repeated id raises ``ValueError`` naming it.
+    Every row must have one field per column of ``SCORED_COLUMNS``, an ISO
+    date and float scores, or ``ValueError`` names the file and line; blank
+    lines are skipped. Post ids must be unique: a repeated id raises
+    ``ValueError`` naming it.
     """
+    width = len(SCORED_COLUMNS)
+    no_counts = (0,) * len(EMOTION_CATEGORIES)
     out: list[ScoredPost] = []
     seen: set[str] = set()
+    days: dict[str, dt.date] = {}
     with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != SCORED_COLUMNS:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != SCORED_COLUMNS:
             raise ValueError(f"{path}: unexpected scored CSV header")
         for row in reader:
-            if row["id"] in seen:
-                raise ValueError(f"{path}: scored post id {row['id']!r} repeats")
-            seen.add(row["id"])
-            freqs = tuple(float(row[f"emo_{c}"]) for c in EMOTION_CATEGORIES)
-            out.append(
-                ScoredPost(
-                    id=row["id"],
-                    date=dt.date.fromisoformat(row["date"]),
-                    city=row["city"],
-                    sentiment=SentimentScore(
-                        float(row["negative"]),
-                        float(row["neutral"]),
-                        float(row["positive"]),
-                        float(row["compound"]),
-                    ),
-                    emotions=EmotionProfile((0,) * 10, freqs, 0, degenerate=True),
-                )
-            )
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ValueError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
+            pid, date, city = row[0], row[1], row[2]
+            if pid in seen:
+                raise ValueError(f"{path}: scored post id {pid!r} repeats")
+            seen.add(pid)
+            day = days.get(date)
+            if day is None:
+                try:
+                    day = days[date] = dt.date.fromisoformat(date)
+                except ValueError:
+                    raise ValueError(f"{path}:{reader.line_num}: bad date {date!r}") from None
+            try:
+                scores = tuple(map(float, row[3:]))
+                sentiment = SentimentScore(*scores[:4])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            out.append(ScoredPost(
+                pid, day, city, sentiment,
+                EmotionProfile(no_counts, scores[4:], 0, degenerate=True),
+            ))
     return out

@@ -1,10 +1,11 @@
 """Daily per-city series, period summaries and heatmap emission.
 
 Series CSV format: header ``date,city,feature,value`` with ISO dates, one
-row per day. Heatmap CSV: header ``city,<date>,...`` and one row per city.
-The SVG heatmap uses a diverging color scale centered at zero (orange
-positive, green negative) and contains no timestamps, so identical inputs
-produce byte-identical files.
+row per day. ``read_series_csv`` checks every row of a file but builds,
+and requires gap-free, only the series it is asked for. Heatmap CSV: header
+``city,<date>,...`` and one row per city. The SVG heatmap uses a diverging
+color scale centered at zero (orange positive, green negative) and contains
+no timestamps, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -371,28 +373,60 @@ def write_series_csv(series: Iterable[CitySeries], path: str | Path) -> None:
             )))
 
 
-def read_series_csv(path: str | Path) -> list[CitySeries]:
-    """Read a long-format series CSV back into validated CitySeries objects."""
+_SERIES_HEADER = ["date", "city", "feature", "value"]
+
+
+def read_series_csv(
+    path: str | Path,
+    features: Iterable[str] | None = None,
+    cities: Iterable[str] | None = None,
+) -> list[CitySeries]:
+    """Read a long-format series CSV back into validated CitySeries objects.
+
+    Every row is checked, whichever series it belongs to: it must have
+    exactly four fields, an ISO date and a float value, or ``ValueError``
+    names the file and line. Blank lines are skipped. Only the series whose
+    feature is in ``features`` and whose city is in ``cities`` (``None``
+    keeps all) are built, in (city, feature) order, and only those must be
+    gap-free daily series.
+    """
+    keep_features = None if features is None else frozenset(features)
+    keep_cities = None if cities is None else frozenset(cities)
     rows: dict[tuple[str, str], list[tuple[dt.date, float]]] = {}
+    days: dict[str, dt.date] = {}
     with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["date", "city", "feature", "value"]
-        if reader.fieldnames is None or list(reader.fieldnames) != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}")
+        reader = csv.reader(fh)
+        if next(reader, None) != _SERIES_HEADER:
+            raise ValueError(f"{path}: expected header {','.join(_SERIES_HEADER)}")
         for row in reader:
-            key = (row["city"], row["feature"])
-            rows.setdefault(key, []).append(
-                (dt.date.fromisoformat(row["date"]), float(row["value"]))
-            )
+            if len(row) != 4:
+                if not row:
+                    continue
+                raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+            date, city, feature, value = row
+            day = days.get(date)
+            if day is None:
+                try:
+                    day = days[date] = dt.date.fromisoformat(date)
+                except ValueError:
+                    raise ValueError(f"{path}:{reader.line_num}: bad date {date!r}") from None
+            try:
+                number = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: bad value {value!r}") from None
+            if (keep_features is None or feature in keep_features) and (
+                keep_cities is None or city in keep_cities
+            ):
+                pairs = rows.get((city, feature))
+                if pairs is None:
+                    pairs = rows[city, feature] = []
+                pairs.append((day, number))
     out = []
     for (city, feature), pairs in sorted(rows.items()):
-        pairs.sort(key=lambda pv: pv[0])
-        out.append(
-            CitySeries(
-                city,
-                feature,
-                tuple(d for d, _ in pairs),
-                tuple(v for _, v in pairs),
-            )
-        )
+        pairs.sort(key=itemgetter(0))
+        dates, values = zip(*pairs)
+        try:
+            out.append(CitySeries(city, feature, dates, values))
+        except ValueError as exc:
+            raise ValueError(f"{path}: series {city!r}/{feature!r}: {exc}") from None
     return out

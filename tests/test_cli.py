@@ -616,3 +616,58 @@ def test_log_level_controls_skip_warnings_only(tmp_path):
     assert quiet_err == ""
     for name in ("ccm_curves.csv", "ccm_verdict.json"):
         assert (default_dir / name).read_bytes() == (quiet_dir / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# series and scored CSV rows
+
+
+@pytest.mark.parametrize("command", ["heatmap", "aggregate"])
+def test_a_short_row_exits_2_with_its_path_and_line(tmp_path, capsys, command):
+    if command == "heatmap":
+        path = tmp_path / "series.csv"
+        path.write_text("date,city,feature,value\n"
+                        "2020-03-01,A,compound_mean,0.1\n"
+                        "2020-03-02,A,compound_mean\n")
+        argv = ["heatmap", "--series", str(path), "--out-dir", str(tmp_path / "hm")]
+        want = f"{path}:3: expected 4 fields, got 3"
+    else:
+        path = tmp_path / "scored.csv"
+        path.write_text(",".join(sentiment.SCORED_COLUMNS) + "\n"
+                        "p1,2020-03-01,Toronto,0.0,1.0\n")
+        argv = ["aggregate", "--scored", str(path), "--out", str(tmp_path / "series.csv")]
+        want = f"{path}:2: expected 17 fields, got 5"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert want in capsys.readouterr().err
+
+
+def test_a_gap_in_a_series_the_command_does_not_keep_is_not_an_error(tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--mode", "coupled", "--coupling-yx", "0.3", "--length", "120",
+                 "--units", "3", "--seed", "5", "--out", str(panel)]) == 0
+    # unit00 also carries a feature "z" with a one-day gap; x and y are contiguous
+    with panel.open("a", encoding="utf-8") as fh:
+        fh.write("2020-01-01,unit00,z,1.0\n2020-01-03,unit00,z,2.0\n")
+    runs = [
+        ["heatmap", "--series", str(panel), "--feature", "x", "--out-dir", str(tmp_path / "hm")],
+        ["ccm", "--series", str(panel), "--city", "unit00", "--input-feature", "x",
+         "--target-feature", "y", "--lag-lo", "-3", "--lag-hi", "3",
+         "--out-dir", str(tmp_path / "ccm")],
+        ["gridsearch", "--panel", str(panel), "--input-feature", "x", "--target-feature", "y",
+         "--grid", "tiny", "--out-dir", str(tmp_path / "gs")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv[0]
+    # a series the command keeps must still be contiguous
+    capsys.readouterr()
+    assert main(["heatmap", "--series", str(panel), "--feature", "z",
+                 "--out-dir", str(tmp_path / "hm_z")]) == 2
+    assert "gap after 2020-01-01" in capsys.readouterr().err
+    # and a row that does not parse fails every command, kept or not
+    with panel.open("a", encoding="utf-8") as fh:
+        fh.write("2020-01-04,unit00,z,abc\n")
+    line = 1 + 3 * 2 * 120 + 3
+    for argv in runs:
+        assert main(argv) == 2, argv[0]
+        assert f"{panel}:{line}: bad value 'abc'" in capsys.readouterr().err

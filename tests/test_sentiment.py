@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from echosent.lexicon import EMOTION_CATEGORIES, ValenceLexicon
 from echosent.sentiment import (
     DEFAULT_MODIFIERS,
+    NEGATORS,
     EmotionProfile,
     ModifierTables,
     ScoredPost,
@@ -81,6 +82,41 @@ def test_nt_suffix_is_a_negator(vlex):
 
 def test_emoticons_carry_valence(vlex):
     assert word_valences(doc("ok :-)", vlex), vlex) == [1.3]
+
+
+def two_walk_valences(d, lex, mods):
+    """Reference: one walk over the lookback window for boosters, another for negators."""
+    out = []
+    toks = d.tokens
+    for i, tok in enumerate(toks):
+        base = lex.entries.get(tok.normalized)
+        if base is None:
+            out.append(0.0)
+            continue
+        v = base
+        s = math.copysign(1.0, base) if base else 0.0
+        if tok.all_caps:
+            v += mods.caps_boost * s
+        window = toks[max(0, i - mods.lookback):i]
+        for prev in window:
+            inc = mods.boosters.get(prev.normalized)
+            if inc is not None:
+                v += inc * s
+        if any(mods.is_negator(prev.normalized) for prev in window):
+            v *= mods.negation_factor
+        out.append(v)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(words=st.lists(st.sampled_from(
+    ["good", "BAD", "love", "very", "hardly", "not", "isn't", "the", ":)", "kinda"]
+), max_size=12))
+def test_one_window_walk_matches_separate_booster_and_negator_walks(vlex, words):
+    # "hardly" is made both a booster and a negator
+    mods = ModifierTables(negators=NEGATORS | {"hardly"})
+    d = doc(" ".join(words), vlex)
+    assert _token_valences(d, vlex, mods) == two_walk_valences(d, vlex, mods)
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +353,36 @@ def test_scored_csv_roundtrip_property(data, ids):
     for got, want in zip(back, posts):
         assert repr(got.sentiment) == repr(want.sentiment)
         assert list(map(repr, got.emotions.frequencies)) == list(map(repr, want.emotions.frequencies))
+
+
+def one_scored_post(pid="p1"):
+    return ScoredPost(pid, dt.date(2020, 3, 1), "Toronto",
+                      SentimentScore(0.25, 0.5, 0.25, 0.125),
+                      EmotionProfile((0,) * 10, (0.5,) + (0.0,) * 9, 0, degenerate=True))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("p2,2020-03-02,Toronto,0.0,1.0,0.0", "expected 17 fields, got 6"),
+    ("p2,2020-03-02,Toronto" + ",0.0" * 14 + ",999", "expected 17 fields, got 18"),
+    ("p2,2020-03-02,Toronto,0.0,1.0,0.0,abc" + ",0.0" * 10, "'abc'"),
+    ("p2,2020-02-30,Toronto,0.0,1.0,0.0,0.0" + ",0.0" * 10, "'2020-02-30'"),
+])
+def test_read_scored_csv_names_path_and_line_of_a_malformed_row(tmp_path, row, message):
+    path = tmp_path / "scored.csv"
+    write_scored_csv([one_scored_post()], path)
+    with path.open("a", encoding="utf-8", newline="") as fh:
+        fh.write(row + "\r\n")
+    with pytest.raises(ValueError) as err:
+        read_scored_csv(path)
+    assert str(err.value).startswith(f"{path}:3: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_scored_csv_skips_blank_lines_under_either_line_ending(tmp_path, newline):
+    posts = [one_scored_post("p1"), one_scored_post("p2")]
+    path = tmp_path / "scored.csv"
+    write_scored_csv(posts, path)
+    header, first, second = path.read_text(encoding="utf-8").splitlines()
+    path.write_bytes(newline.join([header, "", first, "", "", second, ""]).encode())
+    assert read_scored_csv(path) == posts

@@ -537,3 +537,58 @@ def test_city_series_validation():
         CitySeries("A", "compound_mean", (D(2020, 3, 1), D(2020, 3, 3)), (0.1, 0.2))
     with pytest.raises(ValueError):
         CitySeries("A", "", (D(2020, 3, 1),), (0.1,))
+
+
+@pytest.mark.parametrize("features", [None, ["tweet_count"]])
+@pytest.mark.parametrize("row, message", [
+    ("2020-03-02,A,compound_mean", "expected 4 fields, got 3"),
+    ("2020-03-02,A,compound_mean,0.1,999", "expected 4 fields, got 5"),
+    ("2020-03-02,A,compound_mean,abc", "'abc'"),
+    ("2020-13-02,A,compound_mean,0.1", "'2020-13-02'"),
+])
+def test_read_series_csv_names_path_and_line_of_a_malformed_row(tmp_path, row, message, features):
+    # a row is checked whether or not its series is kept
+    path = tmp_path / "series.csv"
+    path.write_text(
+        "date,city,feature,value\n"
+        "2020-03-01,A,tweet_count,1.0\n"
+        f"{row}\n"
+        "2020-03-02,A,tweet_count,2.0\n"
+    )
+    with pytest.raises(ValueError) as err:
+        read_series_csv(path, features=features)
+    assert str(err.value).startswith(f"{path}:3: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_series_csv_skips_blank_lines_under_either_line_ending(tmp_path, newline):
+    path = tmp_path / "series.csv"
+    lines = ["date,city,feature,value", "", "2020-03-01,A,x,0.5", "", "",
+             "2020-03-02,A,x,-1.5", "2020-03-01,B,x,2.0", ""]
+    path.write_bytes(newline.join(lines).encode())
+    dates = (D(2020, 3, 1), D(2020, 3, 2))
+    assert read_series_csv(path) == [
+        CitySeries("A", "x", dates, (0.5, -1.5)),
+        CitySeries("B", "x", dates[:1], (2.0,)),
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(series=series_sets(), data=st.data())
+def test_filtered_read_equals_unfiltered_read_filtered_afterwards(series, data):
+    keys = [(s.city, s.feature) for s in series]
+    # requested names may include ones the file lacks
+    features = data.draw(st.none() | st.lists(
+        st.sampled_from([f for _, f in keys]) | CSV_TEXT.filter(bool), max_size=3))
+    cities = data.draw(st.none() | st.lists(
+        st.sampled_from([c for c, _ in keys]) | CSV_TEXT, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        write_series_csv(series, path)
+        everything = read_series_csv(path)
+        got = read_series_csv(path, features=features, cities=cities)
+    assert got == [
+        s for s in everything
+        if (features is None or s.feature in features) and (cities is None or s.city in cities)
+    ]
