@@ -219,7 +219,7 @@ def cross_map_curve(
     sides = [(states[lo:head_max], starts), (states[tail_min:hi][::-1], hi - lo - stops)]
     dropped = np.concatenate([rows for rows, _ in sides])
     rhs = np.concatenate([dropped, targets_z @ union]).T
-    solved = solve_ridge(union.T @ union, rhs, cfg.ridge)
+    solved = solve_ridge(union.T @ union, rhs, cfg.ridge, rows=hi - lo)
     gains = np.split(solved[:, :len(dropped)], [len(sides[0][0])], axis=1)  # A^-1 H^T per side
     union_weights = solved[:, len(dropped):]
     weights = union_weights.copy()
@@ -419,6 +419,7 @@ def _loo_folds(
     xty_all = sum(xtys.values())
     colsum_all = sum(colsums.values())
     n_all = sum(len(ys[u]) for u in units)
+    trace_all = float(np.trace(gram_all))
     ysum_all = sum(float(ys[u].sum()) for u in units)
     # A pool is constant exactly when every value equals the first, i.e.
     # when its units' minima and maxima are all one value.
@@ -442,7 +443,7 @@ def _loo_folds(
         rhs = (xty_all - xtys[held]) - mu * (colsum_all - colsums[held])
         for k in live:
             try:
-                w = solve_ridge(gram, rhs, group[k].ridge)
+                w = solve_ridge(gram, rhs, group[k].ridge, rows=n_all, trace=trace_all)
                 fold_scores[k].append(nrmse(states[held] @ w + mu, ys[held]))
             except ValueError as exc:
                 reasons[k] = f"fold {held}: {exc}"
@@ -464,8 +465,11 @@ def loo_cv_grid_search(
     winner; score ties break toward smaller reservoirs, then smaller ridge.
 
     Cost: one draw (one eigensolve) per distinct (size, sparsity, seed), one
-    state block per reservoir key and unit length, and per fold one Cholesky
-    probe and solve per config.
+    state block per reservoir key and unit length, and per fold one LU solve
+    per config. A config also gets a Cholesky probe per fold only where its
+    ridge does not exceed the rounding bound of ``esn.solve_ridge``, about
+    (rows + N^2) eps trace(totals Gram): always at ridge 0, never on the
+    default grid's ridges for panels of tens of units and hundreds of days.
     """
     units = sorted(panel)
     if len(units) < 2:

@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import datetime as dt
+import functools
 import json
 import logging
 import os
@@ -699,8 +700,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The tree carries only static defaults and ``func``, and each parse returns
+# a fresh namespace, so one tree serves every call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)

@@ -16,6 +16,7 @@ targets with ``zscore`` before driving the reservoir.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,7 +184,7 @@ def train_readout(
     n = u.shape[1]
     if len(u) < n:
         log.warning("only %d post-washout samples for %d reservoir units", len(u), n)
-    return solve_ridge(u.T @ u, u.T @ y, ridge)
+    return solve_ridge(u.T @ u, u.T @ y, ridge, rows=len(u))
 
 
 class SingularSystemError(ValueError):
@@ -193,19 +194,78 @@ class SingularSystemError(ValueError):
         super().__init__(f"readout normal equations are singular (ridge={ridge}); use ridge > 0")
 
 
-def solve_ridge(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+def ridge_rounding_bound(rows: int, size: int, trace: float) -> float:
+    """The ridge above which a computed Gram plus ``ridge I`` passes the
+    Cholesky probe whatever its rank; see ``solve_ridge``.
+
+    ``rows`` is the number of state rows summed into the Gram (all of them
+    for a difference of Grams), ``size`` its order N and ``trace`` the trace
+    of the summed Gram (the totals' for a difference). Returns ``inf`` where
+    the error analysis stops holding or the trace is infinite, and NaN for a
+    NaN trace; no ridge exceeds either.
+    """
+    eps = np.finfo(float).eps
+    terms = rows + size * size + size + 1
+    if terms * eps > 1e-3:
+        return math.inf
+    return terms * eps * trace
+
+
+def solve_ridge(
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    ridge: float,
+    rows: int | None = None,
+    trace: float | None = None,
+) -> np.ndarray:
     """Solve the ridge normal equations (gram + ridge I) w = rhs.
 
     ``gram`` is the unregularized state Gram matrix. ``rhs`` is (N,) or
     (N, K); the K columns are right-hand sides solved with one factorization.
     Raises ``SingularSystemError`` if the regularized system is not positive
-    definite, which can only happen with ridge 0: when the Cholesky probe
-    fails, and when a rank-deficient system passes the probe on a rounding
-    pivot and the solve then fails.
+    definite, which can only happen with ridge 0 or a ridge at or below the
+    rounding bound below: when the Cholesky probe fails, and when a
+    rank-deficient system passes the probe on a rounding pivot and the solve
+    then fails.
+
+    The probe runs unless ``ridge`` exceeds ``ridge_rounding_bound(rows, N,
+    trace)``; ``trace`` defaults to ``trace(gram)``. Without ``rows`` the
+    probe always runs, and so it does at ridge 0. Above the bound the probe
+    provably passes, so skipping it changes no result. With u = eps/2,
+    gamma_k = k u / (1 - k u), n = ``rows``, U the (n, N) stacked states and
+    t = ||U||_F^2 the exact trace (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3.1 and 10.1):
+
+    1. Each Gram entry is a length-n dot product, so ``|G^ - G| <= gamma_n
+       |U|^T |U|`` entrywise, in any summation order. A fold Gram (k per-unit
+       Grams summed, one subtracted) adds k roundings to the largest unit's
+       gamma_m, and m + k <= n + 1 (a unit without rows adds exact zeros), so
+       gamma_{n+1} bounds it.
+    2. Hence ``||E||_2 <= || |E| ||_2 <= gamma_{n+1} || |U| ||_2^2 <= gamma_{n+1}
+       t``: the symmetric matrix the probe reads (one triangle) has
+       lambda_min >= ridge - gamma_{n+1} t and its diagonal stays below
+       (1 + gamma_{n+1}) t + ridge.
+    3. Cholesky's backward error ``|dA| <= gamma_{N+1} |R^T| |R|`` is at most
+       d = N gamma_{N+1} / (1 - N gamma_{N+1}) in the 2-norm after scaling A
+       to unit diagonal, so the probe passes when lambda_min(A) / max_i A_ii
+       exceeds d (Demmel; Higham Thm 10.7).
+
+    So the probe passes when ``ridge (1 - d) > t (gamma_{n+1} + d (1 +
+    gamma_{n+1}))``. While ``(n + N^2 + N + 1) eps <= 1e-3`` that right-hand
+    side over 1 - d is below 1.003 (n + N^2 + N + 1) u t, and t is at most
+    1.001 times the computed trace; the bound ``(n + N^2 + N + 1) eps trace``
+    clears both with a factor near 2 to spare.
     """
-    regularized = gram + ridge * np.eye(gram.shape[0])
+    n = gram.shape[0]
+    # gram + 0.0 copies and, as adding ridge * I does, turns -0.0 into 0.0;
+    # the diagonal then gets the same sums as gram + ridge * np.eye(n).
+    regularized = gram + 0.0
+    regularized.flat[::n + 1] += ridge
     try:
-        np.linalg.cholesky(regularized)
+        if rows is None or not ridge > ridge_rounding_bound(
+            rows, n, np.trace(gram) if trace is None else trace
+        ):
+            np.linalg.cholesky(regularized)
         return np.linalg.solve(regularized, rhs)
     except np.linalg.LinAlgError:
         raise SingularSystemError(ridge) from None

@@ -310,38 +310,45 @@ def _diverging_color(value: float, vmax: float) -> str:
         t = 0.0
     else:
         t = max(-1.0, min(1.0, value / vmax))
-    target = _POSITIVE_RGB if t > 0 else _NEGATIVE_RGB
+    r, g, b = _POSITIVE_RGB if t > 0 else _NEGATIVE_RGB
     a = abs(t)
-    rgb = tuple(round(m + (c - m) * a) for m, c in zip(_MID_RGB, target))
-    return "#%02x%02x%02x" % rgb
+    mr, mg, mb = _MID_RGB
+    return "#%02x%02x%02x" % (
+        round(mr + (r - mr) * a), round(mg + (g - mg) * a), round(mb + (b - mb) * a)
+    )
 
 
 def write_heatmap_svg(
     cities, dates, matrix, path: str | Path, cell: int = 12, label_width: int = 90
 ) -> None:
-    """Render the matrix as a static SVG with a zero-centered diverging scale."""
+    """Render the matrix as a static SVG with a zero-centered diverging scale.
+
+    Each city's row is written as it is built, so the whole document is never
+    held in memory.
+    """
     vmax = max((abs(v) for row in matrix for v in row), default=0.0)
     width = label_width + cell * len(dates)
     height = 20 + cell * len(cities)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="monospace" font-size="10">'
-    ]
     step = max(1, len(dates) // 8)
-    for j in range(0, len(dates), step):
-        x = label_width + j * cell
-        lines.append(f'<text x="{x}" y="12">{dates[j].isoformat()}</text>')
-    for i, city in enumerate(cities):
-        y = 20 + i * cell
-        lines.append(f'<text x="0" y="{y + cell - 3}">{city}</text>')
-        for j, v in enumerate(matrix[i]):
-            x = label_width + j * cell
-            lines.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{_diverging_color(v, vmax)}"/>'
-            )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'font-family="monospace" font-size="10">\n'
+        )
+        fh.write("".join(
+            f'<text x="{label_width + j * cell}" y="12">{dates[j].isoformat()}</text>\n'
+            for j in range(0, len(dates), step)
+        ))
+        for i, city in enumerate(cities):
+            y = 20 + i * cell
+            row = [f'<text x="0" y="{y + cell - 3}">{city}</text>\n']
+            for j, v in enumerate(matrix[i]):
+                row.append(
+                    f'<rect x="{label_width + j * cell}" y="{y}" width="{cell}" '
+                    f'height="{cell}" fill="{_diverging_color(v, vmax)}"/>\n'
+                )
+            fh.write("".join(row))
+        fh.write("</svg>\n")
 
 
 # ---------------------------------------------------------------------------

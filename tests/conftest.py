@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from importlib.resources import files
 
@@ -36,3 +37,17 @@ def stopwords():
 @pytest.fixture(scope="session")
 def wordlist():
     return load_wordlist(str(DATA / "wordlist_en.txt"))
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The shapes of the matrices numpy's Cholesky factorizes during a test."""
+    calls = []
+    real = np.linalg.cholesky
+
+    def cholesky(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    return calls

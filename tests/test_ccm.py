@@ -31,6 +31,7 @@ from echosent.esn import (
     train_readout,
     zscore,
 )
+from echosent import ccm as ccm_module
 from echosent import esn
 from echosent.synth import CoupledMapConfig, gen_ar1, gen_coupled_logistic
 
@@ -657,6 +658,44 @@ def test_all_invalid_raises():
     panel = {"a": (x, np.zeros(length)), "b": (x, np.zeros(length))}
     with pytest.raises(ValueError, match="invalid"):
         loo_cv_grid_search(panel, [small_cfg()])
+
+
+def probe_every_ridge(monkeypatch):
+    """Route ``ccm``'s ridge solves through ``solve_ridge`` without a row
+    count, which runs the Cholesky probe whatever the ridge."""
+    monkeypatch.setattr(
+        ccm_module, "solve_ridge", lambda gram, rhs, ridge, **_: solve_ridge(gram, rhs, ridge)
+    )
+
+
+def test_grid_report_matches_probing_every_ridge(monkeypatch, probes):
+    # 35-row units: size 150 has more units than a fold's 140 pooled rows, so
+    # its ridge 0 config is singular and its ridge 0.1 and 10 systems lean on
+    # the ridge alone.
+    panel = make_panel(5, length=40, seed=7)
+    configs = make_quick_grid(seed=2, washout=5) + [
+        small_cfg(size=150, ridge=0.0), small_cfg(ridge=0.0), small_cfg(size=150, ridge=1e-3),
+    ]
+    report = loo_cv_grid_search(panel, configs)
+    ridge0_folds = 1 + len(panel)  # the singular config stops at its first fold
+    assert len(probes) == ridge0_folds
+    assert set(report.invalid) == {16}
+    probe_every_ridge(monkeypatch)
+    probes.clear()
+    forced = loo_cv_grid_search(panel, configs)
+    assert len(probes) == ridge0_folds + len(panel) * (len(configs) - 2)
+    assert forced.winner_index == report.winner_index
+    assert forced.scores == report.scores
+    assert forced.cells == report.cells
+    assert forced.invalid == report.invalid
+
+
+def test_pair_curves_match_probing_every_ridge(monkeypatch):
+    x, y = gen_coupled_logistic(CoupledMapConfig(length=300, coupling_yx=0.1, seed=4))
+    cfg = default_ccm_config(seed=3)
+    base = analyze_pair(x, y, cfg, LagGrid(-8, 8))
+    probe_every_ridge(monkeypatch)
+    assert analyze_pair(x, y, cfg, LagGrid(-8, 8)) == base
 
 
 def logistic_panel(shift, keep_positive=()):

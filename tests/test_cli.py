@@ -671,3 +671,32 @@ def test_a_gap_in_a_series_the_command_does_not_keep_is_not_an_error(tmp_path, c
     for argv in runs:
         assert main(argv) == 2, argv[0]
         assert f"{panel}:{line}: bad value 'abc'" in capsys.readouterr().err
+
+
+def test_successive_in_process_calls_match_separate_processes(tmp_path, monkeypatch):
+    # One parser serves every main call of a process: flags and defaults of
+    # one call must not leak into the next.
+    runs = [
+        ["synth", "--mode", "coupled", "--length", "80", "--units", "2", "--seed", "5",
+         "--coupling-yx", "0.2", "--delay", "2", "--noise-sd", "0.01", "--out", "a.csv"],
+        ["synth", "--mode", "coupled", "--length", "60", "--out", "b.csv"],
+        ["synth", "--mode", "ar1", "--length", "60", "--phi", "0.3", "--out", "c.csv"],
+        ["heatmap", "--series", "a.csv", "--feature", "y", "--out-dir", "hm"],
+        ["heatmap", "--series", "c.csv", "--feature", "x", "--out-dir", "hm2"],
+    ]
+    src = str(Path(echosent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    separate, together = tmp_path / "separate", tmp_path / "together"
+    separate.mkdir()
+    together.mkdir()
+    for argv in runs:
+        subprocess.run([sys.executable, "-m", "echosent.cli", *argv],
+                       cwd=separate, env=env, check=True, capture_output=True)
+    monkeypatch.chdir(together)
+    for argv in runs:
+        assert main(argv) == 0
+    files = sorted(p.relative_to(separate) for p in separate.rglob("*") if p.is_file())
+    assert len(files) == 7
+    assert files == sorted(p.relative_to(together) for p in together.rglob("*") if p.is_file())
+    for name in files:
+        assert (separate / name).read_bytes() == (together / name).read_bytes(), name

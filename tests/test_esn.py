@@ -350,3 +350,102 @@ def test_solve_ridge_columns_match_single_solves():
     for b in (rhs[:5], rhs[:5, 0]):
         with pytest.raises(ValueError, match="normal equations are singular"):
             solve_ridge(singular, b, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Cholesky probe bound
+
+
+def probed_solve(gram, rhs, ridge):
+    """Reference: the Cholesky probe on every call, then the LU solve of
+    ``gram + ridge * I``."""
+    regularized = gram + ridge * np.eye(gram.shape[0])
+    try:
+        np.linalg.cholesky(regularized)
+        return np.linalg.solve(regularized, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(ridge) from None
+
+
+def duplicated_states(seed, rows=50, size=6):
+    """Tanh-range states whose last unit copies the first: a singular Gram."""
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, size))
+    u[:, -1] = u[:, 0]
+    return u
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_deficient_gram_at_or_below_the_bound_runs_the_probe(probes, seed):
+    u = duplicated_states(seed)
+    gram = u.T @ u
+    rhs = u.T @ np.random.default_rng(seed + 100).standard_normal(len(u))
+    bound = esn.ridge_rounding_bound(len(u), gram.shape[0], float(np.trace(gram)))
+    assert 0.0 < bound < 1e-9
+    for ridge in (0.0, 1e-300, bound / 2, bound):
+        try:
+            expected = probed_solve(gram, rhs, ridge)
+        except SingularSystemError:
+            expected = None
+        probes.clear()
+        if expected is None:
+            with pytest.raises(SingularSystemError):
+                solve_ridge(gram, rhs, ridge, rows=len(u))
+        else:
+            assert solve_ridge(gram, rhs, ridge, rows=len(u)).tobytes() == expected.tobytes()
+        assert probes == [gram.shape]
+
+
+@pytest.mark.parametrize("ridge", [1e-6, 0.1, 1.0, 10.0, 100.0])
+def test_ridge_above_the_bound_skips_the_probe_with_the_same_bits(probes, ridge):
+    rng = np.random.default_rng(5)
+    for rows, size in ((40, 10), (200, 60), (30, 50)):
+        u = np.tanh(rng.standard_normal((rows, size)))
+        u[:, -1] = u[:, 0]
+        gram = u.T @ u
+        gram[1, 2] = gram[2, 1] = -0.0  # adding ridge * I turns it into +0.0
+        rhs = u.T @ rng.standard_normal((rows, 3))
+        assert ridge > esn.ridge_rounding_bound(rows, size, float(np.trace(gram)))
+        for b in (rhs, rhs[:, 0]):
+            direct = np.linalg.solve(gram + ridge * np.eye(size), b)
+            probes.clear()
+            assert solve_ridge(gram, b, ridge, rows=rows).tobytes() == direct.tobytes()
+            assert probes == []
+
+
+def test_solve_ridge_probes_without_a_row_count(probes):
+    u = duplicated_states(0)
+    solve_ridge(u.T @ u, u.T @ np.ones(len(u)), 10.0)
+    assert probes == [(6, 6)]
+
+
+def test_ridge_bound_falls_back_to_the_probe_beyond_its_range():
+    assert esn.ridge_rounding_bound(10**13, 10**4, 1.0) == math.inf
+    assert esn.ridge_rounding_bound(100, 10, 0.0) == 0.0
+    assert math.isnan(esn.ridge_rounding_bound(100, 10, math.nan))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    units=st.integers(2, 6),
+    rows=st.integers(1, 40),
+    size=st.integers(1, 40),
+    rank=st.integers(1, 3),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    seed=st.integers(0, 2**16),
+    factor=st.floats(1.0, 4.0, exclude_min=True),
+)
+def test_fold_gram_passes_the_probe_wherever_the_bound_skips_it(
+    units, rows, size, rank, scale, seed, factor
+):
+    # A difference of low-rank Grams, totals minus one unit as in the grid's
+    # folds: just above the bound the regularized system is positive definite.
+    rng = np.random.default_rng(seed)
+    blocks = [
+        scale * np.tanh(rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, size)))
+        for _ in range(units)
+    ]
+    grams = [b.T @ b for b in blocks]
+    total = sum(grams)
+    fold = total - grams[0]
+    ridge = factor * esn.ridge_rounding_bound(units * rows, size, float(np.trace(total)))
+    np.linalg.cholesky(fold + ridge * np.eye(size))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from echosent.sentiment import EmotionProfile, ScoredPost, SentimentScore
 from echosent.series import (
     CitySeries,
+    _diverging_color,
     PeriodConfig,
     Period,
     aggregate_daily,
@@ -592,3 +593,17 @@ def test_filtered_read_equals_unfiltered_read_filtered_afterwards(series, data):
         s for s in everything
         if (features is None or s.feature in features) and (cities is None or s.city in cities)
     ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    value=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1e-9]),
+    vmax=st.floats(0.0, 1e6, allow_nan=False) | st.sampled_from([0.0, 1.0, 2.0]),
+)
+def test_heatmap_fill_matches_per_channel_interpolation(value, vmax):
+    # the fill arithmetic is unrolled per channel; it must give the hex of
+    # interpolating each channel from white towards the signed end colour
+    t = 0.0 if vmax <= 0 else max(-1.0, min(1.0, value / vmax))
+    end = (230, 97, 1) if t > 0 else (26, 150, 65)
+    rgb = tuple(round(m + (c - m) * abs(t)) for m, c in zip((255, 255, 255), end))
+    assert _diverging_color(value, vmax) == "#%02x%02x%02x" % rgb
