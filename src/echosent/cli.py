@@ -35,22 +35,24 @@ from .sentiment import (
     DEFAULT_MODIFIERS,
     SCORED_COLUMNS,
     ScoredPost,
+    ScoringTable,
     read_scored_csv,
     score_post,
     scored_row,
     write_scored_csv,
 )
 from .textpipe import (
+    ChunkTable,
     RawPost,
     corpus_line,
     is_english,
     load_wordlist,
     read_corpus,
-    remove_stopwords,
     strip_artifacts,
-    tokenize,
     write_corpus,
 )
+# Re-exported: the benchmark tracer (bench/spans.py) wraps them under these names.
+from .textpipe import remove_stopwords, tokenize  # noqa: F401
 
 _DATA = files("echosent") / "data"
 _ENV_PREFIX = "ECHOSENT"
@@ -135,19 +137,19 @@ def _stripped(post: RawPost) -> RawPost:
     )
 
 
-def _kept_posts(posts, wordlist, report):
+def _kept_posts(posts, wordlist, chunks, report):
     """Stream the posts that pass rules 1-2 and the id rule, artifact-stripped.
 
-    Each post is stripped once. ``report`` gets every count but rule 3, which
-    needs the token stream; ``malformed_lines`` is set once ``posts`` is
-    exhausted.
+    Each post is stripped once; ``chunks`` is the command's chunk table over
+    ``wordlist``. ``report`` gets every count but rule 3, which needs the
+    token stream; ``malformed_lines`` is set once ``posts`` is exhausted.
     """
     seen_ids: set[str] = set()
     for post in posts:
         kept = _stripped(post)
         if kept is not post:
             report["rule1_posts_with_artifacts"] += 1
-        if not is_english(kept, wordlist):
+        if not is_english(kept, wordlist, chunks):
             report["rule2_removed_non_english"] += 1
             continue
         # ids must be unique downstream: keep the first English post of each id
@@ -191,14 +193,15 @@ def cmd_clean(args) -> int:
     stopwords = load_wordlist(stop_path)
     st.echo("clean")
     report = _new_report()
+    chunks = ChunkTable(emoticons, wordlist, stopwords)
 
     def counted(posts):
         for post in posts:
-            doc = remove_stopwords(tokenize(post.text, emoticons), stopwords)
-            report["rule3_tokens_dropped"] += len(post.text.split()) - len(doc.tokens)
+            kept_tokens = sum(1 for e in chunks.scan(post.text) if not e.stop)
+            report["rule3_tokens_dropped"] += len(post.text.split()) - kept_tokens
             yield post
 
-    kept = _kept_posts(read_corpus(in_path, skip_malformed=True), wordlist, report)
+    kept = _kept_posts(read_corpus(in_path, skip_malformed=True), wordlist, chunks, report)
     write_corpus(counted(kept), args.out)
     if args.report:
         Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -231,8 +234,9 @@ def cmd_score(args) -> int:
     print(f"# valence lexicon sha256 {vlex.checksum}")
     print(f"# emotion lexicon sha256 {elex.checksum}")
     posts = read_corpus(in_path)
+    chunks = ScoringTable(vlex, elex, stopwords, DEFAULT_MODIFIERS)
     write_scored_csv(
-        (score_post(_stripped(p), vlex, elex, stopwords, DEFAULT_MODIFIERS) for p in posts),
+        (score_post(_stripped(p), vlex, elex, stopwords, DEFAULT_MODIFIERS, chunks) for p in posts),
         args.out,
     )
     print(f"scored_posts: {posts.posts_read}")
@@ -536,9 +540,10 @@ def cmd_synth(args) -> int:
 def cmd_pipeline(args) -> int:
     """clean + score + aggregate as one streaming pass over the corpus.
 
-    Each post is stripped once and, if kept, tokenized once; its cleaned line
-    and scored row are written as it passes, and ``aggregate_daily`` keeps
-    per-(city, day) sums only. Rule 3 is the kept post's word count minus its
+    Each post is stripped once; one chunk table serves the language filter
+    and the scoring of every kept post. A kept post's cleaned line and scored
+    row are written as it passes, and ``aggregate_daily`` keeps per-(city,
+    day) sums only. Rule 3 is the kept post's word count minus its
     stopword-free token count, which is the emotion profile's word total.
     """
     st = _settings(args)
@@ -553,7 +558,8 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = _new_report()
-    kept = _kept_posts(read_corpus(in_path, skip_malformed=True), wordlist, report)
+    chunks = ScoringTable(vlex, elex, stopwords, DEFAULT_MODIFIERS, wordlist)
+    kept = _kept_posts(read_corpus(in_path, skip_malformed=True), wordlist, chunks, report)
     with (
         (out_dir / "cleaned.jsonl").open("w", encoding="utf-8") as cleaned,
         (out_dir / "scored.csv").open("w", encoding="utf-8", newline="") as scored_fh,
@@ -565,7 +571,7 @@ def cmd_pipeline(args) -> int:
             for post in kept:
                 cleaned.write(corpus_line(post))
                 # score_post carries the engagement counts, so no corpus join is needed
-                sp = score_post(post, vlex, elex, stopwords, DEFAULT_MODIFIERS)
+                sp = score_post(post, vlex, elex, stopwords, DEFAULT_MODIFIERS, chunks)
                 report["rule3_tokens_dropped"] += len(post.text.split()) - sp.emotions.word_total
                 scored_csv.writerow(scored_row(sp))
                 yield sp

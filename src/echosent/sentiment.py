@@ -10,6 +10,16 @@ Emotion profiling counts category hits against the emotion lexicon on the
 stopword-free token stream and reports per-category frequencies
 (count / word total). No negation or emphasis adjustments apply on the
 emotion side.
+
+Both rule sets are token-local apart from the lookback window, so each
+token's part can be looked up once and kept. A command run builds one
+``ScoringTable``: a bounded ``textpipe.ChunkTable`` whose entries also carry
+their token's role (valence after the ALL-CAPS adjustment, sign, booster
+increment, negator flag, emotion categories), found by key lookups in the
+lexicons. ``score_post`` scores a post from those entries;
+``polarity_proportions`` and ``emotion_profile`` score a ``tokenize``
+document. Both run through the same core (``_adjusted_valences``,
+``_proportions``, ``_profile``), so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -19,12 +29,13 @@ import datetime as dt
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .lexicon import EMOTION_CATEGORIES, EmotionLexicon, ValenceLexicon
-from .textpipe import CleanDoc, RawPost, remove_stopwords, tokenize
-# Re-exported: the benchmark tracer (bench/spans.py) wraps it under this name.
-from .textpipe import strip_artifacts  # noqa: F401
+from .textpipe import ChunkTable, CleanDoc, RawPost, Token, trailing_emphasis
+# Re-exported: the benchmark tracer (bench/spans.py) wraps them under these names.
+from .textpipe import remove_stopwords, strip_artifacts, tokenize  # noqa: F401
 
 _INCR = 0.293
 _DECR = -0.293
@@ -108,47 +119,111 @@ def _sign(x: float) -> float:
     return math.copysign(1.0, x) if x else 0.0
 
 
-def _token_valences(doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables) -> list[float]:
-    """Adjusted valence per token; 0.0 for tokens without a lexicon entry."""
+class TokenRole(NamedTuple):
+    """What polarity and emotion scoring need of one token."""
+
+    #: Lexicon valence after the ALL-CAPS adjustment; ``None`` when unlisted.
+    valence: float | None
+    #: Sign of the lexicon valence (0.0 for a zero or missing valence).
+    sign: float
+    #: Booster increment; ``None`` for a non-booster.
+    boost: float | None
+    negator: bool
+    #: Positions in ``EMOTION_CATEGORIES`` of the token's emotions.
+    emotions: tuple[int, ...]
+
+
+_NO_EMOTIONS: Mapping[str, tuple[int, ...]] = MappingProxyType({})
+
+
+def _role_fields(
+    tok: Token,
+    valences: Mapping[str, float],
+    emotions: Mapping[str, tuple[int, ...]],
+    mods: ModifierTables,
+) -> tuple[float | None, float, float | None, bool, tuple[int, ...]]:
+    """A token's ``TokenRole`` fields, found by key lookups in the lexicons and modifier tables."""
+    key = tok.normalized
+    base = valences.get(key)
+    s = _sign(base) if base is not None else 0.0
+    v = base
+    if base is not None and tok.all_caps:
+        v += mods.caps_boost * s
+    return v, s, mods.boosters.get(key), mods.is_negator(key), emotions.get(key, ())
+
+
+def _adjusted_valences(
+    roles: Sequence[TokenRole | ScoredChunk], mods: ModifierTables
+) -> list[float]:
+    """Adjusted valence per token; 0.0 for tokens without a lexicon entry.
+
+    The ALL-CAPS adjustment is in ``TokenRole.valence``; boosters in the
+    lookback window are added in window order, then negation applies.
+    """
     out: list[float] = []
-    toks = doc.tokens
-    entries = lex.entries
-    boosters = mods.boosters
-    is_negator = mods.is_negator
     lookback = mods.lookback
-    for i, tok in enumerate(toks):
-        base = entries.get(tok.normalized)
-        if base is None:
+    for i, role in enumerate(roles):
+        v = role.valence
+        if v is None:
             out.append(0.0)
             continue
-        v = base
-        s = _sign(base)
-        if tok.all_caps:
-            v += mods.caps_boost * s
+        s = role.sign
         # one walk over the lookback window finds boosters and any negator
         negated = False
-        for prev in toks[max(0, i - lookback):i]:
-            inc = boosters.get(prev.normalized)
+        for prev in roles[max(0, i - lookback):i]:
+            inc = prev.boost
             if inc is not None:
                 v += inc * s
             if not negated:
-                negated = is_negator(prev.normalized)
+                negated = prev.negator
         if negated:
             v *= mods.negation_factor
         out.append(v)
     return out
 
 
+def _token_valences(doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables) -> list[float]:
+    """Adjusted valence per token of ``doc``; 0.0 for tokens without a lexicon entry."""
+    entries = lex.entries
+    roles = [TokenRole(*_role_fields(t, entries, _NO_EMOTIONS, mods)) for t in doc.tokens]
+    return _adjusted_valences(roles, mods)
+
+
+def _compound(
+    valences: Sequence[float], trailing_exclamations: int, trailing_double_question: bool,
+    mods: ModifierTables,
+) -> float:
+    s = float(sum(valences))
+    amp = mods.exclamation_step * min(trailing_exclamations, 3)
+    if trailing_double_question:
+        amp += mods.question_boost
+    s += amp * _sign(s)
+    return s / math.sqrt(s * s + mods.norm_alpha)
+
+
 def compound_score(
     valences: Sequence[float], doc: CleanDoc, mods: ModifierTables = DEFAULT_MODIFIERS
 ) -> float:
     """Bounded summary score: punctuation-amplified sum mapped through s/sqrt(s^2+a)."""
-    s = float(sum(valences))
-    amp = mods.exclamation_step * min(doc.trailing_exclamations, 3)
-    if doc.trailing_double_question:
-        amp += mods.question_boost
-    s += amp * _sign(s)
-    return s / math.sqrt(s * s + mods.norm_alpha)
+    return _compound(valences, doc.trailing_exclamations, doc.trailing_double_question, mods)
+
+
+def _proportions(
+    vals: list[float], trailing_exclamations: int, trailing_double_question: bool,
+    mods: ModifierTables,
+) -> SentimentScore:
+    if not vals:
+        return SentimentScore(0.0, 1.0, 0.0, 0.0)
+    pos_sum = sum([v + 1.0 for v in vals if v > 0])
+    neg_sum = sum([v - 1.0 for v in vals if v < 0])
+    neu_count = vals.count(0)
+    total = pos_sum + abs(neg_sum) + neu_count
+    return SentimentScore(
+        abs(neg_sum) / total,
+        neu_count / total,
+        pos_sum / total,
+        _compound(vals, trailing_exclamations, trailing_double_question, mods),
+    )
 
 
 def polarity_proportions(
@@ -162,31 +237,70 @@ def polarity_proportions(
     proportions. An empty document scores (0, 1, 0) with compound 0.
     """
     vals = _token_valences(doc, lex, mods)
-    if not vals:
-        return SentimentScore(0.0, 1.0, 0.0, 0.0)
-    pos_sum = sum(v + 1.0 for v in vals if v > 0)
-    neg_sum = sum(v - 1.0 for v in vals if v < 0)
-    neu_count = sum(1 for v in vals if v == 0)
-    total = pos_sum + abs(neg_sum) + neu_count
-    return SentimentScore(
-        negative=abs(neg_sum) / total,
-        neutral=neu_count / total,
-        positive=pos_sum / total,
-        compound=compound_score(vals, doc, mods),
-    )
+    return _proportions(vals, doc.trailing_exclamations, doc.trailing_double_question, mods)
+
+
+def _profile(token_emotions: Sequence[tuple[int, ...]]) -> EmotionProfile:
+    """Per-category counts and frequencies from each token's category positions."""
+    n = len(token_emotions)
+    counts = [0] * len(EMOTION_CATEGORIES)
+    for indices in token_emotions:
+        for j in indices:
+            counts[j] += 1
+    if n == 0:
+        return EmotionProfile(tuple(counts), (0.0,) * len(counts), 0, degenerate=True)
+    return EmotionProfile(tuple(counts), tuple([c / n for c in counts]), n)
 
 
 def emotion_profile(doc: CleanDoc, lex: EmotionLexicon) -> EmotionProfile:
     """Per-category hit counts and frequencies on a stopword-free document."""
-    n = len(doc.tokens)
-    counts = [0] * len(EMOTION_CATEGORIES)
     indices = lex.category_indices()
-    for tok in doc.tokens:
-        for j in indices.get(tok.normalized, ()):
-            counts[j] += 1
-    if n == 0:
-        return EmotionProfile(tuple(counts), (0.0,) * len(counts), 0, degenerate=True)
-    return EmotionProfile(tuple(counts), tuple(c / n for c in counts), n)
+    return _profile([indices.get(tok.normalized, ()) for tok in doc.tokens])
+
+
+class ScoredChunk(NamedTuple):
+    """A ``ChunkEntry`` followed by the ``TokenRole`` fields of its token."""
+
+    token: Token | None
+    language: int
+    stop: bool
+    valence: float | None
+    sign: float
+    boost: float | None
+    negator: bool
+    emotions: tuple[int, ...]
+
+
+#: The role fields of a chunk without a token.
+_NO_ROLE = TokenRole(None, 0.0, None, False, ())
+
+
+class ScoringTable(ChunkTable):
+    """A ``ChunkTable`` whose entries are ``ScoredChunk`` records.
+
+    One per command run, shared by the language filter and ``score_post``;
+    ``wordlist`` is needed only where the table also serves ``is_english``.
+    """
+
+    def __init__(
+        self,
+        valence_lex: ValenceLexicon,
+        emotion_lex: EmotionLexicon,
+        stopwords: frozenset[str],
+        mods: ModifierTables = DEFAULT_MODIFIERS,
+        wordlist: Container[str] = frozenset(),
+    ) -> None:
+        super().__init__(valence_lex.symbol_tokens(), wordlist, stopwords)
+        self.inputs = (valence_lex, emotion_lex, stopwords, mods)
+        self._valences = valence_lex.entries
+        self._emotions = emotion_lex.category_indices()
+        self._mods = mods
+
+    def _record(self, token: Token | None, language: int, stop: bool) -> ScoredChunk:
+        if token is None:
+            return ScoredChunk._make((None, language, stop) + _NO_ROLE)
+        role = _role_fields(token, self._valences, self._emotions, self._mods)
+        return ScoredChunk._make((token, language, stop) + role)
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +335,28 @@ def score_post(
     emotion_lex: EmotionLexicon,
     stopwords: frozenset[str],
     mods: ModifierTables = DEFAULT_MODIFIERS,
+    chunks: ScoringTable | None = None,
 ) -> ScoredPost:
-    """Run one already-English post through tokenize -> score -> profile.
+    """Score one already-English post: polarity and its emotion profile.
 
-    ``post.text`` must already be artifact-stripped; it is tokenized once.
-    Polarity is computed on the full token stream (negators must survive);
-    the emotion profile uses the stopword-free stream, so its ``word_total``
-    is the post's token count after stopword removal.
+    ``post.text`` must already be artifact-stripped. Its tokens are looked
+    up in ``chunks``, a ``ScoringTable`` over these same lexicons, stopwords
+    and modifiers (a new one when not given), and scored exactly as
+    ``polarity_proportions`` scores ``tokenize``'s document and
+    ``emotion_profile`` its stopword-free form: polarity on the full token
+    stream (negators must survive), emotions on the stopword-free one, so
+    ``word_total`` is the post's token count after stopword removal.
     """
-    doc = tokenize(post.text, valence_lex.symbol_tokens(), post.id)
-    sent = polarity_proportions(doc, valence_lex, mods)
-    emo = emotion_profile(remove_stopwords(doc, stopwords), emotion_lex)
+    if chunks is None:
+        chunks = ScoringTable(valence_lex, emotion_lex, stopwords, mods)
+    elif chunks.inputs != (valence_lex, emotion_lex, stopwords, mods):
+        raise ValueError("score_post: the chunk table was built over other lexicons")
+    entries = chunks.scan(post.text)
+    sent = _proportions(_adjusted_valences(entries, mods), *trailing_emphasis(post.text), mods)
+    emo = _profile([e.emotions for e in entries if not e.stop])
     return ScoredPost(
-        id=post.id,
-        date=post.date,
-        city=post.city,
-        sentiment=sent,
-        emotions=emo,
-        like_count=post.like_count,
-        reply_count=post.reply_count,
-        retweet_count=post.retweet_count,
+        post.id, post.date, post.city, sent, emo,
+        post.like_count, post.reply_count, post.retweet_count,
     )
 
 

@@ -35,6 +35,27 @@ FEATURES = (
 _ONE_DAY = dt.timedelta(days=1)
 
 
+def _check_contiguous(dates: Sequence[dt.date]) -> None:
+    for a, b in zip(dates, dates[1:]):
+        if b != a + _ONE_DAY:
+            raise ValueError(f"dates must be contiguous daily; gap after {a}")
+
+
+class _ContiguousDates(tuple):
+    """Consecutive days, checked once when the tuple is built.
+
+    ``aggregate_daily`` gives every feature of a city one such tuple, so
+    the day walk runs once per city, not once per series.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dates: Iterable[dt.date]) -> _ContiguousDates:
+        self = super().__new__(cls, dates)
+        _check_contiguous(self)
+        return self
+
+
 @dataclass(frozen=True)
 class CitySeries:
     """A contiguous daily series of one feature for one city."""
@@ -54,9 +75,8 @@ class CitySeries:
             raise ValueError("dates and values must have equal length")
         if not self.dates:
             raise ValueError("series must be nonempty")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if b != a + _ONE_DAY:
-                raise ValueError(f"dates must be contiguous daily; gap after {a}")
+        if not isinstance(self.dates, _ContiguousDates):
+            _check_contiguous(self.dates)
         if self.filled and len(self.filled) != len(self.dates):
             raise ValueError("filled flags must match dates")
 
@@ -141,7 +161,7 @@ def aggregate_daily(
             raise ValueError(f"empty range {lo}..{hi}")
         if not any(lo <= day <= hi for day in by_day):
             raise ValueError(f"no posts for {city!r} in {lo}..{hi}")
-        dates = tuple(lo + i * _ONE_DAY for i in range((hi - lo).days + 1))
+        dates = _ContiguousDates(lo + i * _ONE_DAY for i in range((hi - lo).days + 1))
         filled = tuple(day not in by_day for day in dates)
         for feature in features:
             value = _DAY_VALUE[feature]

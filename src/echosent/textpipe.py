@@ -5,6 +5,13 @@ The cleaning order is fixed: ``strip_artifacts`` -> ``is_english`` filter ->
 trailing "!" runs, trailing "??" and emoticons) are captured by ``tokenize``
 before punctuation is dropped, so scoring downstream can still apply them.
 
+The per-chunk rules live in ``chunk_token`` (tokenizing) and
+``language_class`` (the language filter). A ``ChunkTable`` memoizes them for
+one command run: it maps each raw whitespace chunk to its token, language
+class and stopword flag, so a repeated chunk costs one dict lookup. The
+table holds at most ``CHUNK_TABLE_SIZE`` entries (about 4.4 MB when full)
+and is emptied when full; nothing outlives the command run.
+
 Corpus files are JSON lines, one post per line with fields ``id``, ``date``
 ("YYYY-MM-DD"), ``city``, ``text``, optional ``like_count``, ``reply_count``,
 ``retweet_count`` and ``lang``; unknown fields are ignored. ``read_corpus``
@@ -21,7 +28,7 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .lexicon import normalize_token
 
@@ -29,8 +36,9 @@ log = logging.getLogger(__name__)
 
 _URL_RE = re.compile(r"(?:https?://\S+|www\.\S+|\bt\.co/\S+)")
 _HANDLE_RE = re.compile(r"@[\w.]*")
-_TRAILING_EXCL_RE = re.compile(r"(!+)\s*$")
-_TRAILING_QQ_RE = re.compile(r"(\?{2,})\s*$")
+#: The encoder of every corpus line; ``json.dumps(obj, ensure_ascii=False)``
+#: would build a new one per line. It keeps no state between calls.
+_JSON = json.JSONEncoder(ensure_ascii=False)
 
 _STRIP_CHARS = string.punctuation + "…“”‘’«»¡¿"
 #: Letter-run spam markers dropped alongside punctuation (e.g. "SSS").
@@ -39,6 +47,12 @@ MEANINGLESS_TOKENS = frozenset({"sss"})
 #: Fraction of alphabetic tokens that must be known English words for an
 #: untagged post to pass the language filter.
 ENGLISH_RATIO = 0.40
+
+#: Language-filter classes of a whitespace chunk (see ``language_class``).
+NOT_ALPHA, KNOWN_WORD, UNKNOWN_WORD = 0, 1, 2
+
+#: Entries a ``ChunkTable`` holds before it is emptied.
+CHUNK_TABLE_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,8 +96,17 @@ def strip_artifacts(text: str) -> str:
     """Remove URLs, @-handles and '#' symbols (the tag word is kept).
 
     Idempotent: URLs are matched again after '#' removal, because dropping a
-    '#' can join a URL back together ("http#s://x", "t.#co/x").
+    '#' can join a URL back together ("http#s://x", "t.#co/x"). Text without
+    '/', '@', '#' or "www." holds nothing to remove (every URL form needs '/'
+    or "www.", every handle '@'), so only its whitespace is normalized.
     """
+    if "/" not in text and "@" not in text and "#" not in text and "www." not in text:
+        return " ".join(text.split())
+    return _strip_matches(text)
+
+
+def _strip_matches(text: str) -> str:
+    """``strip_artifacts`` by its patterns alone, without the fast path."""
     text = _URL_RE.sub(" ", text)
     text = _HANDLE_RE.sub(" ", text)
     if "#" in text:
@@ -91,60 +114,89 @@ def strip_artifacts(text: str) -> str:
     return " ".join(text.split())
 
 
-def is_english(post: RawPost, wordlist: Iterable[str]) -> bool:
+def language_class(chunk: str, words: Container[str]) -> int:
+    """The language filter's class of one whitespace chunk.
+
+    ``NOT_ALPHA`` unless the chunk, punctuation-stripped and case-folded, is
+    all letters; then ``KNOWN_WORD`` or ``UNKNOWN_WORD`` by ``words``.
+    """
+    word = chunk.strip(_STRIP_CHARS).casefold()
+    if not word.isalpha():
+        return NOT_ALPHA
+    return KNOWN_WORD if word in words else UNKNOWN_WORD
+
+
+def is_english(post: RawPost, wordlist: Iterable[str], chunks: ChunkTable | None = None) -> bool:
     """Language filter: honor the post's tag, else a wordlist ratio heuristic.
 
     ``post.text`` must already be artifact-stripped. Untagged posts pass when
     at least 40% of their alphabetic tokens appear in the reference
-    wordlist; posts with no alphabetic tokens are kept.
+    wordlist; posts with no alphabetic tokens are kept. ``chunks``, a
+    ``ChunkTable`` built over the same wordlist, gives each chunk's class by
+    one lookup.
     """
     if post.lang is not None:
         return post.lang == "en"
-    words = set(wordlist) if not isinstance(wordlist, (set, frozenset)) else wordlist
-    alpha = [chunk.strip(_STRIP_CHARS).casefold() for chunk in post.text.split()]
-    alpha = [a for a in alpha if a.isalpha()]
-    if not alpha:
+    if chunks is None:
+        words = set(wordlist) if not isinstance(wordlist, (set, frozenset)) else wordlist
+        classes = [language_class(chunk, words) for chunk in post.text.split()]
+    else:
+        classes = [e.language for e in chunks.entries(post.text.split())]
+    n_alpha = len(classes) - classes.count(NOT_ALPHA)
+    if not n_alpha:
         return True
-    hits = sum(1 for a in alpha if a in words)
-    return hits / len(alpha) >= ENGLISH_RATIO
+    return classes.count(KNOWN_WORD) / n_alpha >= ENGLISH_RATIO
+
+
+def chunk_token(chunk: str, emoticons: Container[str] = frozenset()) -> Token | None:
+    """The token of one whitespace chunk, or ``None`` when the chunk is dropped.
+
+    An emoticon chunk, whole or punctuation-stripped, is kept verbatim;
+    otherwise punctuation is stripped, and empty chunks and spam markers are
+    dropped. ``Token.normalized`` is the lexicon key, ``lexicon.normalize_token``
+    of the surface.
+    """
+    if chunk in emoticons:
+        return Token(chunk, normalize_token(chunk), False, True)
+    stripped = chunk.strip(_STRIP_CHARS)
+    if not stripped:
+        return None
+    if stripped in emoticons:
+        return Token(stripped, normalize_token(stripped), False, True)
+    folded = stripped.casefold()
+    if folded in MEANINGLESS_TOKENS:
+        return None
+    # casefold changes an ASCII string only through its letters; other
+    # changed strings may be letter-free symbols ("Ⅻ"), kept verbatim
+    if folded != stripped and not stripped.isascii() and not any(
+        c.isalpha() for c in stripped
+    ):
+        folded = stripped
+    all_caps = stripped.isupper() and sum(1 for c in stripped if c.isalpha()) >= 2
+    return Token(stripped, folded, all_caps, False)
+
+
+def trailing_emphasis(text: str) -> tuple[int, bool]:
+    """The length of the text-final "!" run and whether the text ends in "??".
+
+    Trailing whitespace is ignored.
+    """
+    tail = text.rstrip()
+    return len(tail) - len(tail.rstrip("!")), tail.endswith("??")
 
 
 def tokenize(text: str, emoticons: frozenset[str] = frozenset(), source_id: str = "") -> CleanDoc:
     """Split artifact-stripped text into emphasis-annotated tokens.
 
-    Emoticon chunks are matched against ``emoticons`` before punctuation is
-    stripped; the length of a text-final "!" run and the presence of a
-    text-final "??"-or-longer run are recorded on the document; remaining
-    punctuation and spam markers are dropped. Stopwords are retained here
-    (removal is a separate, later step). ``Token.normalized`` is the
-    lexicon key, ``lexicon.normalize_token`` of the surface.
+    Each whitespace chunk becomes ``chunk_token(chunk, emoticons)``, so
+    emoticons are matched before punctuation is stripped, and remaining
+    punctuation and spam markers are dropped. The length of a text-final "!"
+    run and the presence of a text-final "??"-or-longer run are recorded on
+    the document. Stopwords are retained here (removal is a separate, later
+    step).
     """
-    excl = _TRAILING_EXCL_RE.search(text)
-    n_excl = len(excl.group(1)) if excl else 0
-    double_q = _TRAILING_QQ_RE.search(text) is not None
-
-    tokens: list[Token] = []
-    for chunk in text.split():
-        if chunk in emoticons:
-            tokens.append(Token(chunk, normalize_token(chunk), False, True))
-            continue
-        stripped = chunk.strip(_STRIP_CHARS)
-        if not stripped:
-            continue
-        if stripped in emoticons:
-            tokens.append(Token(stripped, normalize_token(stripped), False, True))
-            continue
-        folded = stripped.casefold()
-        if folded in MEANINGLESS_TOKENS:
-            continue
-        # casefold changes an ASCII string only through its letters; other
-        # changed strings may be letter-free symbols ("Ⅻ"), kept verbatim
-        if folded != stripped and not stripped.isascii() and not any(
-            c.isalpha() for c in stripped
-        ):
-            folded = stripped
-        all_caps = stripped.isupper() and sum(1 for c in stripped if c.isalpha()) >= 2
-        tokens.append(Token(stripped, folded, all_caps, False))
+    n_excl, double_q = trailing_emphasis(text)
+    tokens = [tok for chunk in text.split() if (tok := chunk_token(chunk, emoticons)) is not None]
     return CleanDoc(tuple(tokens), n_excl, double_q, source_id)
 
 
@@ -153,6 +205,73 @@ def remove_stopwords(doc: CleanDoc, stoplist: Iterable[str]) -> CleanDoc:
     stops = set(stoplist) if not isinstance(stoplist, (set, frozenset)) else stoplist
     kept = tuple(t for t in doc.tokens if t.normalized not in stops)
     return CleanDoc(kept, doc.trailing_exclamations, doc.trailing_double_question, doc.source_id)
+
+
+class ChunkEntry(NamedTuple):
+    """What the text layers derive from one whitespace chunk."""
+
+    token: Token | None
+    #: ``language_class`` of the chunk.
+    language: int
+    #: Whether the token is a stopword (``False`` when there is no token).
+    stop: bool
+
+
+class ChunkTable:
+    """One command's memo from raw whitespace chunk to its ``ChunkEntry``.
+
+    Every per-chunk rule (tokenizing, the language class, the stopword test)
+    depends on the chunk alone, given the emoticons, the wordlist and the
+    stopwords, so a post's entries equal what ``tokenize``, ``is_english``
+    and ``remove_stopwords`` derive from it. Build one per command run: the
+    table keeps no state beyond it. It holds at most ``CHUNK_TABLE_SIZE``
+    entries and is emptied when full, which bounds its memory on corpora
+    whose vocabulary keeps growing; an emptied table rebuilds the same
+    entries, so outputs do not depend on when it was emptied.
+    """
+
+    def __init__(
+        self,
+        emoticons: Container[str],
+        wordlist: Container[str] = frozenset(),
+        stopwords: Container[str] = frozenset(),
+    ) -> None:
+        self.emoticons = emoticons
+        self.wordlist = wordlist
+        self.stopwords = stopwords
+        self._entries: dict[str, ChunkEntry] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _record(self, token: Token | None, language: int, stop: bool) -> ChunkEntry:
+        """The entry stored for a chunk; subclasses append fields of their own."""
+        return ChunkEntry(token, language, stop)
+
+    def _add(self, chunk: str) -> ChunkEntry:
+        """Build and store the entry of a chunk the table does not hold."""
+        if len(self._entries) >= CHUNK_TABLE_SIZE:
+            self._entries.clear()
+        token = chunk_token(chunk, self.emoticons)
+        entry = self._entries[chunk] = self._record(
+            token,
+            language_class(chunk, self.wordlist),
+            token is not None and token.normalized in self.stopwords,
+        )
+        return entry
+
+    def entries(self, chunks: list[str]) -> list[ChunkEntry]:
+        """The entry of each chunk, in order."""
+        entries = self._entries
+        try:
+            return list(map(entries.__getitem__, chunks))
+        except KeyError:
+            get = entries.get
+            return [get(c) or self._add(c) for c in chunks]
+
+    def scan(self, text: str) -> list[ChunkEntry]:
+        """The entries of the tokens of ``text``, in order: ``tokenize`` by lookup."""
+        return [e for e in self.entries(text.split()) if e.token is not None]
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
@@ -234,7 +353,7 @@ def corpus_line(p: RawPost) -> str:
     }
     if p.lang is not None:
         rec["lang"] = p.lang
-    return json.dumps(rec, ensure_ascii=False) + "\n"
+    return _JSON.encode(rec) + "\n"
 
 
 def write_corpus(posts: Iterable[RawPost], path: str | Path) -> None:

@@ -1,8 +1,10 @@
 import datetime as dt
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -529,8 +531,10 @@ def test_pipeline_strips_each_post_once_and_tokenizes_each_kept_post_once(
         with path.open("a") as fh:
             fh.write(json.dumps({"id": "en0", "date": "2020-03-02", "city": "X",
                                  "text": "see @you at https://t.co/x #home"}) + "\n")
-    counts = dict.fromkeys(("strip_artifacts", "tokenize", "read_corpus", "is_english"), 0)
+    counts = dict.fromkeys(("strip_artifacts", "scan", "tokenize", "read_corpus", "is_english"), 0)
     counting(monkeypatch, counts, "strip_artifacts", [cli, sentiment, textpipe])
+    # a kept post is tokenized by one scan of the command's chunk table
+    counting(monkeypatch, counts, "scan", [textpipe.ChunkTable])
     counting(monkeypatch, counts, "tokenize", [cli, sentiment, textpipe])
     counting(monkeypatch, counts, "read_corpus", [cli, textpipe])
     counting(monkeypatch, counts, "is_english", [cli, textpipe])
@@ -539,10 +543,62 @@ def test_pipeline_strips_each_post_once_and_tokenizes_each_kept_post_once(
     n_input = sum(1 for line in path.read_text().splitlines() if line.strip())
     n_kept = len((tmp_path / "out" / "cleaned.jsonl").read_text().splitlines())
     assert f"input_posts: {n_input}" in out and f"output_posts: {n_kept}" in out
-    assert counts == {"strip_artifacts": n_input, "tokenize": n_kept,
+    assert counts == {"strip_artifacts": n_input, "scan": n_kept, "tokenize": 0,
                       "read_corpus": 1, "is_english": n_input}
     if corpus == "mixed":
         assert n_kept < n_input
+
+
+def staged_and_pipeline_outputs(corpus: Path, out: Path) -> dict[str, bytes]:
+    """The bytes of every output of a staged and a one-shot run over ``corpus``."""
+    staged = out / "staged"
+    staged.mkdir(parents=True)
+    assert main(["clean", "--in", str(corpus), "--out", str(staged / "cleaned.jsonl"),
+                 "--report", str(staged / "clean_report.json")]) == 0
+    assert main(["score", "--in", str(staged / "cleaned.jsonl"),
+                 "--out", str(staged / "scored.csv")]) == 0
+    assert main(["aggregate", "--scored", str(staged / "scored.csv"), "--corpus",
+                 str(staged / "cleaned.jsonl"), "--out", str(staged / "series.csv")]) == 0
+    assert main(["pipeline", "--in", str(corpus), "--out-dir", str(out / "pipeline")]) == 0
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_emptying_the_chunk_table_mid_corpus_changes_no_output(tmp_path, fixtures_dir,
+                                                               monkeypatch):
+    corpus = tmp_path / "raw.jsonl"
+    write_mixed_corpus(corpus)
+    with corpus.open("a") as fh:
+        fh.write(Path(fixtures_dir, "toronto_feb24.jsonl").read_text())
+    want = staged_and_pipeline_outputs(corpus, tmp_path / "default_bound")
+    sizes = []
+    add = textpipe.ChunkTable._add
+
+    def recording(self, chunk):
+        sizes.append(len(self))
+        return add(self, chunk)
+
+    monkeypatch.setattr(textpipe, "CHUNK_TABLE_SIZE", 3)
+    monkeypatch.setattr(textpipe.ChunkTable, "_add", recording)
+    assert staged_and_pipeline_outputs(corpus, tmp_path / "bounded") == want
+    assert max(sizes) == 3 and sizes.count(3) > 1  # emptied more than once
+    assert {"pipeline/series.csv", "staged/clean_report.json"} <= set(want)
+
+
+def test_command_runs_share_no_chunk_table(tmp_path, fixtures_dir, monkeypatch):
+    tables = []
+    init = textpipe.ChunkTable.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(textpipe.ChunkTable, "__init__", recording)
+    corpus = f"{fixtures_dir}/toronto_feb24.jsonl"
+    for k in range(2):
+        assert main(["pipeline", "--in", corpus, "--out-dir", str(tmp_path / str(k))]) == 0
+        gc.collect()
+        # each run built one table, and nothing kept it once the run returned
+        assert len(tables) == k + 1 and tables[k]() is None
 
 
 def test_byte_identical_reruns(tmp_path, fixtures_dir):

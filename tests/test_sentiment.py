@@ -4,6 +4,7 @@ import random
 import tempfile
 from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from echosent.lexicon import EMOTION_CATEGORIES, ValenceLexicon
 from echosent.sentiment import (
+    BOOSTERS,
     DEFAULT_MODIFIERS,
     NEGATORS,
     EmotionProfile,
     ModifierTables,
     ScoredPost,
+    ScoringTable,
     SentimentScore,
     _token_valences,
     compound_score,
@@ -23,6 +26,7 @@ from echosent.sentiment import (
     polarity_proportions,
     read_scored_csv,
     score_post,
+    scored_row,
     write_scored_csv,
 )
 from echosent.textpipe import RawPost, remove_stopwords, tokenize
@@ -322,6 +326,80 @@ def test_scoring_does_not_rebuild_the_emoticon_inventory(vlex, elex, stopwords):
         post = RawPost(f"p{i}", dt.date(2020, 3, 1), "Toronto", "so GOOD :-) not bad!!")
         assert score_post(post, counted, elex, stopwords) == score_post(post, vlex, elex, stopwords)
     assert entries.iterations == built
+
+
+# ---------------------------------------------------------------------------
+# score_post through the command's chunk table
+
+
+def reference_score(post, vlex, elex, stopwords, mods):
+    """tokenize -> polarity_proportions / remove_stopwords -> emotion_profile."""
+    doc = tokenize(post.text, vlex.symbol_tokens(), post.id)
+    return ScoredPost(
+        post.id, post.date, post.city,
+        polarity_proportions(doc, vlex, mods),
+        emotion_profile(remove_stopwords(doc, stopwords), elex),
+        post.like_count, post.reply_count, post.retweet_count,
+    )
+
+
+def with_zero_valences(vlex):
+    """The lexicon plus words of valence 0.0 and -0.0, whose negation scores -0.0 and 0.0."""
+    entries = MappingProxyType({**vlex.entries, "meh": 0.0, "nil": -0.0})
+    return ValenceLexicon(entries, vlex.source, vlex.checksum)
+
+
+@st.composite
+def vocabulary_posts(draw, vlex, elex, stopwords):
+    lexicon_words = sorted(w for w in vlex.entries if any(c.isalpha() for c in w))
+    word = st.one_of(
+        st.sampled_from(lexicon_words + ["meh", "nil"]),
+        st.sampled_from(sorted(BOOSTERS)),
+        st.sampled_from(sorted(NEGATORS) + ["isn't", "couldn't", "Don't"]),
+        st.sampled_from(sorted(stopwords)),
+        st.sampled_from(sorted(elex.entries)),
+        st.sampled_from(sorted(vlex.symbol_tokens())),
+        st.sampled_from(["covid", "sss", "...", "—", "I", "A1"]),
+    )
+    styled = st.tuples(
+        word,
+        st.sampled_from([str, str, str.upper, str.capitalize]),
+        st.sampled_from(["", "", ",", ".", "!", "'", '"']),
+    ).map(lambda t: t[1](t[0]) + t[2])
+    words = draw(st.lists(styled, max_size=14))
+    tail = draw(st.sampled_from(["", "", "!", "!!!!", " !!", "??", "?", "?!", "!??"]))
+    return RawPost("p", dt.date(2020, 3, 1), "Toronto", " ".join(words) + tail, 1, 2, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    zeros=st.booleans(),
+    mods=st.sampled_from([
+        DEFAULT_MODIFIERS,
+        ModifierTables(negators=NEGATORS | {"hardly"}),
+        ModifierTables(lookback=1),
+    ]),
+)
+def test_table_scoring_equals_the_reference_path(vlex, elex, stopwords, data, zeros, mods):
+    lex = with_zero_valences(vlex) if zeros else vlex
+    table = ScoringTable(lex, elex, stopwords, mods)
+    for _ in range(3):
+        post = data.draw(vocabulary_posts(lex, elex, stopwords))
+        want = reference_score(post, lex, elex, stopwords, mods)
+        for got in (score_post(post, lex, elex, stopwords, mods, table),
+                    score_post(post, lex, elex, stopwords, mods)):
+            assert got == want
+            assert scored_row(got) == scored_row(want)  # repr tells -0.0 from 0.0
+            assert got.emotions == want.emotions
+
+
+def test_score_post_refuses_a_table_over_other_lexicons(vlex, elex, stopwords):
+    post = RawPost("p", dt.date(2020, 3, 1), "Toronto", "so GOOD")
+    table = ScoringTable(vlex, elex, stopwords)
+    other = ModifierTables(lookback=1)
+    with pytest.raises(ValueError, match="other lexicons"):
+        score_post(post, vlex, elex, stopwords, other, table)
 
 
 # Any Unicode text but lone surrogates, which UTF-8 cannot encode; commas,

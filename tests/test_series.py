@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from echosent import series as series_module
 from echosent.sentiment import EmotionProfile, ScoredPost, SentimentScore
 from echosent.series import (
     CitySeries,
@@ -538,6 +539,29 @@ def test_city_series_validation():
         CitySeries("A", "compound_mean", (D(2020, 3, 1), D(2020, 3, 3)), (0.1, 0.2))
     with pytest.raises(ValueError):
         CitySeries("A", "", (D(2020, 3, 1),), (0.1,))
+
+
+@pytest.mark.parametrize("dates", [
+    (D(2020, 3, 1), D(2020, 3, 3)),
+    (D(2020, 3, 1), D(2020, 3, 1)),
+    [D(2020, 3, 2), D(2020, 3, 1)],
+])
+def test_city_series_rejects_gapped_or_repeated_dates(dates):
+    with pytest.raises(ValueError, match="contiguous"):
+        CitySeries("A", "compound_mean", dates, (0.1, 0.2))
+    with pytest.raises(ValueError, match="contiguous"):
+        series_module._ContiguousDates(dates)
+
+
+def test_aggregate_checks_each_citys_dates_once(monkeypatch):
+    walks = []
+    check = series_module._check_contiguous
+    monkeypatch.setattr(series_module, "_check_contiguous", lambda d: walks.append(d) or check(d))
+    posts = [sp("a", D(2020, 3, 1), "A", 0.5), sp("b", D(2020, 3, 4), "A", 0.1),
+             sp("c", D(2020, 3, 2), "B", -0.2)]
+    built = aggregate_daily(posts, ["compound_mean", "tweet_count", "like_total"])
+    assert len(built) == 6 and len(walks) == 2
+    assert [len(d) for d in walks] == [4, 1]
 
 
 @pytest.mark.parametrize("features", [None, ["tweet_count"]])

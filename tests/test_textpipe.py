@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import random
 import re
 import string
@@ -8,15 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echosent import textpipe
 from echosent.textpipe import (
     MEANINGLESS_TOKENS,
+    ChunkTable,
     RawPost,
+    _strip_matches,
+    corpus_line,
     is_english,
     parse_post,
     read_corpus,
     remove_stopwords,
     strip_artifacts,
     tokenize,
+    trailing_emphasis,
     write_corpus,
 )
 
@@ -92,6 +98,51 @@ def _artifact_texts(draw):
 def test_strip_artifacts_idempotent_property(text):
     once = strip_artifacts(text)
     assert strip_artifacts(once) == once
+
+
+# Text the patterns cannot touch: no '/', '@' or '#', and "www." filtered out
+# below; URL-like pieces, punctuation and assorted whitespace kept.
+_PLAIN_PIECES = ["http:", "https:", "t.co", "www", "ww.", "w.", "a", "É", "\\", ".", ":", "!", "?"]
+_SPACES = [" ", "  ", "\t", "\n", "\u3000", "\x1c", "\x85", "\xa0"]
+
+
+@st.composite
+def _plain_texts(draw):
+    piece = st.one_of(
+        st.sampled_from(_PLAIN_PIECES + _SPACES),
+        st.text(st.characters(blacklist_characters="/@#", blacklist_categories=("Cs",)),
+                max_size=6),
+    )
+    return "".join(draw(st.lists(piece, max_size=12)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_plain_texts())
+def test_strip_artifacts_fast_path_equals_the_patterns(text):
+    while "www." in text:
+        text = text.replace("www.", "www")
+    assert not any(c in text for c in "/@#")
+    assert strip_artifacts(text) == _strip_matches(text)
+
+
+# ---------------------------------------------------------------------------
+# corpus_line
+
+
+@pytest.mark.parametrize("text", [
+    "déjà vu — naïve café ☕ 東京",
+    'she said "stay home" \\ again',
+    "back\\slash\\\\ and \"quotes\" and \u2028 line sep \x00",
+    "beyond the BMP 😷 \U0001F600",
+])
+def test_corpus_line_equals_json_dumps(text):
+    post = RawPost("id \"1\" é", DAY, "Montréal", text, 1, 2, 3, "en")
+    rec = {
+        "id": post.id, "date": "2020-02-24", "city": post.city, "text": text,
+        "like_count": 1, "reply_count": 2, "retweet_count": 3, "lang": "en",
+    }
+    line = corpus_line(post)
+    assert line.encode("utf-8") == (json.dumps(rec, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +310,54 @@ def test_tokenize_matches_reference_tokenizer(vlex, elex, data, which):
     for tok in doc.tokens:
         assert vlex.entries.get(tok.normalized) == vlex.lookup(tok.surface)
         assert elex.entries.get(tok.normalized) == elex.lookup(tok.surface)
+
+
+_WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(st.sampled_from(["!", "?", "a", ".", *_WHITESPACE]), max_size=10))
+def test_trailing_emphasis_equals_the_patterns(text):
+    excl = re.search(r"(!+)\s*$", text)
+    want = (len(excl.group(1)) if excl else 0, re.search(r"(\?{2,})\s*$", text) is not None)
+    assert trailing_emphasis(text) == want
+
+
+# ---------------------------------------------------------------------------
+# ChunkTable
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), lang=st.sampled_from([None, None, "en", "fr"]))
+def test_chunk_table_gives_what_the_per_post_functions_give(
+    vlex, stopwords, wordlist, data, lang
+):
+    emoticons = vlex.symbol_tokens()
+    table = ChunkTable(emoticons, wordlist, stopwords)
+    for _ in range(3):
+        text = data.draw(_tokenizer_texts(emoticons) | st.sampled_from(
+            ["the vaccine works well here", "le confinement est difficile", ""]
+        ))
+        doc = tokenize(text, emoticons)
+        scanned = table.scan(text)
+        assert tuple(e.token for e in scanned) == doc.tokens
+        assert tuple(e.token for e in scanned if not e.stop) == (
+            remove_stopwords(doc, stopwords).tokens
+        )
+        post = RawPost("p", DAY, "X", text, lang=lang)
+        assert is_english(post, wordlist, table) == is_english(post, wordlist)
+
+
+def test_chunk_table_is_emptied_at_its_bound(vlex, monkeypatch):
+    monkeypatch.setattr(textpipe, "CHUNK_TABLE_SIZE", 4)
+    emoticons = vlex.symbol_tokens()
+    table = ChunkTable(emoticons)
+    text = "one two three four five six seven :) SIX one"
+    sizes = []
+    for _ in range(3):
+        assert tuple(e.token for e in table.scan(text)) == tokenize(text, emoticons).tokens
+        sizes.append(len(table))
+    assert 0 < max(sizes) <= 4
 
 
 # ---------------------------------------------------------------------------
