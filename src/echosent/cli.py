@@ -2,14 +2,15 @@
 
 Subcommands: clean, score, aggregate, heatmap, ccm, gridsearch, synth, and
 pipeline (clean + score + aggregate in one run, byte-identical to the staged
-commands). Every option can also come from an INI config file (sections
-[paths], [run], [reservoir], [lags]) or from environment variables named
-ECHOSENT_<SECTION>_<KEY>; precedence is flag > environment > config file >
-built-in default. Each command prints its resolved settings, seed included,
-and identical settings produce byte-identical CSV/JSON/SVG outputs. Log
-messages (skipped lags, invalid grid configs) go to stderr; the global
-``--log-level`` flag, given before the subcommand, sets their threshold and
-changes no output file.
+commands). Each setting is declared once, in ``OPTIONS``, with its flag and
+its ``[section] key`` in an INI config file (``--config`` or
+ECHOSENT_CONFIG); its environment variable is ECHOSENT_<SECTION>_<KEY>.
+``_resolve`` applies flag > environment > config file > built-in default to
+every setting of a command before it runs and prints them all, seed
+included. Output paths are flags only. Identical settings produce
+byte-identical CSV/JSON/SVG outputs. Log messages (skipped lags, invalid
+grid configs) go to stderr; the global ``--log-level`` flag, given before
+the subcommand, sets their threshold and changes no output file.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -64,63 +66,150 @@ def _default_path(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Option resolution: flag > env > config file > default.
+# Settings: each declared once, resolved as flag > env > config file > default.
 
-@dataclass
-class Settings:
-    args: argparse.Namespace
-    config: configparser.ConfigParser
-    resolved: dict
+@dataclass(frozen=True)
+class Option:
+    """One setting: its flag, its config ``[section] key`` (environment
+    variable ``ECHOSENT_<SECTION>_<KEY>``), the type that parses its value
+    from any source, its default and its allowed values."""
 
-    def get(self, attr: str, section: str, key: str, default, cast=str):
-        value = getattr(self.args, attr, None)
-        if value is None:
-            env = os.environ.get(f"{_ENV_PREFIX}_{section.upper()}_{key.upper()}")
-            if env is not None:
-                value = cast(env)
-            elif self.config.has_option(section, key):
-                value = cast(self.config.get(section, key))
-            else:
-                value = default
-        self.resolved[f"{section}.{key}"] = value
-        return value
+    flag: str
+    section: str
+    key: str
+    help: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] = ()
 
-    def echo(self, command: str) -> None:
-        parts = " ".join(f"{k}={v}" for k, v in sorted(self.resolved.items()))
-        print(f"# {command} settings: {parts}")
+    @property
+    def env(self) -> str:
+        return f"{_ENV_PREFIX}_{self.section.upper()}_{self.key.upper()}"
 
 
-def _settings(args: argparse.Namespace) -> Settings:
-    parser = configparser.ConfigParser()
-    path = getattr(args, "config", None) or os.environ.get(f"{_ENV_PREFIX}_CONFIG")
+_RES = ccm.DEFAULT_CCM_PARAMS
+_MAPS = synth.CoupledMapConfig
+
+#: Every setting, keyed by the ``args`` attribute it resolves into.
+OPTIONS = {
+    "seed": Option("--seed", "run", "seed", "run seed", int, 0),
+    "in_path": Option("--in", "paths", "corpus",
+                      "corpus JSONL: raw for clean and pipeline, cleaned for score"),
+    "wordlist": Option("--wordlist", "paths", "wordlist", "English reference wordlist",
+                       default=_default_path("wordlist_en.txt")),
+    "valence_lexicon": Option("--valence-lexicon", "paths", "valence_lexicon", "valence lexicon",
+                              default=_default_path("vader_lexicon.txt")),
+    "emotion_lexicon": Option("--emotion-lexicon", "paths", "emotion_lexicon", "emotion lexicon",
+                              default=_default_path("nrc_emotion_lexicon.txt")),
+    "stopwords": Option("--stopwords", "paths", "stopwords", "stopword list",
+                        default=_default_path("stopwords_en.txt")),
+    "scored": Option("--scored", "paths", "scored", "scored CSV"),
+    "corpus": Option("--corpus", "paths", "cleaned",
+                     "cleaned corpus JSONL (for engagement counts/keywords)"),
+    "features": Option("--features", "run", "features", "comma list of features"),
+    "cities": Option("--cities", "run", "cities", "comma list of cities"),
+    "keyword": Option("--keyword", "run", "keyword", "keep only posts containing this keyword"),
+    "date_from": Option("--from", "run", "date_from", "ISO start date", dt.date.fromisoformat),
+    "date_to": Option("--to", "run", "date_to", "ISO end date", dt.date.fromisoformat),
+    "periods": Option("--periods", "paths", "periods",
+                      "period config INI; also writes a period summary"),
+    "series": Option("--series", "paths", "series", "series CSV"),
+    "feature": Option("--feature", "run", "feature", "feature to draw", default="compound_mean"),
+    "city": Option("--city", "run", "city", "city/unit to analyze"),
+    "input_feature": Option("--input-feature", "run", "input_feature", "input (cause) feature"),
+    "target_feature": Option("--target-feature", "run", "target_feature",
+                             "target (effect) feature"),
+    "x": Option("--x", "paths", "x", "series CSV with exactly one series (input)"),
+    "y": Option("--y", "paths", "y", "series CSV with exactly one series (target)"),
+    "lag_lo": Option("--lag-lo", "lags", "lo", "most negative lag", int, ccm.LagGrid.lo),
+    "lag_hi": Option("--lag-hi", "lags", "hi", "most positive lag", int, ccm.LagGrid.hi),
+    "size": Option("--size", "reservoir", "size", "reservoir units", int, _RES["size"]),
+    "spectral_radius": Option("--spectral-radius", "reservoir", "spectral_radius",
+                              "reservoir spectral radius", float, _RES["spectral_radius"]),
+    "leak": Option("--leak", "reservoir", "leak", "leak rate", float, _RES["leak"]),
+    "input_scale": Option("--input-scale", "reservoir", "input_scale", "input weight scale",
+                          float, _RES["input_scale"]),
+    "sparsity": Option("--sparsity", "reservoir", "sparsity", "reservoir weight density",
+                       float, _RES["sparsity"]),
+    "ridge": Option("--ridge", "reservoir", "ridge", "ridge penalty", float, _RES["ridge"]),
+    "washout": Option("--washout", "reservoir", "washout", "state rows discarded at the start",
+                      int, _RES["washout"]),
+    "panel": Option("--panel", "paths", "panel", "series CSV; cities are the CV units"),
+    "grid": Option("--grid", "run", "grid", "config grid", default="quick",
+                   choices=("tiny", "quick", "default")),
+    "mode": Option("--mode", "run", "mode", "coupled logistic maps or independent AR(1) pairs",
+                   default="coupled", choices=("coupled", "ar1")),
+    "length": Option("--length", "run", "length", "days per series", int, 500),
+    "units": Option("--units", "run", "units", "units (pairs) to generate", int, 1),
+    "growth_x": Option("--growth-x", "run", "growth_x", "growth rate of x", float,
+                       _MAPS.growth_x),
+    "growth_y": Option("--growth-y", "run", "growth_y", "growth rate of y", float,
+                       _MAPS.growth_y),
+    "coupling_xy": Option("--coupling-xy", "run", "coupling_xy", "coupling of y into x", float,
+                          _MAPS.coupling_xy),
+    "coupling_yx": Option("--coupling-yx", "run", "coupling_yx", "coupling of x into y", float,
+                          _MAPS.coupling_yx),
+    "delay": Option("--delay", "run", "delay", "coupling delay in days", int, _MAPS.delay),
+    "noise_sd": Option("--noise-sd", "run", "noise_sd", "observation noise sd", float,
+                       _MAPS.noise_sd),
+    "phi": Option("--phi", "run", "phi", "AR(1) coefficient", float, 0.5),
+}
+
+#: Output destinations: flag only, never echoed. name -> (flag, required, help)
+OUTPUTS = {
+    "out": ("--out", True, "file to write"),
+    "out_dir": ("--out-dir", True, "directory to write into"),
+    "report": ("--report", False, "write the removal report as JSON"),
+    "period_out": ("--period-out", False, "period summary CSV path"),
+}
+
+
+def _read_config(path: str | None) -> configparser.ConfigParser:
+    # values are read literally: a "%" in a path is not interpolation
+    config = configparser.ConfigParser(interpolation=None)
     if path:
         with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    return Settings(args, parser, {})
+            try:
+                config.read_file(fh)
+            except configparser.Error as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    return config
 
 
-def _reservoir_config(st: Settings, seed: int) -> esn.ReservoirConfig:
-    p = ccm.DEFAULT_CCM_PARAMS
-    return esn.ReservoirConfig(
-        size=st.get("size", "reservoir", "size", p["size"], int),
-        spectral_radius=st.get(
-            "spectral_radius", "reservoir", "spectral_radius", p["spectral_radius"], float
-        ),
-        leak=st.get("leak", "reservoir", "leak", p["leak"], float),
-        input_scale=st.get("input_scale", "reservoir", "input_scale", p["input_scale"], float),
-        sparsity=st.get("sparsity", "reservoir", "sparsity", p["sparsity"], float),
-        ridge=st.get("ridge", "reservoir", "ridge", p["ridge"], float),
-        washout=st.get("washout", "reservoir", "washout", p["washout"], int),
-        seed=seed,
-    )
+def _resolve(args: argparse.Namespace) -> None:
+    """Set every setting of ``args.command`` on ``args`` and echo them.
 
-
-def _seed(st: Settings) -> int:
-    return st.get("seed", "run", "seed", 0, int)
-
-
-def _date(value: str | None) -> dt.date | None:
-    return dt.date.fromisoformat(value) if value else None
+    Each value comes from its flag, else its environment variable, else the
+    config file (``--config`` or ``ECHOSENT_CONFIG``), else its default, and
+    is parsed, checked for presence and checked against its choices the same
+    way whichever source gave it.
+    """
+    command = COMMANDS[args.command]
+    path = args.config or os.environ.get(f"{_ENV_PREFIX}_CONFIG")
+    config = _read_config(path)
+    echoed = {}
+    for name in ("seed", *command.settings, *command.unflagged):
+        opt = OPTIONS[name]
+        raw, source = getattr(args, name, None), opt.flag
+        if raw is None and opt.env in os.environ:
+            raw, source = os.environ[opt.env], opt.env
+        elif raw is None and config.has_option(opt.section, opt.key):
+            raw, source = config.get(opt.section, opt.key), f"{path}: [{opt.section}] {opt.key}"
+        if raw is None:
+            value = opt.default
+            if value is None and name in command.required:
+                raise ValueError(f"{args.command}: {opt.flag} is required")
+        else:
+            try:
+                value = opt.type(raw)
+            except ValueError:
+                raise ValueError(f"{source}: invalid {opt.type.__name__} value {raw!r}") from None
+            if opt.choices and value not in opt.choices:
+                raise ValueError(f"{source}: {raw!r} is not one of {', '.join(opt.choices)}")
+        setattr(args, name, value)
+        echoed[f"{opt.section}.{opt.key}"] = value
+    print(f"# {args.command} settings: "
+          + " ".join(f"{k}={v}" for k, v in sorted(echoed.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +266,10 @@ def _bad_fraction(report: dict) -> float:
 
 
 def cmd_clean(args) -> int:
-    st = _settings(args)
-    in_path = st.get("in_path", "paths", "corpus", None)
-    if in_path is None:
-        raise ValueError("clean: --in is required")
-    wordlist = load_wordlist(
-        st.get("wordlist", "paths", "wordlist", _default_path("wordlist_en.txt"))
-    )
+    wordlist = load_wordlist(args.wordlist)
     # rule 3 is counted on the token stream that score sees
-    vlex_path = st.get(
-        "valence_lexicon", "paths", "valence_lexicon", _default_path("vader_lexicon.txt")
-    )
-    stop_path = st.get("stopwords", "paths", "stopwords", _default_path("stopwords_en.txt"))
-    emoticons = load_valence_lexicon(vlex_path).symbol_tokens()
-    stopwords = load_wordlist(stop_path)
-    st.echo("clean")
+    emoticons = load_valence_lexicon(args.valence_lexicon).symbol_tokens()
+    stopwords = load_wordlist(args.stopwords)
     report = _new_report()
     chunks = ChunkTable(emoticons, wordlist, stopwords)
 
@@ -201,7 +279,7 @@ def cmd_clean(args) -> int:
             report["rule3_tokens_dropped"] += len(post.text.split()) - kept_tokens
             yield post
 
-    kept = _kept_posts(read_corpus(in_path, skip_malformed=True), wordlist, chunks, report)
+    kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), wordlist, chunks, report)
     write_corpus(counted(kept), args.out)
     if args.report:
         Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -217,23 +295,19 @@ def cmd_clean(args) -> int:
 # ---------------------------------------------------------------------------
 # score
 
-def _load_lexicons(st: Settings):
-    vpath = st.get("valence_lexicon", "paths", "valence_lexicon", _default_path("vader_lexicon.txt"))
-    epath = st.get("emotion_lexicon", "paths", "emotion_lexicon", _default_path("nrc_emotion_lexicon.txt"))
-    spath = st.get("stopwords", "paths", "stopwords", _default_path("stopwords_en.txt"))
-    return load_valence_lexicon(vpath), load_emotion_lexicon(epath), load_wordlist(spath)
+def _load_lexicons(args):
+    return (
+        load_valence_lexicon(args.valence_lexicon),
+        load_emotion_lexicon(args.emotion_lexicon),
+        load_wordlist(args.stopwords),
+    )
 
 
 def cmd_score(args) -> int:
-    st = _settings(args)
-    in_path = st.get("in_path", "paths", "corpus", None)
-    if in_path is None:
-        raise ValueError("score: --in is required")
-    vlex, elex, stopwords = _load_lexicons(st)
-    st.echo("score")
+    vlex, elex, stopwords = _load_lexicons(args)
     print(f"# valence lexicon sha256 {vlex.checksum}")
     print(f"# emotion lexicon sha256 {elex.checksum}")
-    posts = read_corpus(in_path)
+    posts = read_corpus(args.in_path)
     chunks = ScoringTable(vlex, elex, stopwords, DEFAULT_MODIFIERS)
     write_scored_csv(
         (score_post(_stripped(p), vlex, elex, stopwords, DEFAULT_MODIFIERS, chunks) for p in posts),
@@ -274,36 +348,23 @@ def _join_corpus(scored, corpus_path, keyword=None):
 
 
 def cmd_aggregate(args) -> int:
-    st = _settings(args)
-    scored_path = st.get("scored", "paths", "scored", None)
-    if scored_path is None:
-        raise ValueError("aggregate: --scored is required")
-    corpus_path = st.get("corpus", "paths", "cleaned", None)
-    keyword = st.get("keyword", "run", "keyword", None)
-    features_opt = st.get("features", "run", "features", None)
-    cities_opt = st.get("cities", "run", "cities", None)
-    start = _date(st.get("date_from", "run", "date_from", None))
-    end = _date(st.get("date_to", "run", "date_to", None))
-    periods_path = st.get("periods", "paths", "periods", None)
-    st.echo("aggregate")
-
-    if keyword and not corpus_path:
+    if args.keyword and not args.corpus:
         raise ValueError("aggregate: --keyword needs --corpus for the post text")
-    scored = read_scored_csv(scored_path)
-    if corpus_path:
-        scored = _join_corpus(scored, corpus_path, keyword)
-    if features_opt:
-        feature_list = [f.strip() for f in features_opt.split(",")]
+    scored = read_scored_csv(args.scored)
+    if args.corpus:
+        scored = _join_corpus(scored, args.corpus, args.keyword)
+    if args.features:
+        feature_list = [f.strip() for f in args.features.split(",")]
     else:
         feature_list = ["compound_mean", "tweet_count"]
-        if corpus_path:
+        if args.corpus:
             feature_list += list(_COUNT_FEATURES)
-    cities = [c.strip() for c in cities_opt.split(",")] if cities_opt else None
-    built = series.aggregate_daily(scored, feature_list, cities, start, end)
+    cities = [c.strip() for c in args.cities.split(",")] if args.cities else None
+    built = series.aggregate_daily(scored, feature_list, cities, args.date_from, args.date_to)
     series.write_series_csv(built, args.out)
     print(f"series_written: {len(built)}")
-    if periods_path:
-        summary = series.period_summary(scored, series.load_period_config(periods_path))
+    if args.periods:
+        summary = series.period_summary(scored, series.load_period_config(args.periods))
         out = args.period_out or str(Path(args.out).with_name("periods.csv"))
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -322,15 +383,10 @@ def cmd_aggregate(args) -> int:
 # heatmap
 
 def cmd_heatmap(args) -> int:
-    st = _settings(args)
-    series_path = st.get("series", "paths", "series", None)
-    if series_path is None:
-        raise ValueError("heatmap: --series is required")
-    feature = st.get("feature", "run", "feature", "compound_mean")
-    st.echo("heatmap")
-    all_series = series.read_series_csv(series_path, features=[feature])
+    feature = args.feature
+    all_series = series.read_series_csv(args.series, features=[feature])
     if not all_series:
-        raise ValueError(f"no {feature!r} series in {series_path}")
+        raise ValueError(f"no {feature!r} series in {args.series}")
     cities, dates, matrix = series.heatmap_matrix(all_series)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,27 +417,21 @@ def _single_series(found, path, feature=None, city=None) -> series.CitySeries:
 
 
 def cmd_ccm(args) -> int:
-    st = _settings(args)
-    seed = _seed(st)
-    cfg = _reservoir_config(st, seed)
-    lag_lo = st.get("lag_lo", "lags", "lo", -30, int)
-    lag_hi = st.get("lag_hi", "lags", "hi", 30, int)
-    st.echo("ccm")
-    grid = ccm.LagGrid(lag_lo, lag_hi)
+    cfg = esn.ReservoirConfig(**{k: getattr(args, k) for k in _RES}, seed=args.seed)
+    grid = ccm.LagGrid(args.lag_lo, args.lag_hi)
     if args.x and args.y:
         sx = _single_series(series.read_series_csv(args.x), args.x)
         sy = _single_series(series.read_series_csv(args.y), args.y)
     else:
-        series_path = st.get("series", "paths", "series", None)
-        if not (series_path and args.input_feature and args.target_feature):
+        if not (args.series and args.input_feature and args.target_feature):
             raise ValueError("ccm: give --x/--y files, or --series with --input-feature/--target-feature")
         found = series.read_series_csv(
-            series_path,
+            args.series,
             features=[args.input_feature, args.target_feature],
             cities=[args.city] if args.city else None,
         )
-        sx = _single_series(found, series_path, args.input_feature, args.city)
-        sy = _single_series(found, series_path, args.target_feature, args.city)
+        sx = _single_series(found, args.series, args.input_feature, args.city)
+        sy = _single_series(found, args.series, args.target_feature, args.city)
     if sx.dates != sy.dates:
         raise ValueError("ccm: input and target series must cover identical dates")
     x = np.asarray(sx.values)
@@ -406,7 +456,7 @@ def cmd_ccm(args) -> int:
         "weak": verdict.weak,
         "note": verdict.note,
         "tie_break": "highest rho, then smallest |lag|, then negative lag",
-        "seed": seed,
+        "seed": args.seed,
     }
     (out_dir / "ccm_verdict.json").write_text(
         json.dumps(verdict_obj, sort_keys=True, indent=2) + "\n"
@@ -422,24 +472,13 @@ def cmd_ccm(args) -> int:
 # gridsearch
 
 def cmd_gridsearch(args) -> int:
-    st = _settings(args)
-    seed = _seed(st)
-    panel_path = st.get("panel", "paths", "panel", None)
-    if panel_path is None:
-        raise ValueError("gridsearch: --panel is required")
-    grid_name = st.get("grid", "run", "grid", "quick")
-    washout = st.get("washout", "reservoir", "washout", ccm.DEFAULT_CCM_PARAMS["washout"], int)
-    st.echo("gridsearch")
-    if grid_name == "quick":
-        configs = ccm.make_quick_grid(seed, washout)
-    elif grid_name == "default":
-        configs = ccm.make_default_grid(seed, washout)
-    elif grid_name == "tiny":
-        configs = [ccm.default_ccm_config(seed)]
+    if args.grid == "tiny":
+        configs = [ccm.default_ccm_config(args.seed)]
     else:
-        raise ValueError(f"unknown grid {grid_name!r} (use tiny, quick or default)")
+        make = ccm.make_quick_grid if args.grid == "quick" else ccm.make_default_grid
+        configs = make(args.seed, args.washout)
     found = series.read_series_csv(
-        panel_path, features=[args.input_feature, args.target_feature]
+        args.panel, features=[args.input_feature, args.target_feature]
     )
     by_city: dict[str, dict[str, series.CitySeries]] = {}
     for s in found:
@@ -500,20 +539,16 @@ def _unit_seed(base: int, unit: int, stream: int) -> int:
 
 
 def cmd_synth(args) -> int:
-    st = _settings(args)
-    seed = _seed(st)
-    mode = st.get("mode", "run", "mode", "coupled")
-    length = st.get("length", "run", "length", 500, int)
-    units = st.get("units", "run", "units", 1, int)
-    st.echo("synth")
+    if args.units < 1:
+        raise ValueError(f"synth: --units must be at least 1, got {args.units}")
     built = []
-    dates = tuple(_SYNTH_EPOCH + dt.timedelta(days=i) for i in range(length))
-    for u in range(units):
+    dates = tuple(_SYNTH_EPOCH + dt.timedelta(days=i) for i in range(args.length))
+    for u in range(args.units):
         name = f"unit{u:02d}"
-        if mode == "coupled":
+        if args.mode == "coupled":
             cfg = synth.CoupledMapConfig(
-                length=length,
-                seed=_unit_seed(seed, u, 0),
+                length=args.length,
+                seed=_unit_seed(args.seed, u, 0),
                 growth_x=args.growth_x,
                 growth_y=args.growth_y,
                 coupling_xy=args.coupling_xy,
@@ -522,11 +557,9 @@ def cmd_synth(args) -> int:
                 noise_sd=args.noise_sd,
             )
             x, y = synth.gen_coupled_logistic(cfg)
-        elif mode == "ar1":
-            x = synth.gen_ar1(args.phi, length, _unit_seed(seed, u, 0))
-            y = synth.gen_ar1(args.phi, length, _unit_seed(seed, u, 1))
         else:
-            raise ValueError(f"unknown mode {mode!r} (use coupled or ar1)")
+            x = synth.gen_ar1(args.phi, args.length, _unit_seed(args.seed, u, 0))
+            y = synth.gen_ar1(args.phi, args.length, _unit_seed(args.seed, u, 1))
         built.append(series.CitySeries(name, "x", dates, tuple(float(v) for v in x)))
         built.append(series.CitySeries(name, "y", dates, tuple(float(v) for v in y)))
     series.write_series_csv(built, args.out)
@@ -546,20 +579,13 @@ def cmd_pipeline(args) -> int:
     day) sums only. Rule 3 is the kept post's word count minus its
     stopword-free token count, which is the emotion profile's word total.
     """
-    st = _settings(args)
-    in_path = st.get("in_path", "paths", "corpus", None)
-    if in_path is None:
-        raise ValueError("pipeline: --in is required")
-    wordlist = load_wordlist(
-        st.get("wordlist", "paths", "wordlist", _default_path("wordlist_en.txt"))
-    )
-    vlex, elex, stopwords = _load_lexicons(st)
-    st.echo("pipeline")
+    wordlist = load_wordlist(args.wordlist)
+    vlex, elex, stopwords = _load_lexicons(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = _new_report()
     chunks = ScoringTable(vlex, elex, stopwords, DEFAULT_MODIFIERS, wordlist)
-    kept = _kept_posts(read_corpus(in_path, skip_malformed=True), wordlist, chunks, report)
+    kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), wordlist, chunks, report)
     with (
         (out_dir / "cleaned.jsonl").open("w", encoding="utf-8") as cleaned,
         (out_dir / "scored.csv").open("w", encoding="utf-8", newline="") as scored_fh,
@@ -590,14 +616,46 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_reservoir_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--size", type=int, help="reservoir units")
-    p.add_argument("--spectral-radius", dest="spectral_radius", type=float)
-    p.add_argument("--leak", type=float)
-    p.add_argument("--input-scale", dest="input_scale", type=float)
-    p.add_argument("--sparsity", type=float)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--washout", type=int)
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: the settings it reads, by ``OPTIONS`` name, and its
+    output flags, by ``OUTPUTS`` name. Every command also takes ``--config``
+    and ``--seed``; ``unflagged`` settings come from env or config only."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    settings: tuple[str, ...]
+    outputs: tuple[str, ...]
+    required: tuple[str, ...] = ()
+    unflagged: tuple[str, ...] = ()
+
+
+_LEXICONS = ("valence_lexicon", "emotion_lexicon", "stopwords")
+
+COMMANDS = {
+    "clean": Command(cmd_clean, "strip artifacts, drop non-English posts",
+                     ("in_path", "wordlist"), ("out", "report"), required=("in_path",),
+                     unflagged=("valence_lexicon", "stopwords")),
+    "score": Command(cmd_score, "sentiment + emotion scores per post",
+                     ("in_path", *_LEXICONS), ("out",), required=("in_path",)),
+    "aggregate": Command(cmd_aggregate, "daily per-city series from scored posts",
+                         ("scored", "corpus", "features", "cities", "keyword", "date_from",
+                          "date_to", "periods"), ("out", "period_out"), required=("scored",)),
+    "heatmap": Command(cmd_heatmap, "city x date matrix as CSV + SVG",
+                       ("series", "feature"), ("out_dir",), required=("series",)),
+    "ccm": Command(cmd_ccm, "lag-scanned cross mapping of a series pair",
+                   ("series", "city", "input_feature", "target_feature", "x", "y",
+                    "lag_lo", "lag_hi", *_RES), ("out_dir",)),
+    "gridsearch": Command(cmd_gridsearch, "leave-one-unit-out CV over a config grid",
+                          ("panel", "input_feature", "target_feature", "grid", "washout"),
+                          ("out_dir",), required=("panel", "input_feature", "target_feature")),
+    "synth": Command(cmd_synth, "synthetic coupled/null series in the series CSV format",
+                     ("mode", "length", "units", "growth_x", "growth_y", "coupling_xy",
+                      "coupling_yx", "delay", "noise_sd", "phi"), ("out",)),
+    "pipeline": Command(cmd_pipeline, "clean + score + aggregate in one run",
+                        ("in_path", "wordlist", *_LEXICONS), ("out_dir",),
+                        required=("in_path",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,103 +669,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="lowest level of log messages printed to stderr (default WARNING)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int, help="run seed (env ECHOSENT_RUN_SEED)")
-
-    p = sub.add_parser("clean", help="strip artifacts, drop non-English posts")
-    common(p)
-    p.add_argument("--in", dest="in_path", help="raw corpus JSONL")
-    p.add_argument("--out", required=True, help="cleaned corpus JSONL")
-    p.add_argument("--wordlist", help="English reference wordlist")
-    p.add_argument("--report", help="write the removal report as JSON")
-    p.set_defaults(func=cmd_clean)
-
-    p = sub.add_parser("score", help="sentiment + emotion scores per post")
-    common(p)
-    p.add_argument("--in", dest="in_path", help="cleaned corpus JSONL")
-    p.add_argument("--out", required=True, help="scored CSV")
-    p.add_argument("--valence-lexicon", dest="valence_lexicon")
-    p.add_argument("--emotion-lexicon", dest="emotion_lexicon")
-    p.add_argument("--stopwords")
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("aggregate", help="daily per-city series from scored posts")
-    common(p)
-    p.add_argument("--scored", help="scored CSV")
-    p.add_argument("--corpus", help="cleaned corpus JSONL (for engagement counts/keywords)")
-    p.add_argument("--out", required=True, help="series CSV")
-    p.add_argument("--features", help="comma list of features")
-    p.add_argument("--cities", help="comma list of cities")
-    p.add_argument("--keyword", help="keep only posts containing this keyword")
-    p.add_argument("--from", dest="date_from", help="ISO start date")
-    p.add_argument("--to", dest="date_to", help="ISO end date")
-    p.add_argument("--periods", help="period config INI; also writes a period summary")
-    p.add_argument("--period-out", dest="period_out", help="period summary CSV path")
-    p.set_defaults(func=cmd_aggregate)
-
-    p = sub.add_parser("heatmap", help="city x date matrix as CSV + SVG")
-    common(p)
-    p.add_argument("--series", help="series CSV")
-    p.add_argument("--feature")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_heatmap)
-
-    p = sub.add_parser("ccm", help="lag-scanned cross mapping of a series pair")
-    common(p)
-    p.add_argument("--series", help="series CSV holding both features")
-    p.add_argument("--city", help="city/unit to analyze")
-    p.add_argument("--input-feature", dest="input_feature")
-    p.add_argument("--target-feature", dest="target_feature")
-    p.add_argument("--x", help="series CSV with exactly one series (input)")
-    p.add_argument("--y", help="series CSV with exactly one series (target)")
-    p.add_argument("--lag-lo", dest="lag_lo", type=int)
-    p.add_argument("--lag-hi", dest="lag_hi", type=int)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_reservoir_flags(p)
-    p.set_defaults(func=cmd_ccm)
-
-    p = sub.add_parser("gridsearch", help="leave-one-unit-out CV over a config grid")
-    common(p)
-    p.add_argument("--panel", help="series CSV; cities are the CV units")
-    p.add_argument("--input-feature", dest="input_feature", required=True)
-    p.add_argument("--target-feature", dest="target_feature", required=True)
-    p.add_argument("--grid", choices=["tiny", "quick", "default"])
-    p.add_argument("--washout", type=int)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_gridsearch)
-
-    p = sub.add_parser("synth", help="synthetic coupled/null series in the series CSV format")
-    common(p)
-    p.add_argument("--mode", choices=["coupled", "ar1"])
-    p.add_argument("--length", type=int)
-    p.add_argument("--units", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--growth-x", dest="growth_x", type=float, default=3.8)
-    p.add_argument("--growth-y", dest="growth_y", type=float, default=3.5)
-    p.add_argument("--coupling-xy", dest="coupling_xy", type=float, default=0.0)
-    p.add_argument("--coupling-yx", dest="coupling_yx", type=float, default=0.0)
-    p.add_argument("--delay", type=int, default=0)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.0)
-    p.add_argument("--phi", type=float, default=0.5)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("pipeline", help="clean + score + aggregate in one run")
-    common(p)
-    p.add_argument("--in", dest="in_path", help="raw corpus JSONL")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--wordlist")
-    p.add_argument("--valence-lexicon", dest="valence_lexicon")
-    p.add_argument("--emotion-lexicon", dest="emotion_lexicon")
-    p.add_argument("--stopwords")
-    p.set_defaults(func=cmd_pipeline)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help=f"INI config file (env {_ENV_PREFIX}_CONFIG)")
+        for dest in ("seed", *command.settings):
+            opt = OPTIONS[dest]
+            choices = f" ({', '.join(opt.choices)})" if opt.choices else ""
+            default = "" if opt.default is None else f", default {opt.default}"
+            p.add_argument(opt.flag, dest=dest, help=f"{opt.help}{choices}; [{opt.section}] "
+                           f"{opt.key}, env {opt.env}{default}".replace("%", "%%"))
+        for dest in command.outputs:
+            flag, required, help_text = OUTPUTS[dest]
+            p.add_argument(flag, dest=dest, required=required, help=help_text)
     return parser
 
 
-# The tree carries only static defaults and ``func``, and each parse returns
-# a fresh namespace, so one tree serves every call in a process.
+# The tree holds no defaults (settings resolve in ``_resolve``) and each parse
+# returns a fresh namespace, so one tree serves every call in a process.
 _parser = functools.cache(build_parser)
 
 
@@ -715,7 +693,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        _resolve(args)
+        return COMMANDS[args.command].run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -646,6 +646,233 @@ def test_unknown_errors_exit_2(tmp_path):
     assert rc == 2
 
 
+# ---------------------------------------------------------------------------
+# the settings table: flags, echo lines, env and config names
+
+RESERVOIR_KEYS = {f"reservoir.{k}" for k in (
+    "size", "spectral_radius", "leak", "input_scale", "sparsity", "ridge", "washout")}
+LEXICON_KEYS = {"paths.valence_lexicon", "paths.emotion_lexicon", "paths.stopwords"}
+
+# Every setting each command reads, as its echo line names it.
+ECHOED_KEYS = {
+    "clean": {"run.seed", "paths.corpus", "paths.wordlist", "paths.valence_lexicon",
+              "paths.stopwords"},
+    "score": {"run.seed", "paths.corpus", *LEXICON_KEYS},
+    "aggregate": {"run.seed", "paths.scored", "paths.cleaned", "paths.periods", "run.features",
+                  "run.cities", "run.keyword", "run.date_from", "run.date_to"},
+    "heatmap": {"run.seed", "paths.series", "run.feature"},
+    "ccm": {"run.seed", "paths.series", "paths.x", "paths.y", "run.city", "run.input_feature",
+            "run.target_feature", "lags.lo", "lags.hi", *RESERVOIR_KEYS},
+    "gridsearch": {"run.seed", "paths.panel", "run.input_feature", "run.target_feature",
+                   "run.grid", "reservoir.washout"},
+    "synth": {"run.seed", "run.mode", "run.length", "run.units", "run.growth_x", "run.growth_y",
+              "run.coupling_xy", "run.coupling_yx", "run.delay", "run.noise_sd", "run.phi"},
+    "pipeline": {"run.seed", "paths.corpus", "paths.wordlist", *LEXICON_KEYS},
+}
+
+# Arguments that take each command past its required-settings check; the
+# named input files do not exist, so commands other than synth stop with
+# exit 2 right after printing their settings.
+BASE_ARGV = {
+    "clean": ["--in", "missing.jsonl", "--out", "out.jsonl"],
+    "score": ["--in", "missing.jsonl", "--out", "out.csv"],
+    "aggregate": ["--scored", "missing.csv", "--out", "out.csv"],
+    "heatmap": ["--series", "missing.csv", "--out-dir", "out"],
+    "ccm": ["--series", "missing.csv", "--input-feature", "x", "--target-feature", "y",
+            "--out-dir", "out"],
+    "gridsearch": ["--panel", "missing.csv", "--input-feature", "x", "--target-feature", "y",
+                   "--out-dir", "out"],
+    "synth": ["--length", "20", "--out", "out.csv"],
+    "pipeline": ["--in", "missing.jsonl", "--out-dir", "out"],
+}
+
+
+def settings_line(capsys, command, argv):
+    """The echoed settings of one run, as a dict of ``section.key`` -> text."""
+    capsys.readouterr()
+    main([command, *argv])
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith(f"# {command} settings: ")]
+    assert len(lines) == 1, (command, argv)
+    return dict(part.split("=", 1) for part in lines[0].split(": ", 1)[1].split())
+
+
+@pytest.mark.parametrize("command", sorted(ECHOED_KEYS))
+def test_echo_names_every_setting_the_command_reads(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert set(settings_line(capsys, command, BASE_ARGV[command])) == ECHOED_KEYS[command]
+
+
+def test_synth_model_parameters_are_echoed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    weak, strong = (settings_line(capsys, "synth", ["--coupling-yx", c, *BASE_ARGV["synth"]])
+                    for c in ("0.0", "0.3"))
+    assert weak != strong
+    assert (weak["run.coupling_yx"], strong["run.coupling_yx"]) == ("0.0", "0.3")
+
+
+def test_ccm_echoes_the_series_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert settings_line(capsys, "ccm", BASE_ARGV["ccm"])["paths.series"] == "missing.csv"
+
+
+TEXT = ("from_config", "from_env", "from_flag")
+INTS = ("7", "8", "9")
+FLOATS = ("0.25", "0.5", "0.75")
+
+# (section, key, command, flag, (config, env, flag) values): the 30 names that
+# resolved from env and config before every setting went into one table ...
+PARENT_NAMES = [
+    ("paths", "corpus", "clean", "--in", TEXT),
+    ("paths", "wordlist", "clean", "--wordlist", TEXT),
+    ("paths", "valence_lexicon", "score", "--valence-lexicon", TEXT),
+    ("paths", "emotion_lexicon", "score", "--emotion-lexicon", TEXT),
+    ("paths", "stopwords", "score", "--stopwords", TEXT),
+    ("paths", "scored", "aggregate", "--scored", TEXT),
+    ("paths", "cleaned", "aggregate", "--corpus", TEXT),
+    ("paths", "periods", "aggregate", "--periods", TEXT),
+    ("paths", "series", "heatmap", "--series", TEXT),
+    ("paths", "panel", "gridsearch", "--panel", TEXT),
+    ("run", "seed", "heatmap", "--seed", INTS),
+    ("run", "keyword", "aggregate", "--keyword", TEXT),
+    ("run", "features", "aggregate", "--features", TEXT),
+    ("run", "cities", "aggregate", "--cities", TEXT),
+    ("run", "date_from", "aggregate", "--from", ("2020-01-01", "2020-01-02", "2020-01-03")),
+    ("run", "date_to", "aggregate", "--to", ("2020-02-01", "2020-02-02", "2020-02-03")),
+    ("run", "feature", "heatmap", "--feature", TEXT),
+    ("run", "grid", "gridsearch", "--grid", ("tiny", "default", "quick")),
+    ("run", "mode", "synth", "--mode", ("ar1", "coupled", "ar1")),
+    ("run", "length", "synth", "--length", ("21", "22", "23")),
+    ("run", "units", "synth", "--units", ("1", "2", "3")),
+    ("reservoir", "size", "ccm", "--size", INTS),
+    ("reservoir", "spectral_radius", "ccm", "--spectral-radius", FLOATS),
+    ("reservoir", "leak", "ccm", "--leak", FLOATS),
+    ("reservoir", "input_scale", "ccm", "--input-scale", FLOATS),
+    ("reservoir", "sparsity", "ccm", "--sparsity", FLOATS),
+    ("reservoir", "ridge", "ccm", "--ridge", FLOATS),
+    ("reservoir", "washout", "gridsearch", "--washout", INTS),
+    ("lags", "lo", "ccm", "--lag-lo", ("-7", "-8", "-9")),
+    ("lags", "hi", "ccm", "--lag-hi", INTS),
+]
+# ... and the settings that used to be flag-only.
+JOINED_NAMES = [
+    ("run", "city", "ccm", "--city", TEXT),
+    ("run", "input_feature", "gridsearch", "--input-feature", TEXT),
+    ("run", "target_feature", "ccm", "--target-feature", TEXT),
+    ("paths", "x", "ccm", "--x", TEXT),
+    ("paths", "y", "ccm", "--y", TEXT),
+    ("run", "growth_x", "synth", "--growth-x", ("3.6", "3.7", "3.9")),
+    ("run", "growth_y", "synth", "--growth-y", ("3.6", "3.7", "3.9")),
+    ("run", "coupling_xy", "synth", "--coupling-xy", ("0.1", "0.2", "0.3")),
+    ("run", "coupling_yx", "synth", "--coupling-yx", ("0.1", "0.2", "0.3")),
+    ("run", "delay", "synth", "--delay", ("1", "2", "3")),
+    ("run", "noise_sd", "synth", "--noise-sd", ("0.1", "0.2", "0.3")),
+    ("run", "phi", "synth", "--phi", ("0.1", "0.2", "0.3")),
+]
+
+
+def test_the_parent_had_thirty_settings_names():
+    assert len({(s, k) for s, k, *_ in PARENT_NAMES}) == 30
+
+
+@pytest.mark.parametrize("section,key,command,flag,values", PARENT_NAMES + JOINED_NAMES,
+                         ids=[f"{s}.{k}" for s, k, *_ in PARENT_NAMES + JOINED_NAMES])
+def test_a_setting_resolves_flag_over_env_over_config(tmp_path, monkeypatch, capsys,
+                                                      section, key, command, flag, values):
+    monkeypatch.chdir(tmp_path)
+    from_config, from_env, from_flag = values
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{key} = {from_config}\n")
+    # the base arguments without the flag under test, which some of them give
+    argv = list(BASE_ARGV[command])
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    name = f"{section}.{key}"
+    monkeypatch.setenv("ECHOSENT_CONFIG", str(config))
+    assert settings_line(capsys, command, argv)[name] == from_config
+    monkeypatch.delenv("ECHOSENT_CONFIG")
+    argv = ["--config", str(config), *argv]
+    monkeypatch.setenv(f"ECHOSENT_{section.upper()}_{key.upper()}", from_env)
+    assert settings_line(capsys, command, argv)[name] == from_env
+    assert settings_line(capsys, command, [flag, from_flag, *argv])[name] == from_flag
+
+
+FLAGS = {
+    "clean": ["--config", "--in", "--out", "--report", "--seed", "--wordlist"],
+    "score": ["--config", "--emotion-lexicon", "--in", "--out", "--seed", "--stopwords",
+              "--valence-lexicon"],
+    "aggregate": ["--cities", "--config", "--corpus", "--features", "--from", "--keyword",
+                  "--out", "--period-out", "--periods", "--scored", "--seed", "--to"],
+    "heatmap": ["--config", "--feature", "--out-dir", "--seed", "--series"],
+    "ccm": ["--city", "--config", "--input-feature", "--input-scale", "--lag-hi", "--lag-lo",
+            "--leak", "--out-dir", "--ridge", "--seed", "--series", "--size", "--sparsity",
+            "--spectral-radius", "--target-feature", "--washout", "--x", "--y"],
+    "gridsearch": ["--config", "--grid", "--input-feature", "--out-dir", "--panel", "--seed",
+                   "--target-feature", "--washout"],
+    "synth": ["--config", "--coupling-xy", "--coupling-yx", "--delay", "--growth-x",
+              "--growth-y", "--length", "--mode", "--noise-sd", "--out", "--phi", "--seed",
+              "--units"],
+    "pipeline": ["--config", "--emotion-lexicon", "--in", "--out-dir", "--seed", "--stopwords",
+                 "--valence-lexicon", "--wordlist"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_lists_the_same_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    flags = {word.strip("[]") for word in usage.split() if word.strip("[]").startswith("-")}
+    assert flags == {"-h", *FLAGS[command]}
+
+
+def test_readme_documents_every_setting():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for opt in cli.OPTIONS.values():
+        assert f"`{opt.flag}`" in readme and f"`{opt.env}`" in readme, opt.flag
+    assert "`ECHOSENT_CONFIG`" in readme
+
+
+def test_a_config_file_without_a_section_header_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("corpus = raw.jsonl\n")
+    assert main(["clean", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and "no section headers" in err
+
+
+def test_a_percent_sign_in_a_config_value_is_literal(tmp_path, capsys):
+    corpus = tmp_path / "100%.jsonl"
+    write_mixed_corpus(corpus)
+    config = tmp_path / "run.ini"
+    config.write_text(f"[paths]\ncorpus = {corpus}\n")
+    out = tmp_path / "clean.jsonl"
+    assert main(["clean", "--config", str(config), "--out", str(out)]) == 0
+    assert f"paths.corpus={corpus}" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == len(ENGLISH_TEXTS)
+
+
+@pytest.mark.parametrize("units", ["0", "-2"])
+def test_synth_rejects_fewer_than_one_unit(tmp_path, capsys, units):
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--units", units, "--out", str(out)]) == 2
+    assert "--units" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variable,value,message", [
+    ("ECHOSENT_RUN_GRID", "huge", "ECHOSENT_RUN_GRID: 'huge' is not one of tiny, quick, default"),
+    ("ECHOSENT_RESERVOIR_WASHOUT", "ten", "ECHOSENT_RESERVOIR_WASHOUT: invalid int value 'ten'"),
+])
+def test_a_bad_value_from_the_environment_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                            variable, value, message):
+    monkeypatch.setenv(variable, value)
+    argv = ["gridsearch", "--panel", str(tmp_path / "p.csv"), "--input-feature", "x",
+            "--target-feature", "y", "--out-dir", str(tmp_path / "gs")]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_log_level_controls_skip_warnings_only(tmp_path):
     # A 45-day pair leaves positive lags past 5 with windows under 10 rows.
     # The CLI runs in its own process so that its logging set-up is the one
