@@ -300,7 +300,6 @@ def classify_peaks(
     peak_lag_yx: int,
     peak_rho_xy: float,
     peak_rho_yx: float,
-    weak_threshold: float = WEAK_THRESHOLD,
 ) -> CausalVerdict:
     """Classification from the two peak lags' signs.
 
@@ -308,7 +307,7 @@ def classify_peaks(
     reverse; both negative is bidirectional coupling, both exactly zero is
     instantaneous bidirectional, both positive indicates delay-dominated
     coupling, and any remaining zero/nonzero mix is inconclusive. Peaks that
-    are both below the weak threshold in magnitude keep their class but carry
+    are both below ``WEAK_THRESHOLD`` in magnitude keep their class but carry
     a weak-relationship note.
     """
     sx = (peak_lag_xy > 0) - (peak_lag_xy < 0)
@@ -325,8 +324,8 @@ def classify_peaks(
         label = "delayed_coupling"
     else:
         label = "inconclusive"
-    weak = max(abs(peak_rho_xy), abs(peak_rho_yx)) < weak_threshold
-    note = "weak relationship (both peak correlations below 0.2)" if weak else ""
+    weak = max(abs(peak_rho_xy), abs(peak_rho_yx)) < WEAK_THRESHOLD
+    note = f"weak relationship (both peak correlations below {WEAK_THRESHOLD})" if weak else ""
     return CausalVerdict(
         label, peak_lag_xy, peak_rho_xy, peak_lag_yx, peak_rho_yx, weak, note
     )

@@ -34,7 +34,6 @@ import numpy as np
 from . import ccm, esn, series, synth
 from .lexicon import load_emotion_lexicon, load_valence_lexicon
 from .sentiment import (
-    DEFAULT_MODIFIERS,
     SCORED_COLUMNS,
     ScoredPost,
     ScoringTable,
@@ -260,9 +259,24 @@ def _new_report() -> dict:
     ), 0)
 
 
-def _bad_fraction(report: dict) -> float:
+def _finish_report(report: dict, json_path: str | None = None, lines: tuple[str, ...] = ()) -> int:
+    """Print the report's counts, then ``lines``, and write the JSON report if asked.
+
+    Returns 1, after an ``error:`` line on stderr, when more than 1% of the
+    input lines were malformed, else 0.
+    """
+    if json_path:
+        Path(json_path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    for key in sorted(report):
+        print(f"{key}: {report[key]}")
+    for line in lines:
+        print(line)
     total_lines = report["input_posts"] + report["malformed_lines"]
-    return report["malformed_lines"] / total_lines if total_lines else 0.0
+    bad_fraction = report["malformed_lines"] / total_lines if total_lines else 0.0
+    if bad_fraction > 0.01:
+        print(f"error: {bad_fraction:.1%} malformed lines", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_clean(args) -> int:
@@ -281,15 +295,7 @@ def cmd_clean(args) -> int:
 
     kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), wordlist, chunks, report)
     write_corpus(counted(kept), args.out)
-    if args.report:
-        Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    for key in sorted(report):
-        print(f"{key}: {report[key]}")
-    bad_fraction = _bad_fraction(report)
-    if bad_fraction > 0.01:
-        print(f"error: {bad_fraction:.1%} malformed lines", file=sys.stderr)
-        return 1
-    return 0
+    return _finish_report(report, args.report)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +314,9 @@ def cmd_score(args) -> int:
     print(f"# valence lexicon sha256 {vlex.checksum}")
     print(f"# emotion lexicon sha256 {elex.checksum}")
     posts = read_corpus(args.in_path)
-    chunks = ScoringTable(vlex, elex, stopwords, DEFAULT_MODIFIERS)
+    chunks = ScoringTable(vlex, elex, stopwords)
     write_scored_csv(
-        (score_post(_stripped(p), vlex, elex, stopwords, DEFAULT_MODIFIERS, chunks) for p in posts),
+        (score_post(_stripped(p), vlex, elex, stopwords, chunks) for p in posts),
         args.out,
     )
     print(f"scored_posts: {posts.posts_read}")
@@ -584,7 +590,7 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = _new_report()
-    chunks = ScoringTable(vlex, elex, stopwords, DEFAULT_MODIFIERS, wordlist)
+    chunks = ScoringTable(vlex, elex, stopwords, wordlist)
     kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), wordlist, chunks, report)
     with (
         (out_dir / "cleaned.jsonl").open("w", encoding="utf-8") as cleaned,
@@ -597,7 +603,7 @@ def cmd_pipeline(args) -> int:
             for post in kept:
                 cleaned.write(corpus_line(post))
                 # score_post carries the engagement counts, so no corpus join is needed
-                sp = score_post(post, vlex, elex, stopwords, DEFAULT_MODIFIERS, chunks)
+                sp = score_post(post, vlex, elex, stopwords, chunks)
                 report["rule3_tokens_dropped"] += len(post.text.split()) - sp.emotions.word_total
                 scored_csv.writerow(scored_row(sp))
                 yield sp
@@ -606,11 +612,9 @@ def cmd_pipeline(args) -> int:
             scored(), ["compound_mean", "tweet_count", *_COUNT_FEATURES]
         )
     series.write_series_csv(built, out_dir / "series.csv")
-    for key in sorted(report):
-        print(f"{key}: {report[key]}")
-    print(f"scored_posts: {report['output_posts']}")
-    print(f"series_written: {len(built)}")
-    return 1 if _bad_fraction(report) > 0.01 else 0
+    return _finish_report(report, lines=(
+        f"scored_posts: {report['output_posts']}", f"series_written: {len(built)}",
+    ))
 
 
 # ---------------------------------------------------------------------------

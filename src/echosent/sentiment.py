@@ -3,8 +3,11 @@
 Polarity follows the VADER-style rule family: per-word lexicon valences
 adjusted for ALL-CAPS emphasis, booster words and negation within a
 three-token lookback, a trailing-punctuation amplifier on the summed score,
-and the bounded s/sqrt(s^2 + alpha) map for the compound value. The
-constants below are the published constants of that rule family.
+and the bounded s/sqrt(s^2 + alpha) map for the compound value. The rules
+are fixed: their constants (``CAPS_BOOST``, ``EXCLAMATION_STEP``,
+``QUESTION_BOOST``, ``NEGATION_FACTOR``, ``NORM_ALPHA``, ``LOOKBACK`` and the
+±0.293 steps of ``BOOSTERS``) and the ``NEGATORS`` vocabulary are the
+published ones (Hutto & Gilbert, "VADER", ICWSM 2014).
 
 Emotion profiling counts category hits against the emotion lexicon on the
 stopword-free token stream and reports per-category frequencies
@@ -27,7 +30,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
@@ -66,31 +69,22 @@ NEGATORS: frozenset[str] = frozenset({
     "oughtnt", "shant", "shouldnt", "wasnt", "werent", "wont", "wouldnt",
 })
 
-
-@dataclass(frozen=True)
-class ModifierTables:
-    """Negation/booster vocabulary and the scoring constants."""
-
-    negators: frozenset[str] = NEGATORS
-    boosters: Mapping[str, float] = field(default_factory=lambda: dict(BOOSTERS))
-    caps_boost: float = 0.733
-    exclamation_step: float = 0.292
-    question_boost: float = 0.18
-    negation_factor: float = -0.74
-    norm_alpha: float = 15.0
-    lookback: int = 3
-
-    def __post_init__(self) -> None:
-        if not (-1.0 < self.negation_factor < 0.0):
-            raise ValueError("negation_factor must be in (-1, 0)")
-        if self.norm_alpha <= 0:
-            raise ValueError("norm_alpha must be positive")
-
-    def is_negator(self, normalized: str) -> bool:
-        return normalized in self.negators or normalized.endswith("n't")
+#: Added to an ALL-CAPS word's valence, in the direction of its sign.
+CAPS_BOOST = 0.733
+#: Amplifier per trailing "!", for at most three of them.
+EXCLAMATION_STEP = 0.292
+#: Amplifier for a trailing "??".
+QUESTION_BOOST = 0.18
+#: Multiplies a valence with a negator in its lookback window.
+NEGATION_FACTOR = -0.74
+#: The alpha of the compound map s / sqrt(s^2 + alpha).
+NORM_ALPHA = 15.0
+#: How many preceding tokens boosters and negators reach.
+LOOKBACK = 3
 
 
-DEFAULT_MODIFIERS = ModifierTables()
+def _is_negator(normalized: str) -> bool:
+    return normalized in NEGATORS or normalized.endswith("n't")
 
 
 @dataclass(frozen=True)
@@ -140,28 +134,24 @@ def _role_fields(
     tok: Token,
     valences: Mapping[str, float],
     emotions: Mapping[str, tuple[int, ...]],
-    mods: ModifierTables,
 ) -> tuple[float | None, float, float | None, bool, tuple[int, ...]]:
-    """A token's ``TokenRole`` fields, found by key lookups in the lexicons and modifier tables."""
+    """A token's ``TokenRole`` fields, found by key lookups in the lexicons and ``BOOSTERS``."""
     key = tok.normalized
     base = valences.get(key)
     s = _sign(base) if base is not None else 0.0
     v = base
     if base is not None and tok.all_caps:
-        v += mods.caps_boost * s
-    return v, s, mods.boosters.get(key), mods.is_negator(key), emotions.get(key, ())
+        v += CAPS_BOOST * s
+    return v, s, BOOSTERS.get(key), _is_negator(key), emotions.get(key, ())
 
 
-def _adjusted_valences(
-    roles: Sequence[TokenRole | ScoredChunk], mods: ModifierTables
-) -> list[float]:
+def _adjusted_valences(roles: Sequence[TokenRole | ScoredChunk]) -> list[float]:
     """Adjusted valence per token; 0.0 for tokens without a lexicon entry.
 
     The ALL-CAPS adjustment is in ``TokenRole.valence``; boosters in the
     lookback window are added in window order, then negation applies.
     """
     out: list[float] = []
-    lookback = mods.lookback
     for i, role in enumerate(roles):
         v = role.valence
         if v is None:
@@ -170,47 +160,43 @@ def _adjusted_valences(
         s = role.sign
         # one walk over the lookback window finds boosters and any negator
         negated = False
-        for prev in roles[max(0, i - lookback):i]:
+        for prev in roles[max(0, i - LOOKBACK):i]:
             inc = prev.boost
             if inc is not None:
                 v += inc * s
             if not negated:
                 negated = prev.negator
         if negated:
-            v *= mods.negation_factor
+            v *= NEGATION_FACTOR
         out.append(v)
     return out
 
 
-def _token_valences(doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables) -> list[float]:
+def _token_valences(doc: CleanDoc, lex: ValenceLexicon) -> list[float]:
     """Adjusted valence per token of ``doc``; 0.0 for tokens without a lexicon entry."""
     entries = lex.entries
-    roles = [TokenRole(*_role_fields(t, entries, _NO_EMOTIONS, mods)) for t in doc.tokens]
-    return _adjusted_valences(roles, mods)
+    roles = [TokenRole(*_role_fields(t, entries, _NO_EMOTIONS)) for t in doc.tokens]
+    return _adjusted_valences(roles)
 
 
 def _compound(
-    valences: Sequence[float], trailing_exclamations: int, trailing_double_question: bool,
-    mods: ModifierTables,
+    valences: Sequence[float], trailing_exclamations: int, trailing_double_question: bool
 ) -> float:
     s = float(sum(valences))
-    amp = mods.exclamation_step * min(trailing_exclamations, 3)
+    amp = EXCLAMATION_STEP * min(trailing_exclamations, 3)
     if trailing_double_question:
-        amp += mods.question_boost
+        amp += QUESTION_BOOST
     s += amp * _sign(s)
-    return s / math.sqrt(s * s + mods.norm_alpha)
+    return s / math.sqrt(s * s + NORM_ALPHA)
 
 
-def compound_score(
-    valences: Sequence[float], doc: CleanDoc, mods: ModifierTables = DEFAULT_MODIFIERS
-) -> float:
+def compound_score(valences: Sequence[float], doc: CleanDoc) -> float:
     """Bounded summary score: punctuation-amplified sum mapped through s/sqrt(s^2+a)."""
-    return _compound(valences, doc.trailing_exclamations, doc.trailing_double_question, mods)
+    return _compound(valences, doc.trailing_exclamations, doc.trailing_double_question)
 
 
 def _proportions(
-    vals: list[float], trailing_exclamations: int, trailing_double_question: bool,
-    mods: ModifierTables,
+    vals: list[float], trailing_exclamations: int, trailing_double_question: bool
 ) -> SentimentScore:
     if not vals:
         return SentimentScore(0.0, 1.0, 0.0, 0.0)
@@ -222,13 +208,11 @@ def _proportions(
         abs(neg_sum) / total,
         neu_count / total,
         pos_sum / total,
-        _compound(vals, trailing_exclamations, trailing_double_question, mods),
+        _compound(vals, trailing_exclamations, trailing_double_question),
     )
 
 
-def polarity_proportions(
-    doc: CleanDoc, lex: ValenceLexicon, mods: ModifierTables = DEFAULT_MODIFIERS
-) -> SentimentScore:
+def polarity_proportions(doc: CleanDoc, lex: ValenceLexicon) -> SentimentScore:
     """Negative/neutral/positive proportions plus the compound score.
 
     Positive tokens contribute their adjusted valence plus one, negative
@@ -236,8 +220,8 @@ def polarity_proportions(
     unmatched) tokens one neutral count; the three sums are normalized to
     proportions. An empty document scores (0, 1, 0) with compound 0.
     """
-    vals = _token_valences(doc, lex, mods)
-    return _proportions(vals, doc.trailing_exclamations, doc.trailing_double_question, mods)
+    vals = _token_valences(doc, lex)
+    return _proportions(vals, doc.trailing_exclamations, doc.trailing_double_question)
 
 
 def _profile(token_emotions: Sequence[tuple[int, ...]]) -> EmotionProfile:
@@ -287,19 +271,17 @@ class ScoringTable(ChunkTable):
         valence_lex: ValenceLexicon,
         emotion_lex: EmotionLexicon,
         stopwords: frozenset[str],
-        mods: ModifierTables = DEFAULT_MODIFIERS,
         wordlist: Container[str] = frozenset(),
     ) -> None:
         super().__init__(valence_lex.symbol_tokens(), wordlist, stopwords)
-        self.inputs = (valence_lex, emotion_lex, stopwords, mods)
+        self.inputs = (valence_lex, emotion_lex, stopwords)
         self._valences = valence_lex.entries
         self._emotions = emotion_lex.category_indices()
-        self._mods = mods
 
     def _record(self, token: Token | None, language: int, stop: bool) -> ScoredChunk:
         if token is None:
             return ScoredChunk._make((None, language, stop) + _NO_ROLE)
-        role = _role_fields(token, self._valences, self._emotions, self._mods)
+        role = _role_fields(token, self._valences, self._emotions)
         return ScoredChunk._make((token, language, stop) + role)
 
 
@@ -334,25 +316,24 @@ def score_post(
     valence_lex: ValenceLexicon,
     emotion_lex: EmotionLexicon,
     stopwords: frozenset[str],
-    mods: ModifierTables = DEFAULT_MODIFIERS,
     chunks: ScoringTable | None = None,
 ) -> ScoredPost:
     """Score one already-English post: polarity and its emotion profile.
 
     ``post.text`` must already be artifact-stripped. Its tokens are looked
-    up in ``chunks``, a ``ScoringTable`` over these same lexicons, stopwords
-    and modifiers (a new one when not given), and scored exactly as
+    up in ``chunks``, a ``ScoringTable`` over these same lexicons and
+    stopwords (a new one when not given), and scored exactly as
     ``polarity_proportions`` scores ``tokenize``'s document and
     ``emotion_profile`` its stopword-free form: polarity on the full token
     stream (negators must survive), emotions on the stopword-free one, so
     ``word_total`` is the post's token count after stopword removal.
     """
     if chunks is None:
-        chunks = ScoringTable(valence_lex, emotion_lex, stopwords, mods)
-    elif chunks.inputs != (valence_lex, emotion_lex, stopwords, mods):
+        chunks = ScoringTable(valence_lex, emotion_lex, stopwords)
+    elif chunks.inputs != (valence_lex, emotion_lex, stopwords):
         raise ValueError("score_post: the chunk table was built over other lexicons")
     entries = chunks.scan(post.text)
-    sent = _proportions(_adjusted_valences(entries, mods), *trailing_emphasis(post.text), mods)
+    sent = _proportions(_adjusted_valences(entries), *trailing_emphasis(post.text))
     emo = _profile([e.emotions for e in entries if not e.stop])
     return ScoredPost(
         post.id, post.date, post.city, sent, emo,

@@ -338,17 +338,20 @@ def _diverging_color(value: float, vmax: float) -> str:
     )
 
 
-def write_heatmap_svg(
-    cities, dates, matrix, path: str | Path, cell: int = 12, label_width: int = 90
-) -> None:
+#: Side of one heatmap cell and width of the city-label column, in SVG px.
+_CELL_PX = 12
+_LABEL_PX = 90
+
+
+def write_heatmap_svg(cities, dates, matrix, path: str | Path) -> None:
     """Render the matrix as a static SVG with a zero-centered diverging scale.
 
     Each city's row is written as it is built, so the whole document is never
     held in memory.
     """
     vmax = max((abs(v) for row in matrix for v in row), default=0.0)
-    width = label_width + cell * len(dates)
-    height = 20 + cell * len(cities)
+    width = _LABEL_PX + _CELL_PX * len(dates)
+    height = 20 + _CELL_PX * len(cities)
     step = max(1, len(dates) // 8)
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(
@@ -356,16 +359,16 @@ def write_heatmap_svg(
             f'font-family="monospace" font-size="10">\n'
         )
         fh.write("".join(
-            f'<text x="{label_width + j * cell}" y="12">{dates[j].isoformat()}</text>\n'
+            f'<text x="{_LABEL_PX + j * _CELL_PX}" y="12">{dates[j].isoformat()}</text>\n'
             for j in range(0, len(dates), step)
         ))
         for i, city in enumerate(cities):
-            y = 20 + i * cell
-            row = [f'<text x="0" y="{y + cell - 3}">{city}</text>\n']
+            y = 20 + i * _CELL_PX
+            row = [f'<text x="0" y="{y + _CELL_PX - 3}">{city}</text>\n']
             for j, v in enumerate(matrix[i]):
                 row.append(
-                    f'<rect x="{label_width + j * cell}" y="{y}" width="{cell}" '
-                    f'height="{cell}" fill="{_diverging_color(v, vmax)}"/>\n'
+                    f'<rect x="{_LABEL_PX + j * _CELL_PX}" y="{y}" width="{_CELL_PX}" '
+                    f'height="{_CELL_PX}" fill="{_diverging_color(v, vmax)}"/>\n'
                 )
             fh.write("".join(row))
         fh.write("</svg>\n")

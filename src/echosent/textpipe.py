@@ -86,7 +86,6 @@ class CleanDoc:
     tokens: tuple[Token, ...]
     trailing_exclamations: int
     trailing_double_question: bool
-    source_id: str = ""
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
@@ -185,7 +184,7 @@ def trailing_emphasis(text: str) -> tuple[int, bool]:
     return len(tail) - len(tail.rstrip("!")), tail.endswith("??")
 
 
-def tokenize(text: str, emoticons: frozenset[str] = frozenset(), source_id: str = "") -> CleanDoc:
+def tokenize(text: str, emoticons: frozenset[str] = frozenset()) -> CleanDoc:
     """Split artifact-stripped text into emphasis-annotated tokens.
 
     Each whitespace chunk becomes ``chunk_token(chunk, emoticons)``, so
@@ -197,14 +196,14 @@ def tokenize(text: str, emoticons: frozenset[str] = frozenset(), source_id: str 
     """
     n_excl, double_q = trailing_emphasis(text)
     tokens = [tok for chunk in text.split() if (tok := chunk_token(chunk, emoticons)) is not None]
-    return CleanDoc(tuple(tokens), n_excl, double_q, source_id)
+    return CleanDoc(tuple(tokens), n_excl, double_q)
 
 
 def remove_stopwords(doc: CleanDoc, stoplist: Iterable[str]) -> CleanDoc:
     """Drop tokens whose normalized form is in the stoplist; emphasis is kept."""
     stops = set(stoplist) if not isinstance(stoplist, (set, frozenset)) else stoplist
     kept = tuple(t for t in doc.tokens if t.normalized not in stops)
-    return CleanDoc(kept, doc.trailing_exclamations, doc.trailing_double_question, doc.source_id)
+    return CleanDoc(kept, doc.trailing_exclamations, doc.trailing_double_question)
 
 
 class ChunkEntry(NamedTuple):

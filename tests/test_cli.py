@@ -155,6 +155,17 @@ def test_clean_exits_nonzero_on_heavy_malformation(tmp_path):
     assert rc == 1
 
 
+def test_pipeline_exits_nonzero_on_heavy_malformation(tmp_path, capsys):
+    corpus = tmp_path / "raw.jsonl"
+    good = json.dumps({"id": "a", "date": "2020-03-01", "city": "X",
+                       "text": "the vaccine works well"})
+    corpus.write_text(good + "\nnot json at all\n")
+    capsys.readouterr()
+    rc = main(["pipeline", "--in", str(corpus), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: 50.0% malformed lines" in capsys.readouterr().err.splitlines()
+
+
 def test_clean_tolerates_rare_malformation(tmp_path):
     corpus = tmp_path / "raw.jsonl"
     good = json.dumps({"id": "a", "date": "2020-03-01", "city": "X",
@@ -609,6 +620,18 @@ def test_byte_identical_reruns(tmp_path, fixtures_dir):
                      "--out-dir", str(out_dir)]) == 0
     for name in ("cleaned.jsonl", "scored.csv", "series.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_pipeline_output_does_not_depend_on_the_seed(tmp_path, fixtures_dir):
+    # pipeline draws no random number: --seed is only echoed
+    outputs = []
+    for seed in ("0", "3"):
+        out_dir = tmp_path / seed
+        assert main(["pipeline", "--seed", seed, "--in", f"{fixtures_dir}/toronto_feb24.jsonl",
+                     "--out-dir", str(out_dir)]) == 0
+        outputs.append([(out_dir / name).read_bytes()
+                        for name in ("cleaned.jsonl", "scored.csv", "series.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_seed_resolution_from_env(tmp_path, monkeypatch, capsys):

@@ -11,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echosent.lexicon import EMOTION_CATEGORIES, ValenceLexicon
+from echosent import sentiment
 from echosent.sentiment import (
     BOOSTERS,
-    DEFAULT_MODIFIERS,
     NEGATORS,
     EmotionProfile,
-    ModifierTables,
     ScoredPost,
     ScoringTable,
     SentimentScore,
+    _is_negator,
     _token_valences,
     compound_score,
     emotion_profile,
@@ -39,7 +39,7 @@ def doc(text, vlex=None):
 
 def word_valences(d, vlex):
     """Adjusted valences of the lexicon-matched tokens, in document order."""
-    vals = _token_valences(d, vlex, DEFAULT_MODIFIERS)
+    vals = _token_valences(d, vlex)
     return [v for v, tok in zip(vals, d.tokens) if tok.surface in vlex]
 
 
@@ -88,7 +88,7 @@ def test_emoticons_carry_valence(vlex):
     assert word_valences(doc("ok :-)", vlex), vlex) == [1.3]
 
 
-def two_walk_valences(d, lex, mods):
+def two_walk_valences(d, lex):
     """Reference: one walk over the lookback window for boosters, another for negators."""
     out = []
     toks = d.tokens
@@ -100,14 +100,14 @@ def two_walk_valences(d, lex, mods):
         v = base
         s = math.copysign(1.0, base) if base else 0.0
         if tok.all_caps:
-            v += mods.caps_boost * s
-        window = toks[max(0, i - mods.lookback):i]
+            v += sentiment.CAPS_BOOST * s
+        window = toks[max(0, i - sentiment.LOOKBACK):i]
         for prev in window:
-            inc = mods.boosters.get(prev.normalized)
+            inc = BOOSTERS.get(prev.normalized)
             if inc is not None:
                 v += inc * s
-        if any(mods.is_negator(prev.normalized) for prev in window):
-            v *= mods.negation_factor
+        if any(_is_negator(prev.normalized) for prev in window):
+            v *= sentiment.NEGATION_FACTOR
         out.append(v)
     return out
 
@@ -117,10 +117,8 @@ def two_walk_valences(d, lex, mods):
     ["good", "BAD", "love", "very", "hardly", "not", "isn't", "the", ":)", "kinda"]
 ), max_size=12))
 def test_one_window_walk_matches_separate_booster_and_negator_walks(vlex, words):
-    # "hardly" is made both a booster and a negator
-    mods = ModifierTables(negators=NEGATORS | {"hardly"})
     d = doc(" ".join(words), vlex)
-    assert _token_valences(d, vlex, mods) == two_walk_valences(d, vlex, mods)
+    assert _token_valences(d, vlex) == two_walk_valences(d, vlex)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +279,20 @@ def test_emotion_counts_on_stopword_free_doc(elex, stopwords):
 
 
 # ---------------------------------------------------------------------------
-# modifier tables
+# scoring constants
 
 
-def test_modifier_table_validation():
-    with pytest.raises(ValueError):
-        ModifierTables(negation_factor=0.5)
-    with pytest.raises(ValueError):
-        ModifierTables(norm_alpha=0.0)
-    assert DEFAULT_MODIFIERS.is_negator("not")
-    assert DEFAULT_MODIFIERS.is_negator("couldn't")
-    assert not DEFAULT_MODIFIERS.is_negator("knot")
+def test_scoring_constants_are_the_published_values():
+    assert sentiment.CAPS_BOOST == 0.733
+    assert sentiment.EXCLAMATION_STEP == 0.292
+    assert sentiment.QUESTION_BOOST == 0.18
+    assert sentiment.NEGATION_FACTOR == -0.74
+    assert sentiment.NORM_ALPHA == 15.0
+    assert sentiment.LOOKBACK == 3
+    assert set(BOOSTERS.values()) == {0.293, -0.293}
+    assert _is_negator("not")
+    assert _is_negator("couldn't")
+    assert not _is_negator("knot")
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +333,12 @@ def test_scoring_does_not_rebuild_the_emoticon_inventory(vlex, elex, stopwords):
 # score_post through the command's chunk table
 
 
-def reference_score(post, vlex, elex, stopwords, mods):
+def reference_score(post, vlex, elex, stopwords):
     """tokenize -> polarity_proportions / remove_stopwords -> emotion_profile."""
-    doc = tokenize(post.text, vlex.symbol_tokens(), post.id)
+    doc = tokenize(post.text, vlex.symbol_tokens())
     return ScoredPost(
         post.id, post.date, post.city,
-        polarity_proportions(doc, vlex, mods),
+        polarity_proportions(doc, vlex),
         emotion_profile(remove_stopwords(doc, stopwords), elex),
         post.like_count, post.reply_count, post.retweet_count,
     )
@@ -372,23 +373,15 @@ def vocabulary_posts(draw, vlex, elex, stopwords):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    data=st.data(),
-    zeros=st.booleans(),
-    mods=st.sampled_from([
-        DEFAULT_MODIFIERS,
-        ModifierTables(negators=NEGATORS | {"hardly"}),
-        ModifierTables(lookback=1),
-    ]),
-)
-def test_table_scoring_equals_the_reference_path(vlex, elex, stopwords, data, zeros, mods):
+@given(data=st.data(), zeros=st.booleans())
+def test_table_scoring_equals_the_reference_path(vlex, elex, stopwords, data, zeros):
     lex = with_zero_valences(vlex) if zeros else vlex
-    table = ScoringTable(lex, elex, stopwords, mods)
+    table = ScoringTable(lex, elex, stopwords)
     for _ in range(3):
         post = data.draw(vocabulary_posts(lex, elex, stopwords))
-        want = reference_score(post, lex, elex, stopwords, mods)
-        for got in (score_post(post, lex, elex, stopwords, mods, table),
-                    score_post(post, lex, elex, stopwords, mods)):
+        want = reference_score(post, lex, elex, stopwords)
+        for got in (score_post(post, lex, elex, stopwords, table),
+                    score_post(post, lex, elex, stopwords)):
             assert got == want
             assert scored_row(got) == scored_row(want)  # repr tells -0.0 from 0.0
             assert got.emotions == want.emotions
@@ -397,9 +390,9 @@ def test_table_scoring_equals_the_reference_path(vlex, elex, stopwords, data, ze
 def test_score_post_refuses_a_table_over_other_lexicons(vlex, elex, stopwords):
     post = RawPost("p", dt.date(2020, 3, 1), "Toronto", "so GOOD")
     table = ScoringTable(vlex, elex, stopwords)
-    other = ModifierTables(lookback=1)
+    other = stopwords - {"so"}
     with pytest.raises(ValueError, match="other lexicons"):
-        score_post(post, vlex, elex, stopwords, other, table)
+        score_post(post, vlex, elex, other, table)
 
 
 # Any Unicode text but lone surrogates, which UTF-8 cannot encode; commas,
