@@ -9,7 +9,8 @@ pair whose input->target curve peaks at a positive lag while the reverse
 curve peaks at a negative lag indicates the input series is the cause.
 
 Hyperparameters are picked by leave-one-unit-out cross validation over a
-config grid, scored by mean held-out NRMSE.
+config grid of ``GRIDS`` (tiny: the default config alone), scored by mean
+held-out NRMSE. Washout is no grid axis; ``make_grid`` takes it as given.
 """
 
 from __future__ import annotations
@@ -524,37 +525,39 @@ def loo_cv_grid_search(
 # ---------------------------------------------------------------------------
 # Config grids. The default grid spans the published tuning space.
 
-_DEFAULT_AXES = {
-    "spectral_radius": (0.1, 0.5, 0.9),
-    "leak": (0.1, 0.5, 0.9),
-    "size": (50, 150, 250),
-    "sparsity": (0.1, 0.4, 0.7),
-    "ridge": (0.1, 1.0, 10.0, 100.0),
-    "input_scale": (0.3, 0.6, 0.9),
+GRIDS: dict[str, dict[str, tuple]] = {
+    "tiny": {k: (v,) for k, v in DEFAULT_CCM_PARAMS.items() if k != "washout"},
+    "quick": {
+        "spectral_radius": (0.1, 0.5),
+        "leak": (0.5, 0.9),
+        "size": (50, 150),
+        "sparsity": (0.1,),
+        "ridge": (0.1, 10.0),
+        "input_scale": (0.9,),
+    },
+    "default": {
+        "spectral_radius": (0.1, 0.5, 0.9),
+        "leak": (0.1, 0.5, 0.9),
+        "size": (50, 150, 250),
+        "sparsity": (0.1, 0.4, 0.7),
+        "ridge": (0.1, 1.0, 10.0, 100.0),
+        "input_scale": (0.3, 0.6, 0.9),
+    },
 }
 
-_QUICK_AXES = {
-    "spectral_radius": (0.1, 0.5),
-    "leak": (0.5, 0.9),
-    "size": (50, 150),
-    "sparsity": (0.1,),
-    "ridge": (0.1, 10.0),
-    "input_scale": (0.9,),
-}
 
-
-def _grid_from_axes(axes: Mapping[str, tuple], seed: int, washout: int) -> list[ReservoirConfig]:
-    names = list(axes)
-    out = []
-    for combo in itertools.product(*(axes[n] for n in names)):
-        kwargs = dict(zip(names, combo))
-        out.append(ReservoirConfig(seed=seed, washout=washout, **kwargs))
-    return out
+def make_grid(name: str, seed: int = 0, washout: int = 0) -> list[ReservoirConfig]:
+    """Every combination of the ``GRIDS[name]`` axes, each with this seed and washout."""
+    axes = GRIDS[name]
+    return [
+        ReservoirConfig(seed=seed, washout=washout, **dict(zip(axes, combo)))
+        for combo in itertools.product(*axes.values())
+    ]
 
 
 def make_default_grid(seed: int = 0, washout: int = 0) -> list[ReservoirConfig]:
-    return _grid_from_axes(_DEFAULT_AXES, seed, washout)
+    return make_grid("default", seed, washout)
 
 
 def make_quick_grid(seed: int = 0, washout: int = 0) -> list[ReservoirConfig]:
-    return _grid_from_axes(_QUICK_AXES, seed, washout)
+    return make_grid("quick", seed, washout)

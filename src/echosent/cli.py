@@ -16,7 +16,6 @@ the subcommand, sets their threshold and changes no output file.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import datetime as dt
 import functools
@@ -25,7 +24,7 @@ import logging
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from importlib.resources import files
 from pathlib import Path
 
@@ -135,7 +134,7 @@ OPTIONS = {
                       int, _RES["washout"]),
     "panel": Option("--panel", "paths", "panel", "series CSV; cities are the CV units"),
     "grid": Option("--grid", "run", "grid", "config grid", default="quick",
-                   choices=("tiny", "quick", "default")),
+                   choices=tuple(ccm.GRIDS)),
     "mode": Option("--mode", "run", "mode", "coupled logistic maps or independent AR(1) pairs",
                    default="coupled", choices=("coupled", "ar1")),
     "length": Option("--length", "run", "length", "days per series", int, 500),
@@ -163,18 +162,6 @@ OUTPUTS = {
 }
 
 
-def _read_config(path: str | None) -> configparser.ConfigParser:
-    # values are read literally: a "%" in a path is not interpolation
-    config = configparser.ConfigParser(interpolation=None)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                config.read_file(fh)
-            except configparser.Error as exc:
-                raise ValueError(f"{path}: {exc}") from None
-    return config
-
-
 def _resolve(args: argparse.Namespace) -> None:
     """Set every setting of ``args.command`` on ``args`` and echo them.
 
@@ -185,15 +172,15 @@ def _resolve(args: argparse.Namespace) -> None:
     """
     command = COMMANDS[args.command]
     path = args.config or os.environ.get(f"{_ENV_PREFIX}_CONFIG")
-    config = _read_config(path)
+    config = series.read_ini(path) if path else {}
     echoed = {}
     for name in ("seed", *command.settings, *command.unflagged):
         opt = OPTIONS[name]
         raw, source = getattr(args, name, None), opt.flag
         if raw is None and opt.env in os.environ:
             raw, source = os.environ[opt.env], opt.env
-        elif raw is None and config.has_option(opt.section, opt.key):
-            raw, source = config.get(opt.section, opt.key), f"{path}: [{opt.section}] {opt.key}"
+        elif raw is None and opt.key in config.get(opt.section, {}):
+            raw, source = config[opt.section][opt.key], f"{path}: [{opt.section}] {opt.key}"
         if raw is None:
             value = opt.default
             if value is None and name in command.required:
@@ -374,13 +361,8 @@ def cmd_aggregate(args) -> int:
         out = args.period_out or str(Path(args.out).with_name("periods.csv"))
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["city", "period", "n_tweets", "mean", "sd"])
-            for row in summary:
-                writer.writerow([
-                    row.city, row.period, row.n_tweets,
-                    "" if row.mean is None else repr(row.mean),
-                    "" if row.sd is None else repr(row.sd),
-                ])
+            writer.writerow([f.name for f in fields(series.PeriodSummary)])
+            writer.writerows(astuple(row) for row in summary)
         print(f"period_summary: {out}")
     return 0
 
@@ -408,38 +390,53 @@ def cmd_heatmap(args) -> int:
 # ---------------------------------------------------------------------------
 # ccm
 
-def _single_series(found, path, feature=None, city=None) -> series.CitySeries:
-    """The one series of ``found`` (read from ``path``) with this feature and city."""
-    if feature:
-        found = [s for s in found if s.feature == feature]
-    if city:
-        found = [s for s in found if s.city == city]
+def _single_series(path) -> series.CitySeries:
+    """The one series of the series CSV at ``path``."""
+    found = series.read_series_csv(path)
     if len(found) != 1:
-        raise ValueError(
-            f"{path}: need exactly one series (feature={feature!r}, city={city!r}); "
-            f"found {len(found)}"
-        )
+        raise ValueError(f"{path}: need exactly one series; found {len(found)}")
     return found[0]
+
+
+def _feature_pairs(path, input_feature, target_feature, cities=None):
+    """``{city: (input series, target series)}`` from the series CSV at ``path``.
+
+    Every city with either feature (among ``cities``, if given) must have
+    both, over identical dates. Cities come in sorted order.
+    """
+    by_city: dict[str, dict[str, series.CitySeries]] = {}
+    for s in series.read_series_csv(path, [input_feature, target_feature], cities):
+        by_city.setdefault(s.city, {})[s.feature] = s
+    pairs = {}
+    for city, feats in by_city.items():
+        try:
+            sx, sy = feats[input_feature], feats[target_feature]
+        except KeyError as exc:
+            raise ValueError(f"{path}: city {city!r} has no {exc.args[0]!r} series") from None
+        if sx.dates != sy.dates:
+            raise ValueError(
+                f"{path}: city {city!r}: input and target series must cover identical dates"
+            )
+        pairs[city] = (sx, sy)
+    return pairs
 
 
 def cmd_ccm(args) -> int:
     cfg = esn.ReservoirConfig(**{k: getattr(args, k) for k in _RES}, seed=args.seed)
     grid = ccm.LagGrid(args.lag_lo, args.lag_hi)
     if args.x and args.y:
-        sx = _single_series(series.read_series_csv(args.x), args.x)
-        sy = _single_series(series.read_series_csv(args.y), args.y)
+        sx, sy = _single_series(args.x), _single_series(args.y)
+        if sx.dates != sy.dates:
+            raise ValueError("ccm: input and target series must cover identical dates")
     else:
         if not (args.series and args.input_feature and args.target_feature):
             raise ValueError("ccm: give --x/--y files, or --series with --input-feature/--target-feature")
-        found = series.read_series_csv(
-            args.series,
-            features=[args.input_feature, args.target_feature],
-            cities=[args.city] if args.city else None,
-        )
-        sx = _single_series(found, args.series, args.input_feature, args.city)
-        sy = _single_series(found, args.series, args.target_feature, args.city)
-    if sx.dates != sy.dates:
-        raise ValueError("ccm: input and target series must cover identical dates")
+        pairs = _feature_pairs(args.series, args.input_feature, args.target_feature,
+                               [args.city] if args.city else None)
+        if len(pairs) != 1:
+            raise ValueError(f"ccm: need exactly one city with both features in {args.series} "
+                             f"(city={args.city!r}); found {len(pairs)}")
+        [(sx, sy)] = pairs.values()
     x = np.asarray(sx.values)
     y = np.asarray(sy.values)
     curve_xy, curve_yx, verdict = ccm.analyze_pair(x, y, cfg, grid=grid)
@@ -452,15 +449,9 @@ def cmd_ccm(args) -> int:
             for lag, rho in zip(curve.lags, curve.rhos):
                 writer.writerow([curve.direction, lag, repr(rho)])
     verdict_obj = {
-        "classification": verdict.classification,
+        **asdict(verdict),
         "input_series": f"{sx.city}/{sx.feature}",
         "target_series": f"{sy.city}/{sy.feature}",
-        "peak_lag_xy": verdict.peak_lag_xy,
-        "peak_rho_xy": verdict.peak_rho_xy,
-        "peak_lag_yx": verdict.peak_lag_yx,
-        "peak_rho_yx": verdict.peak_rho_yx,
-        "weak": verdict.weak,
-        "note": verdict.note,
         "tie_break": "highest rho, then smallest |lag|, then negative lag",
         "seed": args.seed,
     }
@@ -478,51 +469,29 @@ def cmd_ccm(args) -> int:
 # gridsearch
 
 def cmd_gridsearch(args) -> int:
-    if args.grid == "tiny":
-        configs = [ccm.default_ccm_config(args.seed)]
-    else:
-        make = ccm.make_quick_grid if args.grid == "quick" else ccm.make_default_grid
-        configs = make(args.seed, args.washout)
-    found = series.read_series_csv(
-        args.panel, features=[args.input_feature, args.target_feature]
-    )
-    by_city: dict[str, dict[str, series.CitySeries]] = {}
-    for s in found:
-        by_city.setdefault(s.city, {})[s.feature] = s
-    panel = {}
-    for city, feats in sorted(by_city.items()):
-        if args.input_feature not in feats or args.target_feature not in feats:
-            raise ValueError(f"gridsearch: unit {city!r} lacks required features")
-        if feats[args.input_feature].dates != feats[args.target_feature].dates:
-            raise ValueError(
-                f"gridsearch: unit {city!r}: input and target series must cover identical dates"
-            )
-        panel[city] = (
-            np.asarray(feats[args.input_feature].values),
-            np.asarray(feats[args.target_feature].values),
-        )
+    configs = ccm.make_grid(args.grid, args.seed, args.washout)
+    panel = {
+        city: (np.asarray(sx.values), np.asarray(sy.values))
+        for city, (sx, sy) in _feature_pairs(
+            args.panel, args.input_feature, args.target_feature).items()
+    }
     report = ccm.loo_cv_grid_search(panel, configs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "gridsearch_cells.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
-            "config_index", "size", "spectral_radius", "leak", "input_scale",
-            "sparsity", "ridge", "seed", "washout", "fold", "nrmse",
+            "config_index", *(f.name for f in fields(esn.ReservoirConfig)), "fold", "nrmse",
         ])
-        for cell in report.cells:
-            c = report.configs[cell.config_index]
-            writer.writerow([
-                cell.config_index, c.size, repr(c.spectral_radius), repr(c.leak),
-                repr(c.input_scale), repr(c.sparsity), repr(c.ridge), c.seed,
-                c.washout, cell.unit, repr(cell.nrmse),
-            ])
+        config_fields = [astuple(c) for c in report.configs]
+        writer.writerows(
+            (cell.config_index, *config_fields[cell.config_index], cell.unit, cell.nrmse)
+            for cell in report.cells
+        )
     w = report.winner
     winner_obj = {
         "winner_index": report.winner_index,
-        "size": w.size, "spectral_radius": w.spectral_radius, "leak": w.leak,
-        "input_scale": w.input_scale, "sparsity": w.sparsity, "ridge": w.ridge,
-        "seed": w.seed, "washout": w.washout,
+        **asdict(w),
         "mean_nrmse": report.scores[report.winner_index],
         "invalid_configs": {str(k): v for k, v in sorted(report.invalid.items())},
     }

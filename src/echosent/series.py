@@ -3,9 +3,12 @@
 Series CSV format: header ``date,city,feature,value`` with ISO dates, one
 row per day. ``read_series_csv`` checks every row of a file but builds,
 and requires gap-free, only the series it is asked for. Heatmap CSV: header
-``city,<date>,...`` and one row per city. The SVG heatmap uses a diverging
-color scale centered at zero (orange positive, green negative) and contains
-no timestamps, so identical inputs produce byte-identical files.
+``city,<date>,...`` from the earliest first to the latest last day, one row
+per city and an empty field (no SVG cell) on a day outside the city's range.
+The SVG heatmap uses a diverging color scale centered at zero (orange
+positive, green negative) and contains no timestamps, so identical inputs
+produce byte-identical files. ``read_ini`` reads every INI file (periods and
+``--config``): values are literal and no section inherits ``[DEFAULT]``.
 """
 
 from __future__ import annotations
@@ -201,9 +204,10 @@ class Period:
 class PeriodConfig:
     """Ordered, non-overlapping date intervals per city.
 
-    File format (INI): one section per city, ``label = start/end`` with ISO
-    dates, both inclusive. A [DEFAULT] section applies to cities without a
-    section of their own.
+    File format (INI, read by ``read_ini``): one section per city,
+    ``label = start/end`` with ISO dates, both inclusive. A city section
+    holds exactly its own periods; the [DEFAULT] section's periods apply to
+    cities without a section, or with an empty one.
     """
 
     by_city: Mapping[str, tuple[Period, ...]]
@@ -230,19 +234,31 @@ def _parse_periods(items: Iterable[tuple[str, str]]) -> tuple[Period, ...]:
     return tuple(periods)
 
 
-def load_period_config(path: str | Path) -> PeriodConfig:
-    parser = configparser.ConfigParser()
+def read_ini(path: str | Path) -> dict[str, dict[str, str]]:
+    """Every section of an INI file as ``{section: {key: value}}``.
+
+    Values are read literally (a ``%`` is not interpolation), keys are
+    lowercased, and ``[DEFAULT]`` is a section like any other: no section
+    inherits its keys. A file that does not parse raises ``ValueError``
+    naming it.
+    """
+    # no text file names a section "\0", so [DEFAULT] parses as an ordinary section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\0")
     with Path(path).open(encoding="utf-8") as fh:
-        parser.read_file(fh)
-    default = _parse_periods(parser.defaults().items())
-    by_city = {}
-    for section in parser.sections():
-        own = [
-            (k, v) for k, v in parser.items(section)
-            if k not in parser.defaults() or parser.get(section, k) != parser.defaults()[k]
-        ]
-        by_city[section] = _parse_periods(parser.items(section)) if own else default
-    return PeriodConfig(by_city, default)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+def load_period_config(path: str | Path) -> PeriodConfig:
+    sections = read_ini(path)
+    default = _parse_periods(sections.pop("DEFAULT", {}).items())
+    return PeriodConfig(
+        {city: _parse_periods(own.items()) if own else default for city, own in sections.items()},
+        default,
+    )
 
 
 @dataclass(frozen=True)
@@ -296,28 +312,33 @@ def _summarize(city: str, label: str, group: list[ScoredPost]) -> PeriodSummary:
 # ---------------------------------------------------------------------------
 # Heatmap matrix and emitters.
 
-def heatmap_matrix(series: Sequence[CitySeries]) -> tuple[list[str], list[dt.date], list[list[float]]]:
-    """Stack same-feature, same-range series into a (cities x dates) matrix."""
+def heatmap_matrix(series: Sequence[CitySeries]) -> tuple[list[str], list[dt.date], list[list]]:
+    """Stack same-feature series into a (cities x dates) matrix over the union
+    of their date ranges; a city's days outside its own range are ``None``."""
     if not series:
         raise ValueError("no series given")
     feature = series[0].feature
-    dates = series[0].dates
     for s in series:
         if s.feature != feature:
             raise ValueError("heatmap series must share one feature")
-        if s.dates != dates:
-            raise ValueError("heatmap series must share one date range")
+    lo = min(s.dates[0] for s in series)
+    hi = max(s.dates[-1] for s in series)
+    dates = [lo + i * _ONE_DAY for i in range((hi - lo).days + 1)]
     cities = [s.city for s in series]
-    matrix = [list(s.values) for s in series]
-    return cities, list(dates), matrix
+    matrix = [
+        [None] * (s.dates[0] - lo).days + list(s.values) + [None] * (hi - s.dates[-1]).days
+        for s in series
+    ]
+    return cities, dates, matrix
 
 
 def write_heatmap_csv(cities, dates, matrix, path: str | Path) -> None:
+    """One row per city; ``csv`` writes floats by ``repr`` and a missing day as an empty field."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["city"] + [d.isoformat() for d in dates])
         for city, row in zip(cities, matrix):
-            writer.writerow([city] + [repr(v) for v in row])
+            writer.writerow([city, *row])
 
 
 _POSITIVE_RGB = (230, 97, 1)    # orange
@@ -346,10 +367,10 @@ _LABEL_PX = 90
 def write_heatmap_svg(cities, dates, matrix, path: str | Path) -> None:
     """Render the matrix as a static SVG with a zero-centered diverging scale.
 
-    Each city's row is written as it is built, so the whole document is never
-    held in memory.
+    A missing day (``None``) gets no cell. Each city's row is written as it
+    is built, so the whole document is never held in memory.
     """
-    vmax = max((abs(v) for row in matrix for v in row), default=0.0)
+    vmax = max((abs(v) for row in matrix for v in row if v is not None), default=0.0)
     width = _LABEL_PX + _CELL_PX * len(dates)
     height = 20 + _CELL_PX * len(cities)
     step = max(1, len(dates) // 8)
@@ -366,6 +387,8 @@ def write_heatmap_svg(cities, dates, matrix, path: str | Path) -> None:
             y = 20 + i * _CELL_PX
             row = [f'<text x="0" y="{y + _CELL_PX - 3}">{city}</text>\n']
             for j, v in enumerate(matrix[i]):
+                if v is None:
+                    continue
                 row.append(
                     f'<rect x="{_LABEL_PX + j * _CELL_PX}" y="{y}" width="{_CELL_PX}" '
                     f'height="{_CELL_PX}" fill="{_diverging_color(v, vmax)}"/>\n'

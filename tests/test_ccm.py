@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from echosent.ccm import (
     CLASSIFICATIONS,
+    DEFAULT_CCM_PARAMS,
     LagGrid,
     align_window,
     analyze_pair,
@@ -484,6 +485,13 @@ def test_published_configs_are_selectable_cells():
     assert (0.1, 0.5, 150, 0.1, 0.1, 0.9) in combos
     assert (0.1, 0.9, 250, 0.7, 100.0, 0.9) in combos
     assert len(grid) == 3 * 3 * 3 * 3 * 4 * 3
+
+
+def test_every_grid_takes_its_washout_and_tiny_is_the_default_config():
+    for name in ccm_module.GRIDS:
+        assert {c.washout for c in ccm_module.make_grid(name, 0, 7)} == {7}, name
+    assert ccm_module.make_grid("tiny", 3, DEFAULT_CCM_PARAMS["washout"]) == [default_ccm_config(3)]
+    assert make_quick_grid(1, 5) == ccm_module.make_grid("quick", 1, 5)
 
 
 def test_single_cell_grid_wins_trivially():

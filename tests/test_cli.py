@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import gc
 import json
@@ -244,6 +245,25 @@ def test_heatmap_two_city_fixture(tmp_path):
     assert lines[1].startswith("A,") and lines[2].startswith("B,")
 
 
+def test_heatmap_reads_pipeline_series_of_cities_with_their_own_ranges(tmp_path):
+    corpus = tmp_path / "two_city.jsonl"
+    write_posts(corpus, [
+        ("t1", "2020-03-02", "Toronto", ENGLISH_TEXTS[0], 3),
+        ("m1", "2020-03-01", "Montreal", ENGLISH_TEXTS[1], 1),
+        ("t2", "2020-03-05", "Toronto", ENGLISH_TEXTS[4], 0),
+        ("m3", "2020-03-09", "Montreal", ENGLISH_TEXTS[6], 4),
+    ])
+    assert main(["pipeline", "--in", str(corpus), "--out-dir", str(tmp_path / "pipe")]) == 0
+    out_dir = tmp_path / "hm"
+    assert main(["heatmap", "--series", str(tmp_path / "pipe" / "series.csv"),
+                 "--feature", "tweet_count", "--out-dir", str(out_dir)]) == 0
+    header, montreal, toronto = (out_dir / "heatmap_tweet_count.csv").read_text().splitlines()
+    assert header == "city," + ",".join(f"2020-03-0{d}" for d in range(1, 10))
+    assert montreal == "Montreal,1.0" + ",0.0" * 7 + ",1.0"
+    assert toronto == "Toronto,,1.0,0.0,0.0,1.0,,,,"
+    assert (out_dir / "heatmap_tweet_count.svg").read_text().count("<rect") == 9 + 4
+
+
 def test_aggregate_keyword_needs_corpus(tmp_path, fixtures_dir):
     _, scored = scored_setup(tmp_path, fixtures_dir)
     rc = main(["aggregate", "--scored", str(scored), "--keyword", "flight",
@@ -385,6 +405,22 @@ def test_aggregate_periods_summary(tmp_path, fixtures_dir):
     assert any(line.startswith("Toronto,period1,5,") for line in lines)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("lockdown = 2020-03-17/2020-06-30\n", "no section headers"),
+    ("[Toronto]\nsale = 50%off\n", "'50%off'"),
+])
+def test_a_periods_file_that_does_not_parse_exits_2(tmp_path, fixtures_dir, capsys, text,
+                                                     message):
+    _, scored = scored_setup(tmp_path, fixtures_dir)
+    periods = tmp_path / "periods.ini"
+    periods.write_text(text)
+    capsys.readouterr()
+    assert main(["aggregate", "--scored", str(scored), "--out", str(tmp_path / "s.csv"),
+                 "--periods", str(periods)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # synth + ccm + gridsearch
 
@@ -477,6 +513,64 @@ def test_gridsearch_rejects_misaligned_dates(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'A'" in err and "identical dates" in err
     assert not (out_dir / "gridsearch_winner.json").exists()
+
+
+def synth_panel(tmp_path, units=3) -> Path:
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--mode", "coupled", "--coupling-yx", "0.3", "--length", "200",
+                 "--units", str(units), "--seed", "5", "--out", str(panel)]) == 0
+    return panel
+
+
+def test_gridsearch_tiny_grid_honours_the_washout(tmp_path):
+    out_dir = tmp_path / "gs"
+    assert main(["gridsearch", "--panel", str(synth_panel(tmp_path)), "--input-feature", "x",
+                 "--target-feature", "y", "--grid", "tiny", "--washout", "5",
+                 "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "gridsearch_winner.json").read_text())["washout"] == 5
+    with (out_dir / "gridsearch_cells.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 and {row["washout"] for row in rows} == {"5"}
+
+
+def test_ccm_series_needs_exactly_one_city(tmp_path, capsys):
+    panel = synth_panel(tmp_path, units=2)
+    capsys.readouterr()
+    assert main(["ccm", "--series", str(panel), "--input-feature", "x", "--target-feature", "y",
+                 "--out-dir", str(tmp_path / "ccm")]) == 2
+    assert "need exactly one city with both features" in capsys.readouterr().err
+
+
+def test_result_files_keep_their_schemas(tmp_path):
+    panel = synth_panel(tmp_path)
+    assert main(["gridsearch", "--panel", str(panel), "--input-feature", "x",
+                 "--target-feature", "y", "--grid", "tiny", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "gridsearch_cells.csv").read_text().splitlines()[0] == (
+        "config_index,size,spectral_radius,leak,input_scale,sparsity,ridge,seed,washout,fold,nrmse"
+    )
+    assert set(json.loads((tmp_path / "gridsearch_winner.json").read_text())) == {
+        "winner_index", "size", "spectral_radius", "leak", "input_scale", "sparsity", "ridge",
+        "seed", "washout", "mean_nrmse", "invalid_configs",
+    }
+    assert main(["ccm", "--series", str(panel), "--city", "unit00", "--input-feature", "x",
+                 "--target-feature", "y", "--lag-lo", "-3", "--lag-hi", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert set(json.loads((tmp_path / "ccm_verdict.json").read_text())) == {
+        "classification", "input_series", "target_series", "peak_lag_xy", "peak_rho_xy",
+        "peak_lag_yx", "peak_rho_yx", "weak", "note", "tie_break", "seed",
+    }
+    corpus = tmp_path / "raw.jsonl"
+    write_posts(corpus, [("a", "2020-03-01", "Toronto", ENGLISH_TEXTS[0], 0),
+                         ("b", "2020-03-05", "Toronto", ENGLISH_TEXTS[4], 0)])
+    assert main(["pipeline", "--in", str(corpus), "--out-dir", str(tmp_path)]) == 0
+    periods = tmp_path / "periods.ini"
+    periods.write_text("[DEFAULT]\nearly = 2020-03-01/2020-03-02\n")
+    assert main(["aggregate", "--scored", str(tmp_path / "scored.csv"), "--periods", str(periods),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    header, early, outside = (tmp_path / "periods.csv").read_text().splitlines()
+    assert header == "city,period,n_tweets,mean,sd"
+    assert early.startswith("Toronto,early,1,") and early.endswith(",")
+    assert outside.startswith("Toronto,(outside),1,") and outside.endswith(",")
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +967,15 @@ def test_a_percent_sign_in_a_config_value_is_literal(tmp_path, capsys):
     assert main(["clean", "--config", str(config), "--out", str(out)]) == 0
     assert f"paths.corpus={corpus}" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == len(ENGLISH_TEXTS)
+
+
+def test_a_config_default_section_sets_no_setting(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[DEFAULT]\nseed = 7\n[run]\nlength = 40\n")
+    assert main(["synth", "--mode", "ar1", "--config", str(config),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "run.seed=0" in out and "run.length=40" in out
 
 
 @pytest.mark.parametrize("units", ["0", "-2"])

@@ -1,7 +1,9 @@
 import datetime as dt
 import math
 import random
+import re
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from echosent.series import (
     keyword_filter,
     load_period_config,
     period_summary,
+    read_ini,
     read_series_csv,
     write_heatmap_csv,
     write_heatmap_svg,
@@ -416,6 +419,38 @@ def test_period_config_rejects_overlap(tmp_path):
         load_period_config(path)
 
 
+def test_city_periods_do_not_inherit_default(tmp_path):
+    path = tmp_path / "periods.ini"
+    path.write_text(
+        "[DEFAULT]\nlockdown = 2020-03-17/2020-06-30\n"
+        "[Montreal]\nreopen = 2020-07-01/2020-10-14\n"
+        "[Toronto]\nearly = 2020-02-24/2020-03-16\n"
+        "[Ottawa]\n"
+    )
+    cfg = load_period_config(path)
+    assert [p.label for p in cfg.periods_for("Montreal")] == ["reopen"]
+    assert [p.label for p in cfg.periods_for("Toronto")] == ["early"]
+    assert [p.label for p in cfg.periods_for("Ottawa")] == ["lockdown"]
+    assert [p.label for p in cfg.periods_for("Vancouver")] == ["lockdown"]
+
+
+def test_example_period_file_gives_toronto_its_own_periods():
+    cfg = load_period_config(str(files("echosent") / "data" / "periods_example.ini"))
+    toronto = cfg.periods_for("Toronto")
+    assert [p.label for p in toronto] == ["period1", "period2", "period3"]
+    assert toronto[1].end == D(2020, 7, 16)
+    assert cfg.periods_for("Montreal")[1].end == D(2020, 6, 30)
+
+
+def test_read_ini_reads_literally_and_names_the_file_it_cannot_parse(tmp_path):
+    path = tmp_path / "a.ini"
+    path.write_text("[DEFAULT]\nSale = 50%off\n[s]\nj = 1\n")
+    assert read_ini(path) == {"DEFAULT": {"sale": "50%off"}, "s": {"j": "1"}}
+    path.write_text("j = 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        read_ini(path)
+
+
 # ---------------------------------------------------------------------------
 # heatmap
 
@@ -445,11 +480,23 @@ def test_heatmap_single_city():
     assert len(matrix) == 1 and len(matrix[0]) == 2
 
 
-def test_heatmap_mismatched_ranges_error():
-    with pytest.raises(ValueError):
-        heatmap_matrix([mk_series("A", [0.1, 0.2]), mk_series("B", [0.1])])
+def test_heatmap_mismatched_features_error():
     with pytest.raises(ValueError):
         heatmap_matrix([mk_series("A", [0.1]), mk_series("B", [0.1], feature="tweet_count")])
+
+
+def test_heatmap_spans_every_city_range(tmp_path):
+    later = CitySeries("B", "compound_mean", tuple(D(2020, 3, d) for d in (2, 3, 4)),
+                       (-0.5, 0.25, 0.0))
+    cities, dates, matrix = heatmap_matrix([mk_series("A", [0.1, 0.2]), later])
+    assert dates == [D(2020, 3, d) for d in (1, 2, 3, 4)]
+    assert matrix == [[0.1, 0.2, None, None], [None, -0.5, 0.25, 0.0]]
+    write_heatmap_csv(cities, dates, matrix, tmp_path / "hm.csv")
+    assert (tmp_path / "hm.csv").read_text().splitlines()[1:] == ["A,0.1,0.2,,", "B,,-0.5,0.25,0.0"]
+    write_heatmap_svg(cities, dates, matrix, tmp_path / "hm.svg")
+    svg = (tmp_path / "hm.svg").read_text()
+    assert svg.count("<rect") == 5
+    assert svg.count('fill="#1a9641"') == 1  # -0.5 is the largest present magnitude
 
 
 def test_heatmap_svg_all_zero_uses_midpoint(tmp_path):
