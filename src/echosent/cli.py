@@ -6,8 +6,10 @@ commands). Each setting is declared once, in ``OPTIONS``, with its flag and
 its ``[section] key`` in an INI config file (``--config`` or
 ECHOSENT_CONFIG); its environment variable is ECHOSENT_<SECTION>_<KEY>.
 ``_resolve`` applies flag > environment > config file > built-in default to
-every setting of a command before it runs and prints them all, seed
-included. Output paths are flags only. Identical settings produce
+the settings a command declares in ``COMMANDS`` before it runs and prints
+them all; only ccm, gridsearch and synth, which draw random numbers, take
+``--seed``. A config key that no setting declares, ``[DEFAULT]`` included,
+exits 2. Output paths are flags only. Identical settings produce
 byte-identical CSV/JSON/SVG outputs. Log messages (skipped lags, invalid
 grid configs) go to stderr; the global ``--log-level`` flag, given before
 the subcommand, sets their threshold and changes no output file.
@@ -117,8 +119,6 @@ OPTIONS = {
     "input_feature": Option("--input-feature", "run", "input_feature", "input (cause) feature"),
     "target_feature": Option("--target-feature", "run", "target_feature",
                              "target (effect) feature"),
-    "x": Option("--x", "paths", "x", "series CSV with exactly one series (input)"),
-    "y": Option("--y", "paths", "y", "series CSV with exactly one series (target)"),
     "lag_lo": Option("--lag-lo", "lags", "lo", "most negative lag", int, ccm.LagGrid.lo),
     "lag_hi": Option("--lag-hi", "lags", "hi", "most positive lag", int, ccm.LagGrid.hi),
     "size": Option("--size", "reservoir", "size", "reservoir units", int, _RES["size"]),
@@ -168,13 +168,19 @@ def _resolve(args: argparse.Namespace) -> None:
     Each value comes from its flag, else its environment variable, else the
     config file (``--config`` or ``ECHOSENT_CONFIG``), else its default, and
     is parsed, checked for presence and checked against its choices the same
-    way whichever source gave it.
+    way whichever source gave it. A config key that no setting of any
+    command declares raises ``ValueError`` before anything is echoed.
     """
     command = COMMANDS[args.command]
     path = args.config or os.environ.get(f"{_ENV_PREFIX}_CONFIG")
     config = series.read_ini(path) if path else {}
+    declared = {(opt.section, opt.key) for opt in OPTIONS.values()}
+    for section, keys in config.items():
+        for key in keys:
+            if (section, key) not in declared:
+                raise ValueError(f"{path}: [{section}] {key} is no setting")
     echoed = {}
-    for name in ("seed", *command.settings, *command.unflagged):
+    for name in command.settings:
         opt = OPTIONS[name]
         raw, source = getattr(args, name, None), opt.flag
         if raw is None and opt.env in os.environ:
@@ -343,6 +349,7 @@ def _join_corpus(scored, corpus_path, keyword=None):
 def cmd_aggregate(args) -> int:
     if args.keyword and not args.corpus:
         raise ValueError("aggregate: --keyword needs --corpus for the post text")
+    periods = series.load_period_config(args.periods) if args.periods else None
     scored = read_scored_csv(args.scored)
     if args.corpus:
         scored = _join_corpus(scored, args.corpus, args.keyword)
@@ -356,8 +363,8 @@ def cmd_aggregate(args) -> int:
     built = series.aggregate_daily(scored, feature_list, cities, args.date_from, args.date_to)
     series.write_series_csv(built, args.out)
     print(f"series_written: {len(built)}")
-    if args.periods:
-        summary = series.period_summary(scored, series.load_period_config(args.periods))
+    if periods is not None:
+        summary = series.period_summary(scored, periods)
         out = args.period_out or str(Path(args.out).with_name("periods.csv"))
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -390,14 +397,6 @@ def cmd_heatmap(args) -> int:
 # ---------------------------------------------------------------------------
 # ccm
 
-def _single_series(path) -> series.CitySeries:
-    """The one series of the series CSV at ``path``."""
-    found = series.read_series_csv(path)
-    if len(found) != 1:
-        raise ValueError(f"{path}: need exactly one series; found {len(found)}")
-    return found[0]
-
-
 def _feature_pairs(path, input_feature, target_feature, cities=None):
     """``{city: (input series, target series)}`` from the series CSV at ``path``.
 
@@ -424,19 +423,12 @@ def _feature_pairs(path, input_feature, target_feature, cities=None):
 def cmd_ccm(args) -> int:
     cfg = esn.ReservoirConfig(**{k: getattr(args, k) for k in _RES}, seed=args.seed)
     grid = ccm.LagGrid(args.lag_lo, args.lag_hi)
-    if args.x and args.y:
-        sx, sy = _single_series(args.x), _single_series(args.y)
-        if sx.dates != sy.dates:
-            raise ValueError("ccm: input and target series must cover identical dates")
-    else:
-        if not (args.series and args.input_feature and args.target_feature):
-            raise ValueError("ccm: give --x/--y files, or --series with --input-feature/--target-feature")
-        pairs = _feature_pairs(args.series, args.input_feature, args.target_feature,
-                               [args.city] if args.city else None)
-        if len(pairs) != 1:
-            raise ValueError(f"ccm: need exactly one city with both features in {args.series} "
-                             f"(city={args.city!r}); found {len(pairs)}")
-        [(sx, sy)] = pairs.values()
+    pairs = _feature_pairs(args.series, args.input_feature, args.target_feature,
+                           [args.city] if args.city else None)
+    if len(pairs) != 1:
+        raise ValueError(f"ccm: need exactly one city with both features in {args.series} "
+                         f"(city={args.city!r}); found {len(pairs)}")
+    [(sx, sy)] = pairs.values()
     x = np.asarray(sx.values)
     y = np.asarray(sy.values)
     curve_xy, curve_yx, verdict = ccm.analyze_pair(x, y, cfg, grid=grid)
@@ -592,23 +584,22 @@ def cmd_pipeline(args) -> int:
 @dataclass(frozen=True)
 class Command:
     """One subcommand: the settings it reads, by ``OPTIONS`` name, and its
-    output flags, by ``OUTPUTS`` name. Every command also takes ``--config``
-    and ``--seed``; ``unflagged`` settings come from env or config only."""
+    output flags, by ``OUTPUTS`` name. Every command also takes ``--config``;
+    only those that draw random numbers list ``seed``."""
 
     run: Callable[[argparse.Namespace], int]
     help: str
     settings: tuple[str, ...]
     outputs: tuple[str, ...]
     required: tuple[str, ...] = ()
-    unflagged: tuple[str, ...] = ()
 
 
 _LEXICONS = ("valence_lexicon", "emotion_lexicon", "stopwords")
 
 COMMANDS = {
     "clean": Command(cmd_clean, "strip artifacts, drop non-English posts",
-                     ("in_path", "wordlist"), ("out", "report"), required=("in_path",),
-                     unflagged=("valence_lexicon", "stopwords")),
+                     ("in_path", "wordlist", "valence_lexicon", "stopwords"), ("out", "report"),
+                     required=("in_path",)),
     "score": Command(cmd_score, "sentiment + emotion scores per post",
                      ("in_path", *_LEXICONS), ("out",), required=("in_path",)),
     "aggregate": Command(cmd_aggregate, "daily per-city series from scored posts",
@@ -617,13 +608,14 @@ COMMANDS = {
     "heatmap": Command(cmd_heatmap, "city x date matrix as CSV + SVG",
                        ("series", "feature"), ("out_dir",), required=("series",)),
     "ccm": Command(cmd_ccm, "lag-scanned cross mapping of a series pair",
-                   ("series", "city", "input_feature", "target_feature", "x", "y",
-                    "lag_lo", "lag_hi", *_RES), ("out_dir",)),
+                   ("seed", "series", "city", "input_feature", "target_feature", "lag_lo",
+                    "lag_hi", *_RES), ("out_dir",),
+                   required=("series", "input_feature", "target_feature")),
     "gridsearch": Command(cmd_gridsearch, "leave-one-unit-out CV over a config grid",
-                          ("panel", "input_feature", "target_feature", "grid", "washout"),
+                          ("seed", "panel", "input_feature", "target_feature", "grid", "washout"),
                           ("out_dir",), required=("panel", "input_feature", "target_feature")),
     "synth": Command(cmd_synth, "synthetic coupled/null series in the series CSV format",
-                     ("mode", "length", "units", "growth_x", "growth_y", "coupling_xy",
+                     ("seed", "mode", "length", "units", "growth_x", "growth_y", "coupling_xy",
                       "coupling_yx", "delay", "noise_sd", "phi"), ("out",)),
     "pipeline": Command(cmd_pipeline, "clean + score + aggregate in one run",
                         ("in_path", "wordlist", *_LEXICONS), ("out_dir",),
@@ -645,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help=f"INI config file (env {_ENV_PREFIX}_CONFIG)")
-        for dest in ("seed", *command.settings):
+        for dest in command.settings:
             opt = OPTIONS[dest]
             choices = f" ({', '.join(opt.choices)})" if opt.choices else ""
             default = "" if opt.default is None else f", default {opt.default}"

@@ -253,12 +253,15 @@ def read_ini(path: str | Path) -> dict[str, dict[str, str]]:
 
 
 def load_period_config(path: str | Path) -> PeriodConfig:
-    sections = read_ini(path)
-    default = _parse_periods(sections.pop("DEFAULT", {}).items())
-    return PeriodConfig(
-        {city: _parse_periods(own.items()) if own else default for city, own in sections.items()},
-        default,
-    )
+    """The periods of an INI file; an error names the file and its section."""
+    parsed = {}
+    for section, items in read_ini(path).items():
+        try:
+            parsed[section] = _parse_periods(items.items())
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {exc}") from None
+    default = parsed.pop("DEFAULT", ())
+    return PeriodConfig({city: own or default for city, own in parsed.items()}, default)
 
 
 @dataclass(frozen=True)

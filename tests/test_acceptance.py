@@ -259,7 +259,7 @@ def test_c13_end_to_end_reproducibility(tmp_path, fixtures_dir):
     for name in ("a", "b"):
         out_dir = tmp_path / name
         assert main(["pipeline", "--in", f"{fixtures_dir}/toronto_feb24.jsonl",
-                     "--out-dir", str(out_dir), "--seed", "5"]) == 0
+                     "--out-dir", str(out_dir)]) == 0
         ccm_dir = tmp_path / f"ccm_{name}"
         synth_csv = tmp_path / f"synth_{name}.csv"
         assert main(["synth", "--mode", "coupled", "--coupling-yx", "0.3",

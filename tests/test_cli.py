@@ -421,6 +421,19 @@ def test_a_periods_file_that_does_not_parse_exits_2(tmp_path, fixtures_dir, caps
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def test_a_bad_period_stops_aggregate_before_it_writes(tmp_path, fixtures_dir, capsys):
+    _, scored = scored_setup(tmp_path, fixtures_dir)
+    periods = tmp_path / "periods.ini"
+    periods.write_text("[Toronto]\nsale = 50%off\n")
+    out = tmp_path / "series.csv"
+    capsys.readouterr()
+    assert main(["aggregate", "--scored", str(scored), "--out", str(out),
+                 "--periods", str(periods)]) == 2
+    assert (f"error: {periods}: [Toronto] bad period 'sale': '50%off'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # synth + ccm + gridsearch
 
@@ -453,17 +466,12 @@ def test_ccm_rejects_misaligned_dates(tmp_path, capsys):
                 for i, v in enumerate(values)]
 
     header = ["date,city,feature,value"]
-    x_csv = tmp_path / "x.csv"
-    y_csv = tmp_path / "y.csv"
     both_csv = tmp_path / "both.csv"
-    x_csv.write_text("\n".join(header + rows("x", 0)) + "\n")
-    y_csv.write_text("\n".join(header + rows("y", 1)) + "\n")
     both_csv.write_text("\n".join(header + rows("x", 0) + rows("y", 1)) + "\n")
-    for args in (["--x", str(x_csv), "--y", str(y_csv)],
-                 ["--series", str(both_csv), "--input-feature", "x", "--target-feature", "y"]):
-        rc = main(["ccm", *args, "--out-dir", str(tmp_path / "ccm")])
-        assert rc == 2
-        assert "identical dates" in capsys.readouterr().err
+    rc = main(["ccm", "--series", str(both_csv), "--input-feature", "x", "--target-feature", "y",
+               "--out-dir", str(tmp_path / "ccm")])
+    assert rc == 2
+    assert "identical dates" in capsys.readouterr().err
     assert not (tmp_path / "ccm" / "ccm_verdict.json").exists()
 
 
@@ -716,18 +724,6 @@ def test_byte_identical_reruns(tmp_path, fixtures_dir):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_pipeline_output_does_not_depend_on_the_seed(tmp_path, fixtures_dir):
-    # pipeline draws no random number: --seed is only echoed
-    outputs = []
-    for seed in ("0", "3"):
-        out_dir = tmp_path / seed
-        assert main(["pipeline", "--seed", seed, "--in", f"{fixtures_dir}/toronto_feb24.jsonl",
-                     "--out-dir", str(out_dir)]) == 0
-        outputs.append([(out_dir / name).read_bytes()
-                        for name in ("cleaned.jsonl", "scored.csv", "series.csv")])
-    assert outputs[0] == outputs[1]
-
-
 def test_seed_resolution_from_env(tmp_path, monkeypatch, capsys):
     series_csv = tmp_path / "synth.csv"
     monkeypatch.setenv("ECHOSENT_RUN_SEED", "99")
@@ -772,19 +768,18 @@ LEXICON_KEYS = {"paths.valence_lexicon", "paths.emotion_lexicon", "paths.stopwor
 
 # Every setting each command reads, as its echo line names it.
 ECHOED_KEYS = {
-    "clean": {"run.seed", "paths.corpus", "paths.wordlist", "paths.valence_lexicon",
-              "paths.stopwords"},
-    "score": {"run.seed", "paths.corpus", *LEXICON_KEYS},
-    "aggregate": {"run.seed", "paths.scored", "paths.cleaned", "paths.periods", "run.features",
+    "clean": {"paths.corpus", "paths.wordlist", "paths.valence_lexicon", "paths.stopwords"},
+    "score": {"paths.corpus", *LEXICON_KEYS},
+    "aggregate": {"paths.scored", "paths.cleaned", "paths.periods", "run.features",
                   "run.cities", "run.keyword", "run.date_from", "run.date_to"},
-    "heatmap": {"run.seed", "paths.series", "run.feature"},
-    "ccm": {"run.seed", "paths.series", "paths.x", "paths.y", "run.city", "run.input_feature",
+    "heatmap": {"paths.series", "run.feature"},
+    "ccm": {"run.seed", "paths.series", "run.city", "run.input_feature",
             "run.target_feature", "lags.lo", "lags.hi", *RESERVOIR_KEYS},
     "gridsearch": {"run.seed", "paths.panel", "run.input_feature", "run.target_feature",
                    "run.grid", "reservoir.washout"},
     "synth": {"run.seed", "run.mode", "run.length", "run.units", "run.growth_x", "run.growth_y",
               "run.coupling_xy", "run.coupling_yx", "run.delay", "run.noise_sd", "run.phi"},
-    "pipeline": {"run.seed", "paths.corpus", "paths.wordlist", *LEXICON_KEYS},
+    "pipeline": {"paths.corpus", "paths.wordlist", *LEXICON_KEYS},
 }
 
 # Arguments that take each command past its required-settings check; the
@@ -850,7 +845,7 @@ PARENT_NAMES = [
     ("paths", "periods", "aggregate", "--periods", TEXT),
     ("paths", "series", "heatmap", "--series", TEXT),
     ("paths", "panel", "gridsearch", "--panel", TEXT),
-    ("run", "seed", "heatmap", "--seed", INTS),
+    ("run", "seed", "gridsearch", "--seed", INTS),
     ("run", "keyword", "aggregate", "--keyword", TEXT),
     ("run", "features", "aggregate", "--features", TEXT),
     ("run", "cities", "aggregate", "--cities", TEXT),
@@ -876,8 +871,6 @@ JOINED_NAMES = [
     ("run", "city", "ccm", "--city", TEXT),
     ("run", "input_feature", "gridsearch", "--input-feature", TEXT),
     ("run", "target_feature", "ccm", "--target-feature", TEXT),
-    ("paths", "x", "ccm", "--x", TEXT),
-    ("paths", "y", "ccm", "--y", TEXT),
     ("run", "growth_x", "synth", "--growth-x", ("3.6", "3.7", "3.9")),
     ("run", "growth_y", "synth", "--growth-y", ("3.6", "3.7", "3.9")),
     ("run", "coupling_xy", "synth", "--coupling-xy", ("0.1", "0.2", "0.3")),
@@ -915,21 +908,22 @@ def test_a_setting_resolves_flag_over_env_over_config(tmp_path, monkeypatch, cap
 
 
 FLAGS = {
-    "clean": ["--config", "--in", "--out", "--report", "--seed", "--wordlist"],
-    "score": ["--config", "--emotion-lexicon", "--in", "--out", "--seed", "--stopwords",
+    "clean": ["--config", "--in", "--out", "--report", "--stopwords", "--valence-lexicon",
+              "--wordlist"],
+    "score": ["--config", "--emotion-lexicon", "--in", "--out", "--stopwords",
               "--valence-lexicon"],
     "aggregate": ["--cities", "--config", "--corpus", "--features", "--from", "--keyword",
-                  "--out", "--period-out", "--periods", "--scored", "--seed", "--to"],
-    "heatmap": ["--config", "--feature", "--out-dir", "--seed", "--series"],
+                  "--out", "--period-out", "--periods", "--scored", "--to"],
+    "heatmap": ["--config", "--feature", "--out-dir", "--series"],
     "ccm": ["--city", "--config", "--input-feature", "--input-scale", "--lag-hi", "--lag-lo",
             "--leak", "--out-dir", "--ridge", "--seed", "--series", "--size", "--sparsity",
-            "--spectral-radius", "--target-feature", "--washout", "--x", "--y"],
+            "--spectral-radius", "--target-feature", "--washout"],
     "gridsearch": ["--config", "--grid", "--input-feature", "--out-dir", "--panel", "--seed",
                    "--target-feature", "--washout"],
     "synth": ["--config", "--coupling-xy", "--coupling-yx", "--delay", "--growth-x",
               "--growth-y", "--length", "--mode", "--noise-sd", "--out", "--phi", "--seed",
               "--units"],
-    "pipeline": ["--config", "--emotion-lexicon", "--in", "--out-dir", "--seed", "--stopwords",
+    "pipeline": ["--config", "--emotion-lexicon", "--in", "--out-dir", "--stopwords",
                  "--valence-lexicon", "--wordlist"],
 }
 
@@ -973,9 +967,40 @@ def test_a_config_default_section_sets_no_setting(tmp_path, capsys):
     config = tmp_path / "run.ini"
     config.write_text("[DEFAULT]\nseed = 7\n[run]\nlength = 40\n")
     assert main(["synth", "--mode", "ar1", "--config", str(config),
-                 "--out", str(tmp_path / "s.csv")]) == 0
-    out = capsys.readouterr().out
-    assert "run.seed=0" in out and "run.length=40" in out
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert f"error: {config}: [DEFAULT] seed is no setting" in capsys.readouterr().err
+
+
+def test_a_config_key_no_setting_declares_exits_2_before_any_output(tmp_path, fixtures_dir,
+                                                                     capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nsed = 5\n")
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {config}: [run] sed is no setting" in captured.err
+    assert captured.out == "" and not out.exists()
+    # a key of another command's setting is accepted: one file serves every command
+    config.write_text("[reservoir]\nridge = 1.0\n")
+    out_dir = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(config), "--in",
+                 f"{fixtures_dir}/toronto_feb24.jsonl", "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "series.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["clean", "score", "aggregate", "heatmap", "pipeline"])
+def test_seed_is_a_usage_error_where_no_random_number_is_drawn(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *BASE_ARGV[command], "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+def test_ccm_requires_series(tmp_path, capsys):
+    assert main(["ccm", "--input-feature", "x", "--target-feature", "y",
+                 "--out-dir", str(tmp_path / "ccm")]) == 2
+    assert "ccm: --series is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("units", ["0", "-2"])
