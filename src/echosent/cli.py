@@ -8,7 +8,8 @@ ECHOSENT_CONFIG); its environment variable is ECHOSENT_<SECTION>_<KEY>.
 ``_resolve`` applies flag > environment > config file > built-in default to
 the settings a command declares in ``COMMANDS`` before it runs and prints
 them all; only ccm, gridsearch and synth, which draw random numbers, take
-``--seed``. A config key that no setting declares, ``[DEFAULT]`` included,
+``--seed``. A config key, an empty config section or an ECHOSENT_*
+environment variable that no setting declares, ``[DEFAULT]`` included,
 exits 2. Output paths are flags only. Identical settings produce
 byte-identical CSV/JSON/SVG outputs. Log messages (skipped lags, invalid
 grid configs) go to stderr; the global ``--log-level`` flag, given before
@@ -168,17 +169,25 @@ def _resolve(args: argparse.Namespace) -> None:
     Each value comes from its flag, else its environment variable, else the
     config file (``--config`` or ``ECHOSENT_CONFIG``), else its default, and
     is parsed, checked for presence and checked against its choices the same
-    way whichever source gave it. A config key that no setting of any
-    command declares raises ``ValueError`` before anything is echoed.
+    way whichever source gave it. A config key, an empty config section or
+    an ``ECHOSENT_*`` environment variable that no setting of any command
+    declares raises ``ValueError`` before anything is echoed.
     """
     command = COMMANDS[args.command]
     path = args.config or os.environ.get(f"{_ENV_PREFIX}_CONFIG")
     config = series.read_ini(path) if path else {}
     declared = {(opt.section, opt.key) for opt in OPTIONS.values()}
+    sections = {section for section, _ in declared}
     for section, keys in config.items():
+        if not keys and section not in sections:
+            raise ValueError(f"{path}: [{section}] is no settings section")
         for key in keys:
             if (section, key) not in declared:
                 raise ValueError(f"{path}: [{section}] {key} is no setting")
+    env_names = {opt.env for opt in OPTIONS.values()} | {f"{_ENV_PREFIX}_CONFIG"}
+    for name in sorted(os.environ):
+        if name.startswith(f"{_ENV_PREFIX}_") and name not in env_names:
+            raise ValueError(f"environment variable {name} is no setting")
     echoed = {}
     for name in command.settings:
         opt = OPTIONS[name]
@@ -527,8 +536,8 @@ def cmd_synth(args) -> int:
         else:
             x = synth.gen_ar1(args.phi, args.length, _unit_seed(args.seed, u, 0))
             y = synth.gen_ar1(args.phi, args.length, _unit_seed(args.seed, u, 1))
-        built.append(series.CitySeries(name, "x", dates, tuple(float(v) for v in x)))
-        built.append(series.CitySeries(name, "y", dates, tuple(float(v) for v in y)))
+        built.append(series.CitySeries(name, "x", dates, tuple(x.tolist())))
+        built.append(series.CitySeries(name, "y", dates, tuple(y.tolist())))
     series.write_series_csv(built, args.out)
     print(f"series_written: {len(built)}")
     return 0

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -482,6 +483,24 @@ def test_synth_ar1_mode(tmp_path):
     assert rc == 0
     rows = series_csv.read_text().splitlines()
     assert len(rows) == 1 + 100 * 2 * 2
+
+
+# sha256 of each mode's CSV, recorded before the generators moved from numpy
+# scalars to plain floats: the bytes must not change.
+SYNTH_DIGESTS = {
+    "coupled": (["--mode", "coupled", "--coupling-yx", "0.1", "--delay", "3", "--units", "2"],
+                "010490f210527ff955439a96c5961706ba3c25d68912493d2d2c5a417fc4a468"),
+    "ar1": (["--mode", "ar1", "--units", "2"],
+            "38e2119cf266134c7eeda2d951d9f6a8880b8a00ebc60a43a4f47a40c960df34"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SYNTH_DIGESTS))
+def test_synth_csv_bytes_are_pinned(tmp_path, mode):
+    argv, digest = SYNTH_DIGESTS[mode]
+    out = tmp_path / "synth.csv"
+    assert main(["synth", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gridsearch_tiny_grid_winner_is_that_cell(tmp_path):
@@ -987,6 +1006,35 @@ def test_a_config_key_no_setting_declares_exits_2_before_any_output(tmp_path, fi
     assert main(["pipeline", "--config", str(config), "--in",
                  f"{fixtures_dir}/toronto_feb24.jsonl", "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "series.csv").exists()
+
+
+def test_an_environment_variable_no_setting_declares_exits_2_before_any_output(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ECHOSENT_RUN_SED", "5")
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["synth", "--length", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: environment variable ECHOSENT_RUN_SED is no setting" in captured.err
+    assert captured.out == "" and not out.exists()
+    # a variable of another command's setting is accepted, as a config key is
+    monkeypatch.delenv("ECHOSENT_RUN_SED")
+    monkeypatch.setenv("ECHOSENT_RESERVOIR_RIDGE", "1.0")
+    assert main(["synth", "--length", "10", "--out", str(out)]) == 0
+
+
+def test_an_empty_config_section_no_setting_uses_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[rnu]\n")
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["synth", "--config", str(config), "--length", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {config}: [rnu] is no settings section" in captured.err
+    assert captured.out == "" and not out.exists()
+    # an empty section that settings use sets nothing and is accepted
+    config.write_text("[run]\n[reservoir]\n")
+    assert main(["synth", "--config", str(config), "--length", "10", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("command", ["clean", "score", "aggregate", "heatmap", "pipeline"])

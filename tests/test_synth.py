@@ -115,3 +115,91 @@ def test_ar1_deterministic_and_validated():
         gen_ar1(1.0, 100, 7)
     with pytest.raises(ValueError):
         gen_ar1(0.5, 0, 7)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the recurrences stepped one numpy float64 scalar at a time. The
+# generators run them over plain Python floats, which perform the same IEEE
+# operations in the same order, so every output must match bit for bit.
+
+
+def reference_coupled_logistic(cfg: CoupledMapConfig) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(cfg.seed)
+    total = cfg.transient + cfg.length
+    x = np.empty(total)
+    y = np.empty(total)
+    x[0] = rng.uniform(0.2, 0.8)
+    y[0] = rng.uniform(0.2, 0.8)
+    for t in range(total - 1):
+        xd = x[max(t - cfg.delay, 0)]
+        yd = y[max(t - cfg.delay, 0)]
+        x[t + 1] = x[t] * (cfg.growth_x - cfg.growth_x * x[t] - cfg.coupling_xy * yd)
+        y[t + 1] = y[t] * (cfg.growth_y - cfg.growth_y * y[t] - cfg.coupling_yx * xd)
+        if not (0.0 < x[t + 1] < 1.0 and 0.0 < y[t + 1] < 1.0):
+            raise ValueError(f"trajectory left (0, 1) at step {t + 1}; weaken the coupling")
+    x = x[cfg.transient:]
+    y = y[cfg.transient:]
+    if cfg.noise_sd > 0:
+        x = x + rng.normal(0.0, cfg.noise_sd, cfg.length)
+        y = y + rng.normal(0.0, cfg.noise_sd, cfg.length)
+    return x, y
+
+
+def reference_ar1(phi: float, length: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal(length)
+    out = np.empty(length)
+    out[0] = eps[0] / np.sqrt(1.0 - phi * phi)
+    for t in range(1, length):
+        out[t] = phi * out[t - 1] + eps[t]
+    return out
+
+
+def outcome(generate, *args):
+    """The arrays a generator returns, or the message of the ValueError it raises."""
+    try:
+        return generate(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_identical(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.05])
+@pytest.mark.parametrize("length", [1, 2, 300])
+@pytest.mark.parametrize("transient", [0, 100])
+@pytest.mark.parametrize("delay", [0, 1, 3, 7])
+def test_coupled_maps_match_the_scalar_oracle_bit_for_bit(delay, transient, length, noise_sd):
+    # two-way coupling, so the delay reaches both updates
+    for seed in range(4):
+        cfg = CoupledMapConfig(length=length, seed=seed, coupling_xy=0.05, coupling_yx=0.1,
+                               growth_y=3.82, delay=delay, noise_sd=noise_sd,
+                               transient=transient)
+        assert_identical(gen_coupled_logistic(cfg), reference_coupled_logistic(cfg))
+
+
+@pytest.mark.parametrize("delay", [0, 1, 3, 7])
+def test_escaping_maps_raise_the_oracle_message(delay):
+    escapes = 0
+    for seed in range(20):
+        cfg = CoupledMapConfig(length=300, seed=seed, growth_y=3.99, coupling_yx=0.5,
+                               coupling_xy=0.3, delay=delay)
+        want = outcome(reference_coupled_logistic, cfg)
+        assert_identical(outcome(gen_coupled_logistic, cfg), want)
+        escapes += isinstance(want, str)
+    assert escapes >= 10
+
+
+@pytest.mark.parametrize("length", [1, 2, 300])
+@pytest.mark.parametrize("phi", [0.0, -0.3, 0.95])
+def test_ar1_matches_the_scalar_oracle_bit_for_bit(phi, length):
+    for seed in range(4):
+        assert_identical((gen_ar1(phi, length, seed),), (reference_ar1(phi, length, seed),))
