@@ -40,6 +40,7 @@ from .sentiment import (
     ScoredPost,
     ScoringTable,
     read_scored_csv,
+    score_entries,
     score_post,
     scored_row,
     write_scored_csv,
@@ -48,14 +49,14 @@ from .textpipe import (
     ChunkTable,
     RawPost,
     corpus_line,
-    is_english,
+    english_entries,
     load_wordlist,
     read_corpus,
     strip_artifacts,
     write_corpus,
 )
 # Re-exported: the benchmark tracer (bench/spans.py) wraps them under these names.
-from .textpipe import remove_stopwords, tokenize  # noqa: F401
+from .textpipe import is_english, remove_stopwords, tokenize  # noqa: F401
 
 _DATA = files("echosent") / "data"
 _ENV_PREFIX = "ECHOSENT"
@@ -227,19 +228,22 @@ def _stripped(post: RawPost) -> RawPost:
     )
 
 
-def _kept_posts(posts, wordlist, chunks, report):
-    """Stream the posts that pass rules 1-2 and the id rule, artifact-stripped.
+def _kept_posts(posts, chunks, report):
+    """Stream ``(post, chunk entries)`` of the posts that pass rules 1-2 and
+    the id rule, artifact-stripped.
 
-    Each post is stripped once; ``chunks`` is the command's chunk table over
-    ``wordlist``. ``report`` gets every count but rule 3, which needs the
-    token stream; ``malformed_lines`` is set once ``posts`` is exhausted.
+    Each post is stripped once, and its text split and looked up in
+    ``chunks``, the command's chunk table over the wordlist, at most once.
+    ``report`` gets every count but rule 3, which its caller counts from the
+    entries; ``malformed_lines`` is set once ``posts`` is exhausted.
     """
     seen_ids: set[str] = set()
     for post in posts:
         kept = _stripped(post)
         if kept is not post:
             report["rule1_posts_with_artifacts"] += 1
-        if not is_english(kept, wordlist, chunks):
+        entries = english_entries(kept, chunks)
+        if entries is None:
             report["rule2_removed_non_english"] += 1
             continue
         # ids must be unique downstream: keep the first English post of each id
@@ -248,7 +252,7 @@ def _kept_posts(posts, wordlist, chunks, report):
             continue
         seen_ids.add(kept.id)
         report["output_posts"] += 1
-        yield kept
+        yield kept, entries
     report["input_posts"] = posts.posts_read
     report["malformed_lines"] = posts.malformed
 
@@ -289,13 +293,13 @@ def cmd_clean(args) -> int:
     report = _new_report()
     chunks = ChunkTable(emoticons, wordlist, stopwords)
 
-    def counted(posts):
-        for post in posts:
-            kept_tokens = sum(1 for e in chunks.scan(post.text) if not e.stop)
-            report["rule3_tokens_dropped"] += len(post.text.split()) - kept_tokens
+    def counted(kept):
+        for post, entries in kept:
+            kept_tokens = sum(1 for e in entries if e.token is not None and not e.stop)
+            report["rule3_tokens_dropped"] += len(entries) - kept_tokens
             yield post
 
-    kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), wordlist, chunks, report)
+    kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), chunks, report)
     write_corpus(counted(kept), args.out)
     return _finish_report(report, args.report)
 
@@ -334,20 +338,21 @@ _COUNT_FEATURES = ("like_total", "reply_total", "retweet_total")
 def _join_corpus(scored, corpus_path, keyword=None):
     """Scored posts with their engagement counts from the corpus, in one read.
 
-    With ``keyword``, only posts whose text contains it are kept. Corpus ids
-    must be unique and every scored id must be in the corpus.
+    With ``keyword``, only posts whose text contains it, case-insensitive,
+    are kept (``series.keyword_filter``'s rule). Corpus ids must be unique
+    and every scored id must be in the corpus.
     """
     by_id = {}
     for p in read_corpus(corpus_path):
         if by_id.setdefault(p.id, p) is not p:
             raise ValueError(f"{corpus_path}: post id {p.id!r} repeats")
-    keep = {p.id for p in series.keyword_filter(list(by_id.values()), keyword)} if keyword else by_id
+    needle = keyword.casefold() if keyword else None
     joined = []
     for sp in scored:
         raw = by_id.get(sp.id)
         if raw is None:
             raise ValueError(f"scored post {sp.id!r} is not in {corpus_path}")
-        if sp.id in keep:
+        if needle is None or needle in raw.text.casefold():
             joined.append(ScoredPost(
                 sp.id, sp.date, sp.city, sp.sentiment, sp.emotions,
                 raw.like_count, raw.reply_count, raw.retweet_count,
@@ -378,7 +383,7 @@ def cmd_aggregate(args) -> int:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f.name for f in fields(series.PeriodSummary)])
-            writer.writerows(astuple(row) for row in summary)
+            writer.writerows((r.city, r.period, r.n_tweets, r.mean, r.sd) for r in summary)
         print(f"period_summary: {out}")
     return 0
 
@@ -549,11 +554,12 @@ def cmd_synth(args) -> int:
 def cmd_pipeline(args) -> int:
     """clean + score + aggregate as one streaming pass over the corpus.
 
-    Each post is stripped once; one chunk table serves the language filter
-    and the scoring of every kept post. A kept post's cleaned line and scored
-    row are written as it passes, and ``aggregate_daily`` keeps per-(city,
-    day) sums only. Rule 3 is the kept post's word count minus its
-    stopword-free token count, which is the emotion profile's word total.
+    Each post is stripped once, and its text split and looked up in one
+    chunk table once: those entries serve the language filter, the scoring
+    and the rule-3 count. A kept post's cleaned line and scored row are
+    written as it passes, and ``aggregate_daily`` keeps per-(city, day) sums
+    only. Rule 3 is the kept post's word count minus its stopword-free token
+    count, which is the emotion profile's word total.
     """
     wordlist = load_wordlist(args.wordlist)
     vlex, elex, stopwords = _load_lexicons(args)
@@ -561,7 +567,7 @@ def cmd_pipeline(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = _new_report()
     chunks = ScoringTable(vlex, elex, stopwords, wordlist)
-    kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), wordlist, chunks, report)
+    kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), chunks, report)
     with (
         (out_dir / "cleaned.jsonl").open("w", encoding="utf-8") as cleaned,
         (out_dir / "scored.csv").open("w", encoding="utf-8", newline="") as scored_fh,
@@ -570,11 +576,11 @@ def cmd_pipeline(args) -> int:
         scored_csv.writerow(SCORED_COLUMNS)
 
         def scored():
-            for post in kept:
+            for post, entries in kept:
                 cleaned.write(corpus_line(post))
-                # score_post carries the engagement counts, so no corpus join is needed
-                sp = score_post(post, vlex, elex, stopwords, chunks)
-                report["rule3_tokens_dropped"] += len(post.text.split()) - sp.emotions.word_total
+                # the scored post carries the engagement counts, so no corpus join is needed
+                sp = score_entries(post, entries)
+                report["rule3_tokens_dropped"] += len(entries) - sp.emotions.word_total
                 scored_csv.writerow(scored_row(sp))
                 yield sp
 

@@ -19,10 +19,16 @@ token's part can be looked up once and kept. A command run builds one
 ``ScoringTable``: a bounded ``textpipe.ChunkTable`` whose entries also carry
 their token's role (valence after the ALL-CAPS adjustment, sign, booster
 increment, negator flag, emotion categories), found by key lookups in the
-lexicons. ``score_post`` scores a post from those entries;
+lexicons. ``score_entries`` scores a post from the entries of its chunks:
+``pipeline`` passes the entries its language filter looked up, and
+``score_post`` (the ``score`` command) looks them up itself.
 ``polarity_proportions`` and ``emotion_profile`` score a ``tokenize``
 document. Both run through the same core (``_adjusted_valences``,
 ``_proportions``, ``_profile``), so they agree bit for bit.
+
+``SentimentScore``, ``EmotionProfile`` and ``ScoredPost`` are immutable
+tuple records (``NamedTuple``); ``SentimentScore``'s constructor checks its
+fields, so a scored row costs tuples to build.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
@@ -87,22 +92,38 @@ def _is_negator(normalized: str) -> bool:
     return normalized in NEGATORS or normalized.endswith("n't")
 
 
-@dataclass(frozen=True)
-class SentimentScore:
+_tuple_new = tuple.__new__
+
+
+class _SentimentFields(NamedTuple):
     negative: float
     neutral: float
     positive: float
     compound: float
 
-    def __post_init__(self) -> None:
-        if abs(self.negative + self.neutral + self.positive - 1.0) > 1e-6:
+
+class SentimentScore(_SentimentFields):
+    """Polarity proportions, which sum to 1, and a compound score in [-1, 1].
+
+    The constructor, ``_make`` and ``_replace`` all check the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, negative: float, neutral: float, positive: float,
+                compound: float) -> SentimentScore:
+        if abs(negative + neutral + positive - 1.0) > 1e-6:
             raise ValueError("polarity proportions must sum to 1")
-        if not (-1.0 <= self.compound <= 1.0):
+        if not (-1.0 <= compound <= 1.0):
             raise ValueError("compound must lie in [-1, 1]")
+        return _tuple_new(cls, (negative, neutral, positive, compound))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SentimentScore:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EmotionProfile:
+class EmotionProfile(NamedTuple):
     counts: tuple[int, ...]
     frequencies: tuple[float, ...]
     word_total: int
@@ -299,8 +320,7 @@ SCORED_COLUMNS = (
 ) + tuple(f"emo_{c}" for c in EMOTION_CATEGORIES)
 
 
-@dataclass(frozen=True)
-class ScoredPost:
+class ScoredPost(NamedTuple):
     id: str
     date: dt.date
     city: str
@@ -320,21 +340,29 @@ def score_post(
 ) -> ScoredPost:
     """Score one already-English post: polarity and its emotion profile.
 
-    ``post.text`` must already be artifact-stripped. Its tokens are looked
+    ``post.text`` must already be artifact-stripped. Its chunks are looked
     up in ``chunks``, a ``ScoringTable`` over these same lexicons and
-    stopwords (a new one when not given), and scored exactly as
-    ``polarity_proportions`` scores ``tokenize``'s document and
-    ``emotion_profile`` its stopword-free form: polarity on the full token
-    stream (negators must survive), emotions on the stopword-free one, so
-    ``word_total`` is the post's token count after stopword removal.
+    stopwords (a new one when not given), and scored by ``score_entries``.
     """
     if chunks is None:
         chunks = ScoringTable(valence_lex, emotion_lex, stopwords)
     elif chunks.inputs != (valence_lex, emotion_lex, stopwords):
         raise ValueError("score_post: the chunk table was built over other lexicons")
-    entries = chunks.scan(post.text)
-    sent = _proportions(_adjusted_valences(entries), *trailing_emphasis(post.text))
-    emo = _profile([e.emotions for e in entries if not e.stop])
+    return score_entries(post, chunks.entries(post.text.split()))
+
+
+def score_entries(post: RawPost, entries: Sequence[ScoredChunk]) -> ScoredPost:
+    """Score a post from the ``ScoringTable`` entries of its whitespace chunks, in order.
+
+    The entries with a token are scored exactly as ``polarity_proportions``
+    scores ``tokenize``'s document and ``emotion_profile`` its stopword-free
+    form: polarity on the full token stream (negators must survive),
+    emotions on the stopword-free one, so ``word_total`` is the post's token
+    count after stopword removal.
+    """
+    tokens = [e for e in entries if e.token is not None]
+    sent = _proportions(_adjusted_valences(tokens), *trailing_emphasis(post.text))
+    emo = _profile([e.emotions for e in tokens if not e.stop])
     return ScoredPost(
         post.id, post.date, post.city, sent, emo,
         post.like_count, post.reply_count, post.retweet_count,
@@ -397,7 +425,6 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             out.append(ScoredPost(
-                pid, day, city, sentiment,
-                EmotionProfile(no_counts, scores[4:], 0, degenerate=True),
+                pid, day, city, sentiment, EmotionProfile(no_counts, scores[4:], 0, True),
             ))
     return out

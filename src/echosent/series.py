@@ -24,6 +24,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .sentiment import ScoredPost
 
 FEATURES = (
@@ -87,37 +89,8 @@ class CitySeries:
         return len(self.dates)
 
 
-class _DaySums:
-    """Running sums of one (city, day): posts, compounds and engagement counts.
-
-    Compounds are added one at a time in post order, starting from 0.0, so
-    the day's mean is bit-identical to ``sum(compounds) / len(compounds)``
-    under the sequential float ``sum`` of Python 3.10 and 3.11.
-    """
-
-    __slots__ = ("n", "compound", "likes", "replies", "retweets")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.compound = 0.0
-        self.likes = self.replies = self.retweets = 0
-
-    def add(self, p: ScoredPost) -> None:
-        self.n += 1
-        self.compound += p.sentiment.compound
-        self.likes += p.like_count
-        self.replies += p.reply_count
-        self.retweets += p.retweet_count
-
-
-#: Value of each aggregated feature on a day with posts.
-_DAY_VALUE = {
-    "compound_mean": lambda day: day.compound / day.n,
-    "tweet_count": lambda day: float(day.n),
-    "like_total": lambda day: float(day.likes),
-    "reply_total": lambda day: float(day.replies),
-    "retweet_total": lambda day: float(day.retweets),
-}
+#: Position in a day's running sums (see ``aggregate_daily``) of each count feature.
+_COUNT_SLOT = {"tweet_count": 1, "like_total": 2, "reply_total": 3, "retweet_total": 4}
 
 
 def aggregate_daily(
@@ -143,15 +116,24 @@ def aggregate_daily(
             raise ValueError("case counts are external data; load them with read_series_csv")
         if feature not in FEATURES:
             raise ValueError(f"unknown feature {feature!r}")
-    by_city: dict[str, dict[dt.date, _DaySums]] = {}
+    # Running sums of one (city, day): [compound, posts, likes, replies,
+    # retweets]. Compounds are added one at a time in post order, starting
+    # from 0.0, so the day's mean is bit-identical to
+    # sum(compounds) / len(compounds) under the sequential float sum of
+    # Python 3.10 and 3.11.
+    by_city: dict[str, dict[dt.date, list]] = {}
     for p in posts:
         by_day = by_city.get(p.city)
         if by_day is None:
             by_day = by_city[p.city] = {}
         sums = by_day.get(p.date)
         if sums is None:
-            sums = by_day[p.date] = _DaySums()
-        sums.add(p)
+            sums = by_day[p.date] = [0.0, 0, 0, 0, 0]
+        sums[0] += p.sentiment.compound
+        sums[1] += 1
+        sums[2] += p.like_count
+        sums[3] += p.reply_count
+        sums[4] += p.retweet_count
 
     out: list[CitySeries] = []
     for city in sorted(by_city) if cities is None else cities:
@@ -165,19 +147,23 @@ def aggregate_daily(
         if not any(lo <= day <= hi for day in by_day):
             raise ValueError(f"no posts for {city!r} in {lo}..{hi}")
         dates = _ContiguousDates(lo + i * _ONE_DAY for i in range((hi - lo).days + 1))
-        filled = tuple(day not in by_day for day in dates)
+        # one lookup per (city, day); every feature reads off it
+        days = [by_day.get(day) for day in dates]
+        filled = tuple(sums is None for sums in days)
         for feature in features:
-            value = _DAY_VALUE[feature]
-            observed = [value(by_day[day]) if day in by_day else None for day in dates]
             if feature == "compound_mean":
                 # a leading gap has no previous mean; carry the first observed one back
-                last = next(v for v in observed if v is not None)
+                first = next(sums for sums in days if sums is not None)
+                last = first[0] / first[1]
                 values = []
-                for v in observed:
-                    last = last if v is None else v
+                for sums in days:
+                    if sums is not None:
+                        last = sums[0] / sums[1]
                     values.append(last)
             else:
-                values = [0.0 if v is None else v for v in observed]
+                k = _COUNT_SLOT[feature]
+                # an int plus 0.0 is float(int), without the call
+                values = [0.0 if sums is None else sums[k] + 0.0 for sums in days]
             out.append(CitySeries(city, feature, dates, tuple(values), filled))
     return out
 
@@ -347,19 +333,34 @@ def write_heatmap_csv(cities, dates, matrix, path: str | Path) -> None:
 _POSITIVE_RGB = (230, 97, 1)    # orange
 _NEGATIVE_RGB = (26, 150, 65)   # green
 _MID_RGB = (255, 255, 255)
+_HEX = tuple(f"{i:02x}" for i in range(256))
 
 
-def _diverging_color(value: float, vmax: float) -> str:
+def _diverging_fills(values: Sequence[float], vmax: float) -> list[str]:
+    """The "#rrggbb" fill of each value on the diverging scale, in one numpy pass.
+
+    A value's position is ``t = max(-1.0, min(1.0, value / vmax))`` (0 when
+    ``vmax <= 0``; a NaN quotient gives 1.0, as ``min`` does); each channel
+    is interpolated from white towards the end colour of t's sign by
+    ``mid + (end - mid) * abs(t)`` in float64 and rounded half to even, as
+    ``round`` rounds that same float.
+    """
+    x = np.array(values, dtype=np.float64)
     if vmax <= 0:
-        t = 0.0
+        t = np.zeros_like(x)
     else:
-        t = max(-1.0, min(1.0, value / vmax))
-    r, g, b = _POSITIVE_RGB if t > 0 else _NEGATIVE_RGB
-    a = abs(t)
-    mr, mg, mb = _MID_RGB
-    return "#%02x%02x%02x" % (
-        round(mr + (r - mr) * a), round(mg + (g - mg) * a), round(mb + (b - mb) * a)
-    )
+        # as Python's float division: inf / inf is NaN and an overflow is inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            t = x / vmax
+        t = np.where(t < 1.0, t, 1.0)
+        t = np.where(t > -1.0, t, -1.0)
+    a = np.abs(t)
+    positive = t > 0
+    channels = [
+        np.rint(mid + np.where(positive, pos - mid, neg - mid) * a).astype(np.intp).tolist()
+        for mid, pos, neg in zip(_MID_RGB, _POSITIVE_RGB, _NEGATIVE_RGB)
+    ]
+    return [f"#{_HEX[r]}{_HEX[g]}{_HEX[b]}" for r, g, b in zip(*channels)]
 
 
 #: Side of one heatmap cell and width of the city-label column, in SVG px.
@@ -386,17 +387,16 @@ def write_heatmap_svg(cities, dates, matrix, path: str | Path) -> None:
             f'<text x="{_LABEL_PX + j * _CELL_PX}" y="12">{dates[j].isoformat()}</text>\n'
             for j in range(0, len(dates), step)
         ))
-        for i, city in enumerate(cities):
+        for i, (city, values) in enumerate(zip(cities, matrix)):
             y = 20 + i * _CELL_PX
-            row = [f'<text x="0" y="{y + _CELL_PX - 3}">{city}</text>\n']
-            for j, v in enumerate(matrix[i]):
-                if v is None:
-                    continue
-                row.append(
-                    f'<rect x="{_LABEL_PX + j * _CELL_PX}" y="{y}" width="{_CELL_PX}" '
-                    f'height="{_CELL_PX}" fill="{_diverging_color(v, vmax)}"/>\n'
-                )
-            fh.write("".join(row))
+            days = [j for j, v in enumerate(values) if v is not None]
+            fills = _diverging_fills([values[j] for j in days], vmax)
+            fh.write(f'<text x="0" y="{y + _CELL_PX - 3}">{city}</text>\n')
+            fh.write("".join([
+                f'<rect x="{_LABEL_PX + j * _CELL_PX}" y="{y}" width="{_CELL_PX}" '
+                f'height="{_CELL_PX}" fill="{fill}"/>\n'
+                for j, fill in zip(days, fills)
+            ]))
         fh.write("</svg>\n")
 
 

@@ -10,7 +10,15 @@ The per-chunk rules live in ``chunk_token`` (tokenizing) and
 one command run: it maps each raw whitespace chunk to its token, language
 class and stopword flag, so a repeated chunk costs one dict lookup. The
 table holds at most ``CHUNK_TABLE_SIZE`` entries (about 4.4 MB when full)
-and is emptied when full; nothing outlives the command run.
+and is emptied when full; nothing outlives the command run. The commands
+split each post's text once and look its chunks up once
+(``english_entries``); that one entry list serves the language filter,
+scoring and the rule-3 count. ``is_english``, ``tokenize`` and
+``remove_stopwords`` derive the same from the text alone; the tests hold
+the table to them.
+
+``RawPost`` is an immutable tuple record (a ``NamedTuple`` subclass) whose
+constructor checks its fields, so a post costs a tuple to build.
 
 Corpus files are JSON lines, one post per line with fields ``id``, ``date``
 ("YYYY-MM-DD"), ``city``, ``text``, optional ``like_count``, ``reply_count``,
@@ -55,23 +63,50 @@ NOT_ALPHA, KNOWN_WORD, UNKNOWN_WORD = 0, 1, 2
 CHUNK_TABLE_SIZE = 1 << 14
 
 
-@dataclass(frozen=True)
-class RawPost:
+_tuple_new = tuple.__new__
+
+
+class _RawPostFields(NamedTuple):
     id: str
     date: dt.date
     city: str
     text: str
-    like_count: int = 0
-    reply_count: int = 0
-    retweet_count: int = 0
-    lang: str | None = None
+    like_count: int
+    reply_count: int
+    retweet_count: int
+    lang: str | None
 
-    def __post_init__(self) -> None:
-        if not self.city:
+
+class RawPost(_RawPostFields):
+    """One corpus post. Its city must be nonempty and its counts >= 0.
+
+    The constructor, ``_make`` and ``_replace`` all check the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        date: dt.date,
+        city: str,
+        text: str,
+        like_count: int = 0,
+        reply_count: int = 0,
+        retweet_count: int = 0,
+        lang: str | None = None,
+    ) -> RawPost:
+        if not city:
             raise ValueError("post city must be nonempty")
-        for name in ("like_count", "reply_count", "retweet_count"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"post {name} must be >= 0")
+        if like_count < 0 or reply_count < 0 or retweet_count < 0:
+            name = "like_count" if like_count < 0 else (
+                "reply_count" if reply_count < 0 else "retweet_count")
+            raise ValueError(f"post {name} must be >= 0")
+        return _tuple_new(cls, (id, date, city, text, like_count, reply_count, retweet_count, lang))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RawPost:
+        return cls(*iterable)
 
 
 class Token(NamedTuple):
@@ -125,22 +160,22 @@ def language_class(chunk: str, words: Container[str]) -> int:
     return KNOWN_WORD if word in words else UNKNOWN_WORD
 
 
-def is_english(post: RawPost, wordlist: Iterable[str], chunks: ChunkTable | None = None) -> bool:
+def is_english(post: RawPost, wordlist: Iterable[str]) -> bool:
     """Language filter: honor the post's tag, else a wordlist ratio heuristic.
 
     ``post.text`` must already be artifact-stripped. Untagged posts pass when
     at least 40% of their alphabetic tokens appear in the reference
-    wordlist; posts with no alphabetic tokens are kept. ``chunks``, a
-    ``ChunkTable`` built over the same wordlist, gives each chunk's class by
-    one lookup.
+    wordlist; posts with no alphabetic tokens are kept. ``english_entries``
+    applies the same filter through a ``ChunkTable``.
     """
     if post.lang is not None:
         return post.lang == "en"
-    if chunks is None:
-        words = set(wordlist) if not isinstance(wordlist, (set, frozenset)) else wordlist
-        classes = [language_class(chunk, words) for chunk in post.text.split()]
-    else:
-        classes = [e.language for e in chunks.entries(post.text.split())]
+    words = set(wordlist) if not isinstance(wordlist, (set, frozenset)) else wordlist
+    return _mostly_known([language_class(chunk, words) for chunk in post.text.split()])
+
+
+def _mostly_known(classes: list[int]) -> bool:
+    """The wordlist ratio rule of ``is_english`` over the language classes of a post's chunks."""
     n_alpha = len(classes) - classes.count(NOT_ALPHA)
     if not n_alpha:
         return True
@@ -268,9 +303,22 @@ class ChunkTable:
             get = entries.get
             return [get(c) or self._add(c) for c in chunks]
 
-    def scan(self, text: str) -> list[ChunkEntry]:
-        """The entries of the tokens of ``text``, in order: ``tokenize`` by lookup."""
-        return [e for e in self.entries(text.split()) if e.token is not None]
+
+def english_entries(post: RawPost, chunks: ChunkTable) -> list[ChunkEntry] | None:
+    """The entries of the post's whitespace chunks, or ``None`` when it is not English.
+
+    ``is_english`` by one lookup of the post's chunks in ``chunks``, a table
+    over the reference wordlist; ``post.text`` must already be
+    artifact-stripped. A post tagged other than "en" is not looked up. The
+    entries with a token are ``tokenize``'s tokens, in order.
+    """
+    lang = post.lang
+    if lang is not None and lang != "en":
+        return None
+    entries = chunks.entries(post.text.split())
+    if lang is None and not _mostly_known([e.language for e in entries]):
+        return None
+    return entries
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
@@ -288,14 +336,14 @@ def parse_post(obj: dict) -> RawPost:
     try:
         date = dt.date.fromisoformat(str(obj.get("date", obj.get("timestamp"))))
         return RawPost(
-            id=str(obj["id"]),
-            date=date,
-            city=str(obj["city"]),
-            text=str(obj["text"]),
-            like_count=int(obj.get("like_count", 0)),
-            reply_count=int(obj.get("reply_count", 0)),
-            retweet_count=int(obj.get("retweet_count", 0)),
-            lang=obj.get("lang"),
+            str(obj["id"]),
+            date,
+            str(obj["city"]),
+            str(obj["text"]),
+            int(obj.get("like_count", 0)),
+            int(obj.get("reply_count", 0)),
+            int(obj.get("retweet_count", 0)),
+            obj.get("lang"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad post record: {exc}") from exc

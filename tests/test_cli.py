@@ -285,6 +285,27 @@ def test_aggregate_keyword_filters(tmp_path, fixtures_dir):
     assert rows[0].endswith("2.0")
 
 
+@pytest.mark.parametrize("keyword", ["flight", "FLIGHT", "Straße", "STRASSE", "ß", "é", None, ""])
+def test_join_corpus_keeps_what_keyword_filter_keeps(tmp_path, keyword):
+    corpus = tmp_path / "cleaned.jsonl"
+    write_posts(corpus, [
+        ("a", "2020-03-01", "Toronto", "my Flight was late", 1),
+        ("b", "2020-03-01", "Toronto", "die STRASSE ist leer", 2),
+        ("c", "2020-03-02", "Toronto", "la straße et le café", 3),
+        ("d", "2020-03-02", "Montreal", "nothing here", 4),
+    ])
+    raw = list(textpipe.read_corpus(corpus))
+    neutral = sentiment.SentimentScore(0.0, 1.0, 0.0, 0.0)
+    no_emotions = sentiment.EmotionProfile((), (), 0, True)
+    scored = [sentiment.ScoredPost(p.id, p.date, p.city, neutral, no_emotions) for p in reversed(raw)]
+    joined = cli._join_corpus(scored, corpus, keyword)
+    kept = {p.id for p in cli.series.keyword_filter(raw, keyword)} if keyword else None
+    want = [sp for sp in scored if kept is None or sp.id in kept]
+    assert [sp.id for sp in joined] == [sp.id for sp in want]
+    counts = {p.id: p[4:7] for p in raw}
+    assert all(sp[:5] == w[:5] and sp[5:] == counts[sp.id] for sp, w in zip(joined, want))
+
+
 def write_posts(path: Path, posts) -> None:
     """Posts as (id, date, city, text, like_count) in a JSON-lines corpus."""
     path.write_text("".join(
@@ -663,20 +684,26 @@ def test_pipeline_strips_each_post_once_and_tokenizes_each_kept_post_once(
         with path.open("a") as fh:
             fh.write(json.dumps({"id": "en0", "date": "2020-03-02", "city": "X",
                                  "text": "see @you at https://t.co/x #home"}) + "\n")
-    counts = dict.fromkeys(("strip_artifacts", "scan", "tokenize", "read_corpus", "is_english"), 0)
+    counts = dict.fromkeys(
+        ("strip_artifacts", "entries", "tokenize", "read_corpus", "is_english"), 0)
     counting(monkeypatch, counts, "strip_artifacts", [cli, sentiment, textpipe])
-    # a kept post is tokenized by one scan of the command's chunk table
-    counting(monkeypatch, counts, "scan", [textpipe.ChunkTable])
+    # a post's chunks are looked up in the command's chunk table once, for the
+    # language filter, the scoring and the rule-3 count alike
+    counting(monkeypatch, counts, "entries", [textpipe.ChunkTable])
     counting(monkeypatch, counts, "tokenize", [cli, sentiment, textpipe])
     counting(monkeypatch, counts, "read_corpus", [cli, textpipe])
     counting(monkeypatch, counts, "is_english", [cli, textpipe])
     assert main(["pipeline", "--in", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
-    n_input = sum(1 for line in path.read_text().splitlines() if line.strip())
+    lines = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    n_input = len(lines)
     n_kept = len((tmp_path / "out" / "cleaned.jsonl").read_text().splitlines())
     assert f"input_posts: {n_input}" in out and f"output_posts: {n_kept}" in out
-    assert counts == {"strip_artifacts": n_input, "scan": n_kept, "tokenize": 0,
-                      "read_corpus": 1, "is_english": n_input}
+    assert counts["entries"] <= n_input
+    # a post tagged with another language is dropped without a lookup
+    n_looked_up = sum(1 for line in lines if line.get("lang") in (None, "en"))
+    assert counts == {"strip_artifacts": n_input, "entries": n_looked_up, "tokenize": 0,
+                      "read_corpus": 1, "is_english": 0}
     if corpus == "mixed":
         assert n_kept < n_input
 

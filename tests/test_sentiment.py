@@ -25,6 +25,7 @@ from echosent.sentiment import (
     emotion_profile,
     polarity_proportions,
     read_scored_csv,
+    score_entries,
     score_post,
     scored_row,
     write_scored_csv,
@@ -220,10 +221,42 @@ def test_negating_single_positive_flips_compound(vlex):
 
 
 def test_sentiment_score_validates():
-    with pytest.raises(ValueError):
-        SentimentScore(0.5, 0.2, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        SentimentScore(0.0, 1.0, 0.0, 1.5)
+    good = SentimentScore(0.25, 0.5, 0.25, 0.0)
+    for fields, message in (
+        ((0.5, 0.2, 0.5, 0.0), "polarity proportions must sum to 1"),
+        ((0.5, 0.2, 0.5, 2.0), "polarity proportions must sum to 1"),
+        ((0.0, 1.0, 0.0, 1.5), r"compound must lie in \[-1, 1\]"),
+        ((0.0, 1.0, 0.0, -1.0000001), r"compound must lie in \[-1, 1\]"),
+        ((0.0, 1.0, 0.0, math.nan), r"compound must lie in \[-1, 1\]"),
+    ):
+        named = dict(zip(SentimentScore._fields, fields))
+        for build in (
+            lambda: SentimentScore(*fields),
+            lambda: SentimentScore(**named),
+            lambda: SentimentScore._make(fields),
+            lambda: good._replace(**named),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
+
+def test_scored_records_are_immutable_and_built_by_position_or_keyword():
+    sent = SentimentScore(0.25, 0.5, 0.25, -1.0)
+    assert sent == SentimentScore(compound=-1.0, positive=0.25, neutral=0.5, negative=0.25)
+    emo = EmotionProfile((1,) + (0,) * 9, (0.5,) + (0.0,) * 9, 2)
+    assert emo == EmotionProfile(word_total=2, frequencies=emo.frequencies, counts=emo.counts,
+                                 degenerate=False)
+    assert EmotionProfile((), (), 0, True).degenerate
+    day = dt.date(2020, 3, 1)
+    post = ScoredPost("p", day, "Toronto", sent, emo, 1, 2, 3)
+    assert post == ScoredPost(retweet_count=3, reply_count=2, like_count=1, emotions=emo,
+                              sentiment=sent, city="Toronto", date=day, id="p")
+    assert ScoredPost("p", day, "Toronto", sent, emo)[5:] == (0, 0, 0)
+    for record in (sent, emo, post):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +414,8 @@ def test_table_scoring_equals_the_reference_path(vlex, elex, stopwords, data, ze
         post = data.draw(vocabulary_posts(lex, elex, stopwords))
         want = reference_score(post, lex, elex, stopwords)
         for got in (score_post(post, lex, elex, stopwords, table),
-                    score_post(post, lex, elex, stopwords)):
+                    score_post(post, lex, elex, stopwords),
+                    score_entries(post, table.entries(post.text.split()))):
             assert got == want
             assert scored_row(got) == scored_row(want)  # repr tells -0.0 from 0.0
             assert got.emotions == want.emotions

@@ -14,7 +14,7 @@ from echosent import series as series_module
 from echosent.sentiment import EmotionProfile, ScoredPost, SentimentScore
 from echosent.series import (
     CitySeries,
-    _diverging_color,
+    _diverging_fills,
     PeriodConfig,
     Period,
     aggregate_daily,
@@ -672,9 +672,88 @@ def test_filtered_read_equals_unfiltered_read_filtered_afterwards(series, data):
     vmax=st.floats(0.0, 1e6, allow_nan=False) | st.sampled_from([0.0, 1.0, 2.0]),
 )
 def test_heatmap_fill_matches_per_channel_interpolation(value, vmax):
-    # the fill arithmetic is unrolled per channel; it must give the hex of
-    # interpolating each channel from white towards the signed end colour
+    # the fills are computed per channel in numpy; each must be the hex of
+    # interpolating that channel from white towards the signed end colour
     t = 0.0 if vmax <= 0 else max(-1.0, min(1.0, value / vmax))
     end = (230, 97, 1) if t > 0 else (26, 150, 65)
     rgb = tuple(round(m + (c - m) * abs(t)) for m, c in zip((255, 255, 255), end))
-    assert _diverging_color(value, vmax) == "#%02x%02x%02x" % rgb
+    assert _diverging_fills([value], vmax) == ["#%02x%02x%02x" % rgb]
+
+
+def _diverging_color(value, vmax):
+    """Reference fill of one heatmap cell, computed on its own."""
+    if vmax <= 0:
+        t = 0.0
+    else:
+        t = max(-1.0, min(1.0, value / vmax))
+    r, g, b = (230, 97, 1) if t > 0 else (26, 150, 65)
+    a = abs(t)
+    mr, mg, mb = 255, 255, 255
+    return "#%02x%02x%02x" % (
+        round(mr + (r - mr) * a), round(mg + (g - mg) * a), round(mb + (b - mb) * a)
+    )
+
+
+def _reference_heatmap_svg(cities, dates, matrix, path):
+    """The heatmap SVG written one cell and one ``_diverging_color`` call at a time."""
+    vmax = max((abs(v) for row in matrix for v in row if v is not None), default=0.0)
+    width = 90 + 12 * len(dates)
+    height = 20 + 12 * len(cities)
+    step = max(1, len(dates) // 8)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'font-family="monospace" font-size="10">\n'
+        )
+        for j in range(0, len(dates), step):
+            fh.write(f'<text x="{90 + j * 12}" y="12">{dates[j].isoformat()}</text>\n')
+        for i, city in enumerate(cities):
+            y = 20 + i * 12
+            fh.write(f'<text x="0" y="{y + 9}">{city}</text>\n')
+            for j, v in enumerate(matrix[i]):
+                if v is not None:
+                    fh.write(f'<rect x="{90 + j * 12}" y="{y}" width="12" height="12" '
+                             f'fill="{_diverging_color(v, vmax)}"/>\n')
+        fh.write("</svg>\n")
+
+
+#: Positions |t| at which some channel, ``mid + (end - mid) * |t|``, is
+#: exactly k + 0.5 before rounding, so rounding half to even is exercised.
+_HALF_STEPS = (0.5, 0.02, 0.06, 0.1, 0.5 / 229, 0.5 / 105)
+
+
+def test_half_steps_land_a_channel_on_one_half():
+    for h in _HALF_STEPS:
+        channels = [255 + (end - 255) * h for end in (230, 97, 1, 26, 150, 65)]
+        assert any(c % 1 == 0.5 for c in channels), h
+
+
+@st.composite
+def _heatmap_matrices(draw):
+    scale = draw(st.sampled_from([0.0, 1.0, 2.0, 0.75, 1e-3]))
+    anchors = [0.0, -0.0, scale, -scale] + [sign * h * scale for h in _HALF_STEPS
+                                             for sign in (1, -1)]
+    cell = st.one_of(
+        st.none(),
+        st.sampled_from(anchors),
+        st.floats(-scale, scale, allow_nan=False),
+        st.floats(),  # NaN and infinities included
+    )
+    n_cities = draw(st.integers(1, 4))
+    n_days = draw(st.integers(1, 20))
+    return draw(st.lists(st.lists(cell, min_size=n_days, max_size=n_days),
+                         min_size=n_cities, max_size=n_cities))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_heatmap_matrices())
+@example([[0.5, -0.5, 1.0, -1.0, None, 0.0]])  # 242.5 and 140.5 round to even
+@example([[None, 0.0, -0.0]])  # vmax 0
+@example([[None, None]])  # no cell at all
+def test_heatmap_svg_equals_the_per_cell_reference(matrix):
+    cities = [f"c{i}" for i in range(len(matrix))]
+    dates = [D(2020, 3, 1) + dt.timedelta(days=j) for j in range(len(matrix[0]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_heatmap_svg(cities, dates, matrix, Path(tmp) / "got.svg")
+        _reference_heatmap_svg(cities, dates, matrix, Path(tmp) / "want.svg")
+        assert (Path(tmp) / "got.svg").read_bytes() == (Path(tmp) / "want.svg").read_bytes()

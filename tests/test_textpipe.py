@@ -16,6 +16,7 @@ from echosent.textpipe import (
     RawPost,
     _strip_matches,
     corpus_line,
+    english_entries,
     is_english,
     parse_post,
     read_corpus,
@@ -339,13 +340,16 @@ def test_chunk_table_gives_what_the_per_post_functions_give(
             ["the vaccine works well here", "le confinement est difficile", ""]
         ))
         doc = tokenize(text, emoticons)
-        scanned = table.scan(text)
+        scanned = [e for e in table.entries(text.split()) if e.token is not None]
         assert tuple(e.token for e in scanned) == doc.tokens
         assert tuple(e.token for e in scanned if not e.stop) == (
             remove_stopwords(doc, stopwords).tokens
         )
         post = RawPost("p", DAY, "X", text, lang=lang)
-        assert is_english(post, wordlist, table) == is_english(post, wordlist)
+        entries = english_entries(post, table)
+        assert (entries is not None) == is_english(post, wordlist)
+        if entries is not None:
+            assert entries == table.entries(text.split())
 
 
 def test_chunk_table_is_emptied_at_its_bound(vlex, monkeypatch):
@@ -355,7 +359,8 @@ def test_chunk_table_is_emptied_at_its_bound(vlex, monkeypatch):
     text = "one two three four five six seven :) SIX one"
     sizes = []
     for _ in range(3):
-        assert tuple(e.token for e in table.scan(text)) == tokenize(text, emoticons).tokens
+        tokens = tuple(e.token for e in table.entries(text.split()) if e.token is not None)
+        assert tokens == tokenize(text, emoticons).tokens
         sizes.append(len(table))
     assert 0 < max(sizes) <= 4
 
@@ -414,6 +419,43 @@ def test_parse_post_ignores_unknown_fields():
     )
     assert p.date == dt.date(2020, 3, 1)
     assert p.like_count == 0
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(city=""), "post city must be nonempty"),
+    (dict(like_count=-1), "post like_count must be >= 0"),
+    (dict(reply_count=-1), "post reply_count must be >= 0"),
+    (dict(retweet_count=-2, like_count=-1), "post like_count must be >= 0"),
+    (dict(retweet_count=-1), "post retweet_count must be >= 0"),
+])
+def test_raw_post_rejects_bad_fields_however_it_is_built(fields, message):
+    good = RawPost("p", DAY, "X", "hi", 1, 2, 3, "en")
+    values = {**good._asdict(), **fields}
+    for build in (
+        lambda: RawPost(**values),
+        lambda: RawPost(*values.values()),
+        lambda: RawPost._make(values.values()),
+        lambda: good._replace(**fields),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
+def test_raw_post_is_an_immutable_record_built_by_position_or_keyword():
+    by_position = RawPost("p", DAY, "X", "hi", 1, 2, 3, "en")
+    by_keyword = RawPost(text="hi", city="X", date=DAY, id="p", lang="en",
+                         retweet_count=3, reply_count=2, like_count=1)
+    assert by_position == by_keyword and type(by_keyword) is RawPost
+    assert RawPost._fields == ("id", "date", "city", "text", "like_count", "reply_count",
+                               "retweet_count", "lang")
+    assert RawPost("p", DAY, "X", "hi") == ("p", DAY, "X", "hi", 0, 0, 0, None)
+    assert by_keyword._replace(text="yo").text == "yo"
+    with pytest.raises(AttributeError):
+        by_position.city = "Y"
+    with pytest.raises(AttributeError):
+        by_position.extra = 1
+    with pytest.raises(TypeError):
+        RawPost("p", DAY, "X")
 
 
 def test_parse_post_rejects_bad_records():
