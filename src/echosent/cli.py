@@ -46,7 +46,6 @@ from .sentiment import (
     write_scored_csv,
 )
 from .textpipe import (
-    ChunkTable,
     RawPost,
     corpus_line,
     english_entries,
@@ -288,10 +287,10 @@ def _finish_report(report: dict, json_path: str | None = None, lines: tuple[str,
 def cmd_clean(args) -> int:
     wordlist = load_wordlist(args.wordlist)
     # rule 3 is counted on the token stream that score sees
-    emoticons = load_valence_lexicon(args.valence_lexicon).symbol_tokens()
+    vlex = load_valence_lexicon(args.valence_lexicon)
     stopwords = load_wordlist(args.stopwords)
     report = _new_report()
-    chunks = ChunkTable(emoticons, wordlist, stopwords)
+    chunks = ScoringTable(vlex, None, stopwords, wordlist)
 
     def counted(kept):
         for post, entries in kept:

@@ -1,5 +1,5 @@
-"""Leaky echo state network: reservoir construction, state evolution,
-ridge-regularized readout training and NRMSE.
+"""Leaky echo state network: reservoir construction, state evolution, the
+ridge solve of the readout normal equations and NRMSE.
 
 The recurrent weights are random and fixed; only the linear readout is
 trained. State update with leak rate psi:
@@ -165,26 +165,6 @@ def run_states(
         cur += candidate
         prev = cur
     return states[0] if x.ndim == 1 else states
-
-
-def train_readout(
-    states: np.ndarray, targets: np.ndarray, ridge: float, washout: int = 0
-) -> np.ndarray:
-    """Closed-form ridge solution of the readout weights on post-washout states.
-
-    Solves (U^T U + ridge I) w = U^T y with U the (rows = time) state matrix;
-    see ``solve_ridge``.
-    """
-    u = np.asarray(states, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if u.ndim != 2 or y.ndim != 1 or len(u) != len(y):
-        raise ValueError("states must be (T, N) and targets (T,) of equal length")
-    u = u[washout:]
-    y = y[washout:]
-    n = u.shape[1]
-    if len(u) < n:
-        log.warning("only %d post-washout samples for %d reservoir units", len(u), n)
-    return solve_ridge(u.T @ u, u.T @ y, ridge, rows=len(u))
 
 
 class SingularSystemError(ValueError):

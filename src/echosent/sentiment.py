@@ -15,11 +15,15 @@ stopword-free token stream and reports per-category frequencies
 emotion side.
 
 Both rule sets are token-local apart from the lookback window, so each
-token's part can be looked up once and kept. A command run builds one
-``ScoringTable``: a bounded ``textpipe.ChunkTable`` whose entries also carry
-their token's role (valence after the ALL-CAPS adjustment, sign, booster
-increment, negator flag, emotion categories), found by key lookups in the
-lexicons. ``score_entries`` scores a post from the entries of its chunks:
+token's part can be looked up once and kept. ``clean``, ``score`` and
+``pipeline`` each build one ``ScoringTable``, the package's one memo from a
+raw whitespace chunk to its ``ScoredChunk``: the chunk's token, language
+class and stopword flag (``textpipe``'s per-chunk rules), then its token's
+role (valence after the ALL-CAPS adjustment, sign, booster increment,
+negator flag, emotion categories), found by key lookups in the lexicons.
+The table holds at most ``CHUNK_TABLE_SIZE`` entries (about 5.2 MB when full)
+and is emptied when full; nothing outlives the command run.
+``score_entries`` scores a post from the entries of its chunks:
 ``pipeline`` passes the entries its language filter looked up, and
 ``score_post`` (the ``score`` command) looks them up itself.
 ``polarity_proportions`` and ``emotion_profile`` score a ``tokenize``
@@ -41,7 +45,9 @@ from types import MappingProxyType
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .lexicon import EMOTION_CATEGORIES, EmotionLexicon, ValenceLexicon
-from .textpipe import ChunkTable, CleanDoc, RawPost, Token, trailing_emphasis
+from .textpipe import (
+    CleanDoc, RawPost, Token, chunk_token, language_class, trailing_emphasis,
+)
 # Re-exported: the benchmark tracer (bench/spans.py) wraps them under these names.
 from .textpipe import remove_stopwords, strip_artifacts, tokenize  # noqa: F401
 
@@ -203,17 +209,13 @@ def _token_valences(doc: CleanDoc, lex: ValenceLexicon) -> list[float]:
 def _compound(
     valences: Sequence[float], trailing_exclamations: int, trailing_double_question: bool
 ) -> float:
+    """Bounded summary score: punctuation-amplified sum mapped through s/sqrt(s^2+a)."""
     s = float(sum(valences))
     amp = EXCLAMATION_STEP * min(trailing_exclamations, 3)
     if trailing_double_question:
         amp += QUESTION_BOOST
     s += amp * _sign(s)
     return s / math.sqrt(s * s + NORM_ALPHA)
-
-
-def compound_score(valences: Sequence[float], doc: CleanDoc) -> float:
-    """Bounded summary score: punctuation-amplified sum mapped through s/sqrt(s^2+a)."""
-    return _compound(valences, doc.trailing_exclamations, doc.trailing_double_question)
 
 
 def _proportions(
@@ -264,10 +266,13 @@ def emotion_profile(doc: CleanDoc, lex: EmotionLexicon) -> EmotionProfile:
 
 
 class ScoredChunk(NamedTuple):
-    """A ``ChunkEntry`` followed by the ``TokenRole`` fields of its token."""
+    """What the text layers derive from one whitespace chunk: its token,
+    language class and stopword flag, then its token's ``TokenRole`` fields."""
 
     token: Token | None
+    #: ``textpipe.language_class`` of the chunk.
     language: int
+    #: Whether the token is a stopword (``False`` when there is no token).
     stop: bool
     valence: float | None
     sign: float
@@ -279,31 +284,62 @@ class ScoredChunk(NamedTuple):
 #: The role fields of a chunk without a token.
 _NO_ROLE = TokenRole(None, 0.0, None, False, ())
 
+#: Entries a ``ScoringTable`` holds before it is emptied.
+CHUNK_TABLE_SIZE = 1 << 14
 
-class ScoringTable(ChunkTable):
-    """A ``ChunkTable`` whose entries are ``ScoredChunk`` records.
 
-    One per command run, shared by the language filter and ``score_post``;
-    ``wordlist`` is needed only where the table also serves ``is_english``.
+class ScoringTable:
+    """One command's memo from raw whitespace chunk to its ``ScoredChunk``.
+
+    Every per-chunk rule (tokenizing, the language class, the stopword test,
+    the token's role) depends on the chunk alone, given the lexicons, the
+    wordlist and the stopwords, so a post's entries equal what ``tokenize``,
+    ``is_english`` and ``remove_stopwords`` derive from it. ``wordlist`` is
+    needed only where the table serves ``is_english``; with no
+    ``emotion_lex`` no token has emotions. Build one per command run: the
+    table keeps no state beyond it. It holds at most ``CHUNK_TABLE_SIZE``
+    entries and is emptied when full, which bounds its memory on corpora
+    whose vocabulary keeps growing; an emptied table rebuilds the same
+    entries, so outputs do not depend on when it was emptied.
     """
 
     def __init__(
         self,
         valence_lex: ValenceLexicon,
-        emotion_lex: EmotionLexicon,
-        stopwords: frozenset[str],
+        emotion_lex: EmotionLexicon | None,
+        stopwords: Container[str],
         wordlist: Container[str] = frozenset(),
     ) -> None:
-        super().__init__(valence_lex.symbol_tokens(), wordlist, stopwords)
         self.inputs = (valence_lex, emotion_lex, stopwords)
+        self._emoticons = valence_lex.symbol_tokens()
+        self._wordlist = wordlist
+        self._stopwords = stopwords
         self._valences = valence_lex.entries
-        self._emotions = emotion_lex.category_indices()
+        self._emotions = _NO_EMOTIONS if emotion_lex is None else emotion_lex.category_indices()
+        self._entries: dict[str, ScoredChunk] = {}
 
-    def _record(self, token: Token | None, language: int, stop: bool) -> ScoredChunk:
-        if token is None:
-            return ScoredChunk._make((None, language, stop) + _NO_ROLE)
-        role = _role_fields(token, self._valences, self._emotions)
-        return ScoredChunk._make((token, language, stop) + role)
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _add(self, chunk: str) -> ScoredChunk:
+        """Build and store the entry of a chunk the table does not hold."""
+        if len(self._entries) >= CHUNK_TABLE_SIZE:
+            self._entries.clear()
+        token = chunk_token(chunk, self._emoticons)
+        head = (token, language_class(chunk, self._wordlist),
+                token is not None and token.normalized in self._stopwords)
+        role = _NO_ROLE if token is None else _role_fields(token, self._valences, self._emotions)
+        entry = self._entries[chunk] = ScoredChunk._make(head + role)
+        return entry
+
+    def entries(self, chunks: list[str]) -> list[ScoredChunk]:
+        """The entry of each chunk, in order."""
+        entries = self._entries
+        try:
+            return list(map(entries.__getitem__, chunks))
+        except KeyError:
+            get = entries.get
+            return [get(c) or self._add(c) for c in chunks]
 
 
 # ---------------------------------------------------------------------------

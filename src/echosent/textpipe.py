@@ -6,16 +6,14 @@ trailing "!" runs, trailing "??" and emoticons) are captured by ``tokenize``
 before punctuation is dropped, so scoring downstream can still apply them.
 
 The per-chunk rules live in ``chunk_token`` (tokenizing) and
-``language_class`` (the language filter). A ``ChunkTable`` memoizes them for
-one command run: it maps each raw whitespace chunk to its token, language
-class and stopword flag, so a repeated chunk costs one dict lookup. The
-table holds at most ``CHUNK_TABLE_SIZE`` entries (about 4.4 MB when full)
-and is emptied when full; nothing outlives the command run. The commands
-split each post's text once and look its chunks up once
-(``english_entries``); that one entry list serves the language filter,
-scoring and the rule-3 count. ``is_english``, ``tokenize`` and
-``remove_stopwords`` derive the same from the text alone; the tests hold
-the table to them.
+``language_class`` (the language filter). ``sentiment.ScoringTable``
+memoizes them for one command run, along with each token's stopword flag
+and scoring role, so a repeated chunk costs one dict lookup; ``clean``,
+``score`` and ``pipeline`` each build one. The commands split each post's
+text once and look its chunks up once (``english_entries``); that one entry
+list serves the language filter, scoring and the rule-3 count.
+``is_english``, ``tokenize`` and ``remove_stopwords`` derive the same from
+the text alone; the tests hold the table to them.
 
 ``RawPost`` is an immutable tuple record (a ``NamedTuple`` subclass) whose
 constructor checks its fields, so a post costs a tuple to build.
@@ -36,9 +34,12 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, NamedTuple
 
 from .lexicon import normalize_token
+
+if TYPE_CHECKING:
+    from .sentiment import ScoredChunk, ScoringTable
 
 log = logging.getLogger(__name__)
 
@@ -58,10 +59,6 @@ ENGLISH_RATIO = 0.40
 
 #: Language-filter classes of a whitespace chunk (see ``language_class``).
 NOT_ALPHA, KNOWN_WORD, UNKNOWN_WORD = 0, 1, 2
-
-#: Entries a ``ChunkTable`` holds before it is emptied.
-CHUNK_TABLE_SIZE = 1 << 14
-
 
 _tuple_new = tuple.__new__
 
@@ -166,7 +163,7 @@ def is_english(post: RawPost, wordlist: Iterable[str]) -> bool:
     ``post.text`` must already be artifact-stripped. Untagged posts pass when
     at least 40% of their alphabetic tokens appear in the reference
     wordlist; posts with no alphabetic tokens are kept. ``english_entries``
-    applies the same filter through a ``ChunkTable``.
+    applies the same filter through a ``sentiment.ScoringTable``.
     """
     if post.lang is not None:
         return post.lang == "en"
@@ -241,70 +238,7 @@ def remove_stopwords(doc: CleanDoc, stoplist: Iterable[str]) -> CleanDoc:
     return CleanDoc(kept, doc.trailing_exclamations, doc.trailing_double_question)
 
 
-class ChunkEntry(NamedTuple):
-    """What the text layers derive from one whitespace chunk."""
-
-    token: Token | None
-    #: ``language_class`` of the chunk.
-    language: int
-    #: Whether the token is a stopword (``False`` when there is no token).
-    stop: bool
-
-
-class ChunkTable:
-    """One command's memo from raw whitespace chunk to its ``ChunkEntry``.
-
-    Every per-chunk rule (tokenizing, the language class, the stopword test)
-    depends on the chunk alone, given the emoticons, the wordlist and the
-    stopwords, so a post's entries equal what ``tokenize``, ``is_english``
-    and ``remove_stopwords`` derive from it. Build one per command run: the
-    table keeps no state beyond it. It holds at most ``CHUNK_TABLE_SIZE``
-    entries and is emptied when full, which bounds its memory on corpora
-    whose vocabulary keeps growing; an emptied table rebuilds the same
-    entries, so outputs do not depend on when it was emptied.
-    """
-
-    def __init__(
-        self,
-        emoticons: Container[str],
-        wordlist: Container[str] = frozenset(),
-        stopwords: Container[str] = frozenset(),
-    ) -> None:
-        self.emoticons = emoticons
-        self.wordlist = wordlist
-        self.stopwords = stopwords
-        self._entries: dict[str, ChunkEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _record(self, token: Token | None, language: int, stop: bool) -> ChunkEntry:
-        """The entry stored for a chunk; subclasses append fields of their own."""
-        return ChunkEntry(token, language, stop)
-
-    def _add(self, chunk: str) -> ChunkEntry:
-        """Build and store the entry of a chunk the table does not hold."""
-        if len(self._entries) >= CHUNK_TABLE_SIZE:
-            self._entries.clear()
-        token = chunk_token(chunk, self.emoticons)
-        entry = self._entries[chunk] = self._record(
-            token,
-            language_class(chunk, self.wordlist),
-            token is not None and token.normalized in self.stopwords,
-        )
-        return entry
-
-    def entries(self, chunks: list[str]) -> list[ChunkEntry]:
-        """The entry of each chunk, in order."""
-        entries = self._entries
-        try:
-            return list(map(entries.__getitem__, chunks))
-        except KeyError:
-            get = entries.get
-            return [get(c) or self._add(c) for c in chunks]
-
-
-def english_entries(post: RawPost, chunks: ChunkTable) -> list[ChunkEntry] | None:
+def english_entries(post: RawPost, chunks: ScoringTable) -> list[ScoredChunk] | None:
     """The entries of the post's whitespace chunks, or ``None`` when it is not English.
 
     ``is_english`` by one lookup of the post's chunks in ``chunks``, a table

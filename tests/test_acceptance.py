@@ -5,10 +5,13 @@ lines inline). Synthetic lengths and growth rates below are fixture choices;
 tolerances are fixed.
 """
 
+import dataclasses
+import datetime as dt
 import itertools
 import json
 import math
 import random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -23,13 +26,21 @@ from echosent.ccm import (
     loo_cv_grid_search,
     make_default_grid,
     make_quick_grid,
-    pearson,
 )
 from echosent.cli import main
-from echosent.esn import ReservoirConfig, build_reservoir, nrmse, run_states, train_readout
-from echosent.sentiment import compound_score, score_post
+from echosent.esn import (
+    ReservoirConfig,
+    build_reservoir,
+    nrmse,
+    run_states,
+    solve_ridge,
+    zscore,
+)
+from echosent.lexicon import ValenceLexicon
+from echosent.sentiment import score_post
 from echosent.synth import CoupledMapConfig, gen_ar1, gen_coupled_logistic
-from echosent.textpipe import read_corpus, tokenize
+from echosent.textpipe import RawPost, read_corpus, tokenize
+from oracle import compound_score, fsum_pearson, train_readout
 
 
 def ok(num: int, label: str) -> None:
@@ -71,39 +82,71 @@ def test_c02_scored_tweet_goldens(vlex, elex, stopwords, fixtures_dir):
     ok(2, "five-tweet scoring goldens within +/-0.05, neutral rows exact")
 
 
-def test_c03_compound_normalization():
-    plain = tokenize("plain text")
+def test_c03_compound_normalization(elex, stopwords):
+    # score_post on eight copies of a made-up word valenced s / 8: the
+    # adjusted valences sum to s, so the compound is the map of s
+    text = " ".join(["zzq"] * 8)
+
+    def scored_compound(s):
+        lex = ValenceLexicon(MappingProxyType({"zzq": s / 8}), "c03", "")
+        post = RawPost("c03", dt.date(2020, 3, 1), "X", text)
+        c = score_post(post, lex, elex, stopwords).sentiment.compound
+        assert c == compound_score([s / 8] * 8, tokenize(text))
+        return c
+
     rng = random.Random(123)
     values = sorted(rng.uniform(-30.0, 30.0) for _ in range(1000))
-    compounds = [compound_score([s], plain) for s in values]
+    compounds = [scored_compound(s) for s in values]
     for s, c in zip(values, compounds):
         assert abs(c) < 1.0
-        assert compound_score([-s], plain) == pytest.approx(-c, abs=1e-12)
+        assert scored_compound(-s) == pytest.approx(-c, abs=1e-12)
     assert all(a < b for a, b in zip(compounds, compounds[1:]))
-    assert compound_score([3.0], plain) == pytest.approx(0.6124, abs=1e-4)
-    ok(3, "compound map odd, strictly increasing, bounded; 3.0 -> 0.6124")
+    assert scored_compound(3.0) == pytest.approx(0.6124, abs=1e-4)
+    ok(3, "score_post's compound map odd, strictly increasing, bounded; 3.0 -> 0.6124")
+
+
+def c04_cases():
+    """(x, y, cfg): the bench-sized default config on coupled and null pairs,
+    then small random configs."""
+    for t_len in (500, 1000):
+        x, y = gen_coupled_logistic(CoupledMapConfig(length=t_len, seed=t_len, coupling_yx=0.3))
+        for washout in (30, 0):
+            cfg = dataclasses.replace(default_ccm_config(3), washout=washout)
+            yield x, y, cfg
+            yield y, x, cfg
+        yield gen_ar1(0.5, t_len, t_len), gen_ar1(0.5, t_len, t_len + 1), default_ccm_config(3)
+    rng = np.random.default_rng(404)
+    for seed in range(20):
+        t_len = int(rng.integers(60, 200))
+        cfg = ReservoirConfig(
+            size=int(rng.integers(3, 40)), spectral_radius=0.5, leak=0.5, input_scale=0.5,
+            sparsity=1.0, ridge=float(10 ** rng.uniform(-1, 1)), seed=seed,
+            washout=int(rng.integers(0, 21)),
+        )
+        yield rng.standard_normal(t_len), rng.standard_normal(t_len), cfg
 
 
 def test_c04_pearson_oracle():
-    def oracle(a, b):
-        n = len(a)
-        ma = math.fsum(a) / n
-        mb = math.fsum(b) / n
-        cov = math.fsum((x - ma) * (y - mb) for x, y in zip(a, b))
-        va = math.fsum((x - ma) ** 2 for x in a)
-        vb = math.fsum((y - mb) ** 2 for y in b)
-        return cov / math.sqrt(va * vb)
-
-    rng = random.Random(321)
-    for _ in range(1000):
-        n = rng.randrange(2, 60)
-        a = [rng.gauss(0, 1) for _ in range(n)]
-        b = [rng.gauss(0, 1) for _ in range(n)]
-        assert pearson(a, b) == pytest.approx(oracle(a, b), abs=1e-12)
-    base = [float(v) for v in range(1, 8)]
-    assert pearson(base, base) == pytest.approx(1.0, abs=1e-15)
-    assert pearson(base, [-v for v in base]) == pytest.approx(-1.0, abs=1e-15)
-    ok(4, "pearson matches independent two-pass formula on 1000 pairs")
+    grid = LagGrid(-30, 30)
+    n_rhos = 0
+    for x, y, cfg in c04_cases():
+        curve = cross_map_curve(x, y, cfg, grid)
+        assert curve.lags == grid.values() and curve.skipped == ()
+        # the direct fit: one ridge readout per lag on its own window
+        states = run_states(build_reservoir(cfg), cfg, zscore(x))
+        for lag, rho in zip(curve.lags, curve.rhos):
+            s_in, s_out = align_window(len(x), lag)
+            shift = max(s_in.start, cfg.washout) - s_in.start
+            u = states[s_in.start + shift:s_in.stop]
+            obs = y[s_out.start + shift:s_out.stop]
+            yz = (obs - np.mean(obs)) / np.std(obs)
+            pred = u @ train_readout(u, yz, cfg.ridge)
+            assert abs(rho - fsum_pearson(pred.tolist(), yz.tolist())) <= 1e-12, lag
+            n_rhos += 1
+        best = min(range(len(curve.lags)),
+                   key=lambda i: (-curve.rhos[i], abs(curve.lags[i]), curve.lags[i]))
+        assert (curve.peak_lag, curve.peak_rho) == (curve.lags[best], curve.rhos[best])
+    ok(4, f"lag-scan rhos match two-pass fsum Pearson of direct per-lag fits ({n_rhos} rhos)")
 
 
 def test_c05_window_alignment_exhaustive():
@@ -123,16 +166,18 @@ def test_c06_ridge_readout_oracle():
     rng = np.random.default_rng(77)
     for _ in range(10):
         states = rng.standard_normal((200, 20))
-        targets = rng.standard_normal(200)
+        targets = rng.standard_normal((200, 4))
         ridge = 10 ** rng.uniform(-3, 3)
-        w = train_readout(states, targets, ridge)
+        gram, rhs = states.T @ states, states.T @ targets
         aug = np.vstack([states, math.sqrt(ridge) * np.eye(20)])
-        rhs = np.concatenate([targets, np.zeros(20)])
-        oracle, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-        assert w == pytest.approx(oracle, abs=1e-8)
-    w = train_readout(rng.standard_normal((200, 20)), rng.standard_normal(200), 1e12)
+        oracle, *_ = np.linalg.lstsq(aug, np.vstack([targets, np.zeros((20, 4))]), rcond=None)
+        # the lag scan's call: several right-hand sides and the probe bound
+        assert solve_ridge(gram, rhs, ridge, rows=len(states)) == pytest.approx(oracle, abs=1e-8)
+        assert solve_ridge(gram, rhs[:, 0], ridge) == pytest.approx(oracle[:, 0], abs=1e-8)
+    states = rng.standard_normal((200, 20))
+    w = solve_ridge(states.T @ states, states.T @ rng.standard_normal(200), 1e12, rows=200)
     assert np.linalg.norm(w) <= 1e-6
-    ok(6, "ridge readout matches brute-force least squares; huge ridge shrinks to zero")
+    ok(6, "ridge solver matches brute-force least squares; huge ridge shrinks to zero")
 
 
 def test_c07_echo_state_fading_memory():

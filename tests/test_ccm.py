@@ -29,12 +29,12 @@ from echosent.esn import (
     nrmse,
     run_states,
     solve_ridge,
-    train_readout,
     zscore,
 )
 from echosent import ccm as ccm_module
 from echosent import esn
 from echosent.synth import CoupledMapConfig, gen_ar1, gen_coupled_logistic
+from oracle import fsum_pearson, train_readout
 
 
 def small_cfg(**kw):
@@ -119,16 +119,6 @@ def test_lag_grid_validation():
 # pearson
 
 
-def oracle_pearson(a, b):
-    n = len(a)
-    ma = math.fsum(a) / n
-    mb = math.fsum(b) / n
-    cov = math.fsum((x - ma) * (y - mb) for x, y in zip(a, b))
-    va = math.fsum((x - ma) ** 2 for x in a)
-    vb = math.fsum((y - mb) ** 2 for y in b)
-    return cov / math.sqrt(va * vb)
-
-
 def test_pearson_identical_and_negated():
     a = np.array([1.0, 2.0, 5.0, 3.0])
     assert pearson(a, a) == pytest.approx(1.0, abs=1e-15)
@@ -148,7 +138,19 @@ def test_pearson_matches_independent_formula():
         b = [rng.uniform(-5, 5) for _ in range(n)]
         if len(set(a)) == 1 or len(set(b)) == 1:
             continue
-        assert pearson(a, b) == pytest.approx(oracle_pearson(a, b), abs=1e-12)
+        assert pearson(a, b) == pytest.approx(fsum_pearson(a, b), abs=1e-12)
+
+
+def test_pearson_oracle():
+    rng = random.Random(321)
+    for _ in range(1000):
+        n = rng.randrange(2, 60)
+        a = [rng.gauss(0, 1) for _ in range(n)]
+        b = [rng.gauss(0, 1) for _ in range(n)]
+        assert pearson(a, b) == pytest.approx(fsum_pearson(a, b), abs=1e-12)
+    base = [float(v) for v in range(1, 8)]
+    assert pearson(base, base) == pytest.approx(1.0, abs=1e-15)
+    assert pearson(base, [-v for v in base]) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_pearson_constant_series_rejected():

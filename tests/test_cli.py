@@ -689,7 +689,7 @@ def test_pipeline_strips_each_post_once_and_tokenizes_each_kept_post_once(
     counting(monkeypatch, counts, "strip_artifacts", [cli, sentiment, textpipe])
     # a post's chunks are looked up in the command's chunk table once, for the
     # language filter, the scoring and the rule-3 count alike
-    counting(monkeypatch, counts, "entries", [textpipe.ChunkTable])
+    counting(monkeypatch, counts, "entries", [sentiment.ScoringTable])
     counting(monkeypatch, counts, "tokenize", [cli, sentiment, textpipe])
     counting(monkeypatch, counts, "read_corpus", [cli, textpipe])
     counting(monkeypatch, counts, "is_english", [cli, textpipe])
@@ -730,14 +730,14 @@ def test_emptying_the_chunk_table_mid_corpus_changes_no_output(tmp_path, fixture
         fh.write(Path(fixtures_dir, "toronto_feb24.jsonl").read_text())
     want = staged_and_pipeline_outputs(corpus, tmp_path / "default_bound")
     sizes = []
-    add = textpipe.ChunkTable._add
+    add = sentiment.ScoringTable._add
 
     def recording(self, chunk):
         sizes.append(len(self))
         return add(self, chunk)
 
-    monkeypatch.setattr(textpipe, "CHUNK_TABLE_SIZE", 3)
-    monkeypatch.setattr(textpipe.ChunkTable, "_add", recording)
+    monkeypatch.setattr(sentiment, "CHUNK_TABLE_SIZE", 3)
+    monkeypatch.setattr(sentiment.ScoringTable, "_add", recording)
     assert staged_and_pipeline_outputs(corpus, tmp_path / "bounded") == want
     assert max(sizes) == 3 and sizes.count(3) > 1  # emptied more than once
     assert {"pipeline/series.csv", "staged/clean_report.json"} <= set(want)
@@ -745,13 +745,13 @@ def test_emptying_the_chunk_table_mid_corpus_changes_no_output(tmp_path, fixture
 
 def test_command_runs_share_no_chunk_table(tmp_path, fixtures_dir, monkeypatch):
     tables = []
-    init = textpipe.ChunkTable.__init__
+    init = sentiment.ScoringTable.__init__
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         tables.append(weakref.ref(self))
 
-    monkeypatch.setattr(textpipe.ChunkTable, "__init__", recording)
+    monkeypatch.setattr(sentiment.ScoringTable, "__init__", recording)
     corpus = f"{fixtures_dir}/toronto_feb24.jsonl"
     for k in range(2):
         assert main(["pipeline", "--in", corpus, "--out-dir", str(tmp_path / str(k))]) == 0

@@ -16,8 +16,8 @@ from echosent.esn import (
     run_states,
     solve_ridge,
     spectral_radius,
-    train_readout,
 )
+from oracle import train_readout
 
 
 def cfg(**kw):

@@ -21,7 +21,6 @@ from echosent.sentiment import (
     SentimentScore,
     _is_negator,
     _token_valences,
-    compound_score,
     emotion_profile,
     polarity_proportions,
     read_scored_csv,
@@ -31,6 +30,7 @@ from echosent.sentiment import (
     write_scored_csv,
 )
 from echosent.textpipe import RawPost, remove_stopwords, tokenize
+from oracle import compound_score
 
 
 def doc(text, vlex=None):
@@ -419,6 +419,16 @@ def test_table_scoring_equals_the_reference_path(vlex, elex, stopwords, data, ze
             assert got == want
             assert scored_row(got) == scored_row(want)  # repr tells -0.0 from 0.0
             assert got.emotions == want.emotions
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_score_post_compound_is_the_oracle_compound_map(vlex, elex, stopwords, data):
+    # most drawn posts end in "!", "?" or "??" runs, so the amplifier is checked too
+    post = data.draw(vocabulary_posts(vlex, elex, stopwords))
+    d = doc(post.text, vlex)
+    got = score_post(post, vlex, elex, stopwords).sentiment.compound
+    assert got == compound_score(_token_valences(d, vlex), d)
 
 
 def test_score_post_refuses_a_table_over_other_lexicons(vlex, elex, stopwords):

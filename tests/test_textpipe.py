@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echosent import textpipe
+from echosent import sentiment, textpipe
+from echosent.sentiment import ScoringTable
 from echosent.textpipe import (
     MEANINGLESS_TOKENS,
-    ChunkTable,
     RawPost,
     _strip_matches,
     corpus_line,
@@ -325,7 +325,7 @@ def test_trailing_emphasis_equals_the_patterns(text):
 
 
 # ---------------------------------------------------------------------------
-# ChunkTable
+# the chunk table (sentiment.ScoringTable) against the per-post functions
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -334,7 +334,7 @@ def test_chunk_table_gives_what_the_per_post_functions_give(
     vlex, stopwords, wordlist, data, lang
 ):
     emoticons = vlex.symbol_tokens()
-    table = ChunkTable(emoticons, wordlist, stopwords)
+    table = ScoringTable(vlex, None, stopwords, wordlist)
     for _ in range(3):
         text = data.draw(_tokenizer_texts(emoticons) | st.sampled_from(
             ["the vaccine works well here", "le confinement est difficile", ""]
@@ -353,9 +353,9 @@ def test_chunk_table_gives_what_the_per_post_functions_give(
 
 
 def test_chunk_table_is_emptied_at_its_bound(vlex, monkeypatch):
-    monkeypatch.setattr(textpipe, "CHUNK_TABLE_SIZE", 4)
+    monkeypatch.setattr(sentiment, "CHUNK_TABLE_SIZE", 4)
     emoticons = vlex.symbol_tokens()
-    table = ChunkTable(emoticons)
+    table = ScoringTable(vlex, None, frozenset())
     text = "one two three four five six seven :) SIX one"
     sizes = []
     for _ in range(3):
