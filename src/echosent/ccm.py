@@ -145,7 +145,8 @@ def cross_map_curve(
     below the series length are skipped; so are lags whose window is shorter
     than ``min_window``, whose target window is constant or whose prediction
     is constant on its window, each with a warning. ``skipped`` lists them in
-    grid order.
+    grid order. Kept lags fitted on fewer rows than reservoir units get one
+    warning per curve, with their count and the shortest window.
 
     Cost: one Gram over the union of the training windows and one ridge
     factorization, solved for every lag's target at once. A window is the
@@ -267,7 +268,8 @@ def cross_map_curve(
     cov = np.einsum("ij,ij->i", preds, targets_z)
     lags: list[int] = []
     rhos: list[float] = []
-    for (lag, _, _), degenerate, c, vp, vy in zip(
+    short: list[int] = []  # kept windows with fewer rows than reservoir units
+    for (lag, a, b), degenerate, c, vp, vy in zip(
         plan, flat.tolist(), cov.tolist(), var_p.tolist(), var_y.tolist()
     ):
         if degenerate:
@@ -276,8 +278,13 @@ def cross_map_curve(
             continue
         lags.append(lag)
         rhos.append(c / math.sqrt(vp * vy))
+        if b - a < states.shape[1]:
+            short.append(b - a)
     if not lags:
         raise ValueError("no usable lag in the grid (series too short?)")
+    if short:
+        log.warning("%s: %d kept lags fitted on fewer rows than the %d reservoir units "
+                    "(shortest window %d)", direction, len(short), states.shape[1], min(short))
     order = sorted(range(len(lags)), key=lambda i: (-rhos[i], abs(lags[i]), lags[i]))
     best = order[0]
     return LagCorrelationCurve(
@@ -463,6 +470,8 @@ def loo_cv_grid_search(
     example a constant or zero-mean target) invalidates the whole config.
     Units are processed in sorted order, so unit ordering cannot change the
     winner; score ties break toward smaller reservoirs, then smaller ridge.
+    An input or target value that is not finite raises ``ValueError``
+    naming its unit before any reservoir is drawn.
 
     Cost: one draw (one eigensolve) per distinct (size, sparsity, seed), one
     state block per reservoir key and unit length, and per fold one LU solve
@@ -480,6 +489,9 @@ def loo_cv_grid_search(
         x, y = panel[unit]
         if np.asarray(x).shape != np.asarray(y).shape:
             raise ValueError(f"unit {unit!r}: input/target length mismatch")
+        for name, values in (("input", x), ("target", y)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"unit {unit!r}: {name} series has a value that is not finite")
 
     # Units of one length run as one block of z-scored input columns.
     by_length: dict[int, list[str]] = {}

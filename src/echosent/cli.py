@@ -425,7 +425,7 @@ def _feature_pairs(path, input_feature, target_feature, cities=None):
             sx, sy = feats[input_feature], feats[target_feature]
         except KeyError as exc:
             raise ValueError(f"{path}: city {city!r} has no {exc.args[0]!r} series") from None
-        if sx.dates != sy.dates:
+        if (sx.start, len(sx)) != (sy.start, len(sy)):
             raise ValueError(
                 f"{path}: city {city!r}: input and target series must cover identical dates"
             )
@@ -522,7 +522,6 @@ def cmd_synth(args) -> int:
     if args.units < 1:
         raise ValueError(f"synth: --units must be at least 1, got {args.units}")
     built = []
-    dates = tuple(_SYNTH_EPOCH + dt.timedelta(days=i) for i in range(args.length))
     for u in range(args.units):
         name = f"unit{u:02d}"
         if args.mode == "coupled":
@@ -540,8 +539,8 @@ def cmd_synth(args) -> int:
         else:
             x = synth.gen_ar1(args.phi, args.length, _unit_seed(args.seed, u, 0))
             y = synth.gen_ar1(args.phi, args.length, _unit_seed(args.seed, u, 1))
-        built.append(series.CitySeries(name, "x", dates, tuple(x.tolist())))
-        built.append(series.CitySeries(name, "y", dates, tuple(y.tolist())))
+        built.append(series.CitySeries(name, "x", _SYNTH_EPOCH, tuple(x.tolist())))
+        built.append(series.CitySeries(name, "y", _SYNTH_EPOCH, tuple(y.tolist())))
     series.write_series_csv(built, args.out)
     print(f"series_written: {len(built)}")
     return 0

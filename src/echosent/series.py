@@ -1,5 +1,6 @@
 """Daily per-city series, period summaries and heatmap emission.
 
+A ``CitySeries`` holds its first day and its values, gap-free by construction.
 Series CSV format: header ``date,city,feature,value`` with ISO dates, one
 row per day. ``read_series_csv`` checks every row of a file but builds,
 and requires gap-free, only the series it is asked for. Heatmap CSV: header
@@ -42,51 +43,35 @@ _ONE_DAY = dt.timedelta(days=1)
 
 def _check_contiguous(dates: Sequence[dt.date]) -> None:
     for a, b in zip(dates, dates[1:]):
+        if b == a:
+            raise ValueError(f"date {a} repeats")
         if b != a + _ONE_DAY:
             raise ValueError(f"dates must be contiguous daily; gap after {a}")
 
 
-class _ContiguousDates(tuple):
-    """Consecutive days, checked once when the tuple is built.
-
-    ``aggregate_daily`` gives every feature of a city one such tuple, so
-    the day walk runs once per city, not once per series.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, dates: Iterable[dt.date]) -> _ContiguousDates:
-        self = super().__new__(cls, dates)
-        _check_contiguous(self)
-        return self
-
-
 @dataclass(frozen=True)
 class CitySeries:
-    """A contiguous daily series of one feature for one city."""
+    """A daily series of one feature for one city: ``values[i]`` is day ``start + i``."""
 
     city: str
     feature: str
-    dates: tuple[dt.date, ...]
+    start: dt.date
     values: tuple[float, ...]
-    filled: tuple[bool, ...] = ()
 
     def __post_init__(self) -> None:
         # aggregate_daily restricts features to FEATURES; synthetic series
         # flowing through the same CSV format may carry other names.
         if not self.feature:
             raise ValueError("feature must be nonempty")
-        if len(self.dates) != len(self.values):
-            raise ValueError("dates and values must have equal length")
-        if not self.dates:
+        if not self.values:
             raise ValueError("series must be nonempty")
-        if not isinstance(self.dates, _ContiguousDates):
-            _check_contiguous(self.dates)
-        if self.filled and len(self.filled) != len(self.dates):
-            raise ValueError("filled flags must match dates")
+
+    @property
+    def end(self) -> dt.date:
+        return self.start + (len(self.values) - 1) * _ONE_DAY
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.values)
 
 
 #: Position in a day's running sums (see ``aggregate_daily``) of each count feature.
@@ -109,7 +94,7 @@ def aggregate_daily(
     are given. ``compound_mean`` is the arithmetic mean of the day's compound
     scores; count features are daily sums. Days without posts get 0 for
     counts and a carried-forward mean for ``compound_mean`` (carried backward
-    at a leading gap), flagged in ``filled``.
+    at a leading gap).
     """
     for feature in features:
         if feature == "cases":
@@ -146,10 +131,8 @@ def aggregate_daily(
             raise ValueError(f"empty range {lo}..{hi}")
         if not any(lo <= day <= hi for day in by_day):
             raise ValueError(f"no posts for {city!r} in {lo}..{hi}")
-        dates = _ContiguousDates(lo + i * _ONE_DAY for i in range((hi - lo).days + 1))
         # one lookup per (city, day); every feature reads off it
-        days = [by_day.get(day) for day in dates]
-        filled = tuple(sums is None for sums in days)
+        days = [by_day.get(lo + i * _ONE_DAY) for i in range((hi - lo).days + 1)]
         for feature in features:
             if feature == "compound_mean":
                 # a leading gap has no previous mean; carry the first observed one back
@@ -164,7 +147,7 @@ def aggregate_daily(
                 k = _COUNT_SLOT[feature]
                 # an int plus 0.0 is float(int), without the call
                 values = [0.0 if sums is None else sums[k] + 0.0 for sums in days]
-            out.append(CitySeries(city, feature, dates, tuple(values), filled))
+            out.append(CitySeries(city, feature, lo, tuple(values)))
     return out
 
 
@@ -310,12 +293,12 @@ def heatmap_matrix(series: Sequence[CitySeries]) -> tuple[list[str], list[dt.dat
     for s in series:
         if s.feature != feature:
             raise ValueError("heatmap series must share one feature")
-    lo = min(s.dates[0] for s in series)
-    hi = max(s.dates[-1] for s in series)
+    lo = min(s.start for s in series)
+    hi = max(s.end for s in series)
     dates = [lo + i * _ONE_DAY for i in range((hi - lo).days + 1)]
     cities = [s.city for s in series]
     matrix = [
-        [None] * (s.dates[0] - lo).days + list(s.values) + [None] * (hi - s.dates[-1]).days
+        [None] * (s.start - lo).days + list(s.values) + [None] * (hi - s.end).days
         for s in series
     ]
     return cities, dates, matrix
@@ -412,8 +395,8 @@ def write_series_csv(series: Iterable[CitySeries], path: str | Path) -> None:
     quoted = io.StringIO()
     # the default "\r\n" terminator also makes csv quote fields with line breaks
     middle = csv.writer(quoted)
-    iso: dict[dt.date, str] = {}
-    dates: tuple[dt.date, ...] = ()
+    iso: dict[int, str] = {}  # by day ordinal
+    span = None
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("date,city,feature,value\r\n")
         for s in series:
@@ -421,9 +404,11 @@ def write_series_csv(series: Iterable[CitySeries], path: str | Path) -> None:
             quoted.truncate()
             middle.writerow(("", s.city, s.feature, ""))
             mid = quoted.getvalue()[:-2]
-            if s.dates is not dates:  # one city's features share their dates tuple
-                dates = s.dates
-                days = [iso.get(d) or iso.setdefault(d, d.isoformat()) for d in dates]
+            if (s.start, len(s)) != span:  # one city's features share their days
+                span = s.start, len(s)
+                first = s.start.toordinal()
+                days = [iso.get(k) or iso.setdefault(k, dt.date.fromordinal(k).isoformat())
+                        for k in range(first, first + len(s))]
             fh.write("".join(chain.from_iterable(
                 zip(days, repeat(mid), map(repr, s.values), repeat("\r\n"))
             )))
@@ -444,7 +429,8 @@ def read_series_csv(
     names the file and line. Blank lines are skipped. Only the series whose
     feature is in ``features`` and whose city is in ``cities`` (``None``
     keeps all) are built, in (city, feature) order, and only those must be
-    gap-free daily series.
+    gap-free daily series: a gap or a repeated date in one of them raises
+    ``ValueError`` naming the file and the series.
     """
     keep_features = None if features is None else frozenset(features)
     keep_cities = None if cities is None else frozenset(cities)
@@ -482,7 +468,8 @@ def read_series_csv(
         pairs.sort(key=itemgetter(0))
         dates, values = zip(*pairs)
         try:
-            out.append(CitySeries(city, feature, dates, values))
+            _check_contiguous(dates)
         except ValueError as exc:
             raise ValueError(f"{path}: series {city!r}/{feature!r}: {exc}") from None
+        out.append(CitySeries(city, feature, dates[0], values))
     return out

@@ -230,6 +230,23 @@ def test_short_windows_skipped_with_warning(caplog):
     assert any("skipped" in rec.message for rec in caplog.records)
 
 
+def test_windows_shorter_than_the_reservoir_warn_once_per_curve(caplog):
+    # default settings: 100 units and washout 30, so at length 80 every kept
+    # window has at most 50 rows, and lag +30 keeps 20
+    x, y = gen_ar1(0.5, 80, 1), gen_ar1(0.5, 80, 2)
+    with caplog.at_level("WARNING", logger="echosent.ccm"):
+        curve_xy, curve_yx, _ = analyze_pair(x, y, default_ccm_config(0))
+    assert len(curve_xy.lags) == len(curve_yx.lags) == 61
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{d}: 61 kept lags fitted on fewer rows than the 100 reservoir units (shortest window 20)"
+        for d in ("x->y", "y->x")
+    ]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="echosent.ccm"):
+        analyze_pair(gen_ar1(0.5, 500, 1), gen_ar1(0.5, 500, 2), default_ccm_config(0))
+    assert caplog.records == []
+
+
 def test_curve_deterministic_given_seed():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(200)
@@ -574,6 +591,21 @@ def test_gram_assembly_matches_naive_training():
         assert len(report.cells) == len(panel)
         for cell in report.cells:
             assert cell.nrmse == pytest.approx(expected[cell.unit], rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_grid_search_rejects_a_value_that_is_not_finite_before_any_draw(monkeypatch, side, bad):
+    draws = []
+    monkeypatch.setattr(ccm_module, "draw_reservoir", lambda *key: draws.append(key))
+    panel = make_panel(3, length=60)
+    series = panel["unit01"][side].copy()
+    series[17] = bad
+    panel["unit01"] = (series, panel["unit01"][1]) if side == 0 else (panel["unit01"][0], series)
+    name = ("input", "target")[side]
+    with pytest.raises(ValueError, match=f"unit 'unit01': {name} series has a value that is not finite"):
+        loo_cv_grid_search(panel, make_quick_grid(seed=0, washout=10))
+    assert draws == []
 
 
 def test_grid_search_draws_once_per_size_sparsity_seed(monkeypatch):

@@ -581,6 +581,24 @@ def test_gridsearch_tiny_grid_honours_the_washout(tmp_path):
     assert len(rows) == 3 and {row["washout"] for row in rows} == {"5"}
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_gridsearch_rejects_a_target_that_is_not_finite(tmp_path, capsys, bad):
+    panel = tmp_path / "panel.csv"
+    assert main(["synth", "--mode", "coupled", "--units", "3", "--length", "120",
+                 "--out", str(panel)]) == 0
+    lines = panel.read_text().splitlines(keepends=True)
+    row = next(k for k, line in enumerate(lines) if ",unit01,y," in line) + 40
+    lines[row] = lines[row].rsplit(",", 1)[0] + f",{bad}\r\n"
+    panel.write_text("".join(lines), newline="")
+    capsys.readouterr()
+    out_dir = tmp_path / "gs"
+    assert main(["gridsearch", "--panel", str(panel), "--input-feature", "x",
+                 "--target-feature", "y", "--grid", "quick", "--washout", "10",
+                 "--out-dir", str(out_dir)]) == 2
+    assert "unit 'unit01': target series has a value that is not finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_ccm_series_needs_exactly_one_city(tmp_path, capsys):
     panel = synth_panel(tmp_path, units=2)
     capsys.readouterr()

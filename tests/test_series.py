@@ -50,7 +50,7 @@ def sp(pid, day, city, compound, likes=0, replies=0, retweets=0):
 def test_singleton_day_mean():
     posts = [sp("a", D(2020, 3, 1), "Toronto", 0.5)]
     s = aggregate_daily(posts, ["compound_mean"], ["Toronto"])[0]
-    assert s.dates == (D(2020, 3, 1),)
+    assert s.start == s.end == D(2020, 3, 1)
     assert s.values == (0.5,)
 
 
@@ -72,9 +72,8 @@ def test_gap_day_carried_forward_and_flagged():
         sp("b", D(2020, 3, 3), "Toronto", -0.4),
     ]
     s = aggregate_daily(posts, ["compound_mean"], ["Toronto"])[0]
-    assert s.dates == (D(2020, 3, 1), D(2020, 3, 2), D(2020, 3, 3))
+    assert (s.start, s.end) == (D(2020, 3, 1), D(2020, 3, 3))
     assert s.values == (0.4, 0.4, -0.4)
-    assert s.filled == (False, True, False)
 
 
 def test_gap_day_zero_for_counts():
@@ -84,14 +83,12 @@ def test_gap_day_zero_for_counts():
     ]
     s = aggregate_daily(posts, ["like_total"], ["Toronto"])[0]
     assert s.values == (2.0, 0.0, 5.0)
-    assert s.filled == (False, True, False)
 
 
 def test_leading_gap_carried_backward():
     posts = [sp("a", D(2020, 3, 3), "Toronto", 0.7)]
     s = aggregate_daily(posts, ["compound_mean"], ["Toronto"], start=D(2020, 3, 1))[0]
     assert s.values == (0.7, 0.7, 0.7)
-    assert s.filled == (True, True, False)
 
 
 def test_count_features():
@@ -151,12 +148,10 @@ def per_city_feature_oracle(posts, city, feature, start=None, end=None):
     sel = [p for p in sel if start <= p.date <= end]
     if not sel:
         raise ValueError("no posts in range")
-    dates, values, filled = [], [], []
+    values = []
     day = start
     while day <= end:
         group = [p for p in sel if p.date == day]
-        dates.append(day)
-        filled.append(not group)
         if feature == "compound_mean":
             if group:
                 values.append(sum(p.sentiment.compound for p in group) / len(group))
@@ -173,7 +168,7 @@ def per_city_feature_oracle(posts, city, feature, start=None, end=None):
         day += dt.timedelta(days=1)
     first = next(v for v in values if not math.isnan(v))
     values = [first if math.isnan(v) else v for v in values]
-    return tuple(dates), tuple(values), tuple(filled)
+    return start, tuple(values)
 
 
 ALL_FEATURES = ["compound_mean", "tweet_count", "like_total", "reply_total", "retweet_total"]
@@ -226,7 +221,7 @@ def test_one_pass_aggregation_matches_per_city_feature_oracle(rows, start, end, 
     order = present if cities is None else cities
     assert [(s.city, s.feature) for s in got] == [(c, f) for c in order for f in features]
     for s in got:
-        assert (s.dates, s.values, s.filled) == want[(s.city, s.feature)]
+        assert (s.start, s.values) == want[(s.city, s.feature)]
 
 
 def bits(values):
@@ -296,11 +291,10 @@ def test_day_sums_equal_per_day_lists_bit_for_bit(rows, lead, seed):
             "retweet_total": [float(sum(p.retweet_count for p in g)) for g in groups.values()],
         }
         for s in series:
-            assert s.dates == tuple(days)
-            assert s.filled == tuple(not g for g in groups.values())
+            assert (s.start, len(s)) == (start, len(days))
             assert bits(s.values) == bits(want[s.feature]), (city, s.feature)
         if lead:
-            assert series[0].values[0] == first and series[0].filled[0]
+            assert series[0].values[0] == first
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +450,7 @@ def test_read_ini_reads_literally_and_names_the_file_it_cannot_parse(tmp_path):
 
 
 def mk_series(city, values, feature="compound_mean"):
-    dates = tuple(D(2020, 3, 1) + dt.timedelta(days=i) for i in range(len(values)))
-    return CitySeries(city, feature, dates, tuple(values))
+    return CitySeries(city, feature, D(2020, 3, 1), tuple(values))
 
 
 def test_heatmap_matrix_layout(tmp_path):
@@ -486,8 +479,7 @@ def test_heatmap_mismatched_features_error():
 
 
 def test_heatmap_spans_every_city_range(tmp_path):
-    later = CitySeries("B", "compound_mean", tuple(D(2020, 3, d) for d in (2, 3, 4)),
-                       (-0.5, 0.25, 0.0))
+    later = CitySeries("B", "compound_mean", D(2020, 3, 2), (-0.5, 0.25, 0.0))
     cities, dates, matrix = heatmap_matrix([mk_series("A", [0.1, 0.2]), later])
     assert dates == [D(2020, 3, d) for d in (1, 2, 3, 4)]
     assert matrix == [[0.1, 0.2, None, None], [None, -0.5, 0.25, 0.0]]
@@ -533,7 +525,7 @@ def test_series_csv_roundtrip(tmp_path):
     }
     by_key = {(s.city, s.feature): s for s in back}
     assert by_key[("A", "compound_mean")].values == a.values
-    assert by_key[("B", "tweet_count")].dates == b.dates
+    assert by_key[("B", "tweet_count")].start == b.start
 
 
 # Any Unicode text but lone surrogates, which UTF-8 cannot encode; commas,
@@ -549,8 +541,7 @@ def series_sets(draw):
     for city, feature in keys:
         start = draw(st.dates(D(1, 1, 1), D(9999, 12, 1)))
         values = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
-        dates = tuple(start + dt.timedelta(days=i) for i in range(len(values)))
-        out.append(CitySeries(city, feature, dates, tuple(values)))
+        out.append(CitySeries(city, feature, start, tuple(values)))
     return out
 
 
@@ -575,40 +566,71 @@ def test_read_series_csv_rejects_gaps(tmp_path):
         "2020-03-01,A,compound_mean,0.1\n"
         "2020-03-03,A,compound_mean,0.2\n"
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+        f"{path}: series 'A'/'compound_mean': dates must be contiguous daily; gap after 2020-03-01"
+    )):
         read_series_csv(path)
 
 
+def test_read_series_csv_requires_gap_free_days_only_of_the_series_it_builds(tmp_path):
+    # B/x has a gap, C/x and A/y a repeated date
+    path = tmp_path / "series.csv"
+    path.write_text(
+        "date,city,feature,value\n"
+        "2020-03-01,A,x,0.1\n2020-03-02,A,x,0.2\n"
+        "2020-03-01,B,x,1.0\n2020-03-03,B,x,2.0\n"
+        "2020-03-01,C,x,1.0\n2020-03-01,C,x,2.0\n"
+        "2020-03-01,A,y,5.0\n2020-03-01,A,y,6.0\n"
+    )
+    want = [CitySeries("A", "x", D(2020, 3, 1), (0.1, 0.2))]
+    assert read_series_csv(path, features=["x"], cities=["A"]) == want
+    assert read_series_csv(path, features=["x", "z"], cities=["A", "D"]) == want
+    for features, cities, named in ((["x"], ["A", "B"], "'B'/'x': dates must be contiguous"),
+                                     (["x"], ["C"], "'C'/'x': date 2020-03-01 repeats"),
+                                     (None, ["A"], "'A'/'y': date 2020-03-01 repeats")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            read_series_csv(path, features=features, cities=cities)
+
+
 def test_city_series_validation():
-    with pytest.raises(ValueError):
-        CitySeries("A", "compound_mean", (D(2020, 3, 1),), (0.1, 0.2))
-    with pytest.raises(ValueError):
-        CitySeries("A", "compound_mean", (D(2020, 3, 1), D(2020, 3, 3)), (0.1, 0.2))
-    with pytest.raises(ValueError):
-        CitySeries("A", "", (D(2020, 3, 1),), (0.1,))
+    with pytest.raises(ValueError, match="feature must be nonempty"):
+        CitySeries("A", "", D(2020, 3, 1), (0.1,))
+    with pytest.raises(ValueError, match="series must be nonempty"):
+        CitySeries("A", "compound_mean", D(2020, 3, 1), ())
+    s = CitySeries("A", "x", D(2020, 2, 28), (0.1, 0.2, 0.3))
+    assert (len(s), s.end) == (3, D(2020, 3, 1))
 
 
-@pytest.mark.parametrize("dates", [
-    (D(2020, 3, 1), D(2020, 3, 3)),
-    (D(2020, 3, 1), D(2020, 3, 1)),
-    [D(2020, 3, 2), D(2020, 3, 1)],
+@pytest.mark.parametrize("dates, message", [
+    pytest.param((D(2020, 3, 1), D(2020, 3, 3)),
+                 "dates must be contiguous daily; gap after 2020-03-01", id="dates0"),
+    pytest.param((D(2020, 3, 1), D(2020, 3, 1)), "date 2020-03-01 repeats", id="dates1"),
+    # rows come in any order; the repeat shows once they are sorted
+    pytest.param([D(2020, 3, 2), D(2020, 3, 1), D(2020, 3, 2)], "date 2020-03-02 repeats",
+                 id="dates2"),
 ])
-def test_city_series_rejects_gapped_or_repeated_dates(dates):
-    with pytest.raises(ValueError, match="contiguous"):
-        CitySeries("A", "compound_mean", dates, (0.1, 0.2))
-    with pytest.raises(ValueError, match="contiguous"):
-        series_module._ContiguousDates(dates)
+def test_city_series_rejects_gapped_or_repeated_dates(tmp_path, dates, message):
+    # a CitySeries has no dates to get wrong; a file is where days can gap or repeat
+    path = tmp_path / "series.csv"
+    path.write_text("date,city,feature,value\n"
+                    + "".join(f"{day},A,compound_mean,{k}.0\n" for k, day in enumerate(dates)))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: series 'A'/'compound_mean': {message}")):
+        read_series_csv(path)
 
 
-def test_aggregate_checks_each_citys_dates_once(monkeypatch):
+def test_only_read_series_csv_checks_dates(monkeypatch, tmp_path):
     walks = []
     check = series_module._check_contiguous
     monkeypatch.setattr(series_module, "_check_contiguous", lambda d: walks.append(d) or check(d))
     posts = [sp("a", D(2020, 3, 1), "A", 0.5), sp("b", D(2020, 3, 4), "A", 0.1),
              sp("c", D(2020, 3, 2), "B", -0.2)]
     built = aggregate_daily(posts, ["compound_mean", "tweet_count", "like_total"])
-    assert len(built) == 6 and len(walks) == 2
-    assert [len(d) for d in walks] == [4, 1]
+    assert [(s.start, len(s)) for s in built] == [(D(2020, 3, 1), 4)] * 3 + [(D(2020, 3, 2), 1)] * 3
+    write_series_csv(built, tmp_path / "series.csv")
+    assert walks == []
+    back = read_series_csv(tmp_path / "series.csv")
+    assert back == sorted(built, key=lambda s: (s.city, s.feature))
+    assert [len(d) for d in walks] == [4, 4, 4, 1, 1, 1]
 
 
 @pytest.mark.parametrize("features", [None, ["tweet_count"]])
@@ -639,10 +661,9 @@ def test_read_series_csv_skips_blank_lines_under_either_line_ending(tmp_path, ne
     lines = ["date,city,feature,value", "", "2020-03-01,A,x,0.5", "", "",
              "2020-03-02,A,x,-1.5", "2020-03-01,B,x,2.0", ""]
     path.write_bytes(newline.join(lines).encode())
-    dates = (D(2020, 3, 1), D(2020, 3, 2))
     assert read_series_csv(path) == [
-        CitySeries("A", "x", dates, (0.5, -1.5)),
-        CitySeries("B", "x", dates[:1], (2.0,)),
+        CitySeries("A", "x", D(2020, 3, 1), (0.5, -1.5)),
+        CitySeries("B", "x", D(2020, 3, 1), (2.0,)),
     ]
 
 
