@@ -128,22 +128,20 @@ class LagCorrelationCurve:
 
 
 def cross_map_curve(
-    inputs: np.ndarray,
+    states: np.ndarray,
     targets: np.ndarray,
     cfg: ReservoirConfig,
     grid: LagGrid = LagGrid(),
     direction: str = "x->y",
-    min_window: int = MIN_WINDOW,
-    states: np.ndarray | None = None,
 ) -> LagCorrelationCurve:
     """Trace the prediction correlation of a ridge readout over the lag grid.
 
-    Reservoir states are computed once from the z-scored input series,
-    unless the caller passes them as ``states``. Per lag, the readout is
-    ridge-trained on the aligned window (the first ``cfg.washout`` state rows
-    of the series are excluded) and evaluated in place. Lags with |lag| not
-    below the series length are skipped; so are lags whose window is shorter
-    than ``min_window``, whose target window is constant or whose prediction
+    ``states`` are the (T, N) reservoir states of the input series and
+    ``targets`` the T target values; other shapes raise ``ValueError``. Per
+    lag, the readout is ridge-trained on the aligned window (the first
+    ``cfg.washout`` state rows are excluded) and evaluated in place. Lags
+    with |lag| not below T are skipped; so are lags whose window is shorter
+    than ``MIN_WINDOW``, whose target window is constant or whose prediction
     is constant on its window, each with a warning. ``skipped`` lists them in
     grid order. Kept lags fitted on fewer rows than reservoir units get one
     warning per curve, with their count and the shortest window.
@@ -158,13 +156,11 @@ def cross_map_curve(
     system is singular raises ``SingularSystemError``, as its direct fit
     would.
     """
-    x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("input and target series must be equal-length 1-D arrays")
-    t_len = len(x)
-    if states is None:
-        states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    if y.ndim != 1 or states.ndim != 2 or len(states) != len(y):
+        raise ValueError(f"states of shape {states.shape} do not match targets of shape "
+                         f"{y.shape}: need (T, N) and (T,)")
+    t_len = len(y)
 
     # Plan: apply the skip rules. Each usable lag gets its training window
     # [a, b) and one row of ``targets_z``: its z-scored target on [a, b),
@@ -181,8 +177,8 @@ def cross_map_curve(
         a = max(s_in.start, cfg.washout)
         b = s_in.stop
         width = max(b - a, 0)
-        if width < min_window:
-            log.warning("%s: lag %d skipped (window %d < %d)", direction, lag, width, min_window)
+        if width < MIN_WINDOW:
+            log.warning("%s: lag %d skipped (window %d < %d)", direction, lag, width, MIN_WINDOW)
             skipped.add(lag)
             continue
         obs = y[a + lag:b + lag]
@@ -339,18 +335,11 @@ def classify_peaks(
     )
 
 
-def classify(curve_xy: LagCorrelationCurve, curve_yx: LagCorrelationCurve) -> CausalVerdict:
-    return classify_peaks(
-        curve_xy.peak_lag, curve_yx.peak_lag, curve_xy.peak_rho, curve_yx.peak_rho
-    )
-
-
 def analyze_pair(
     x: np.ndarray,
     y: np.ndarray,
     cfg: ReservoirConfig,
     grid: LagGrid = LagGrid(),
-    min_window: int = MIN_WINDOW,
 ) -> tuple[LagCorrelationCurve, LagCorrelationCurve, CausalVerdict]:
     """Run both mapping directions through one reservoir and classify the pair.
 
@@ -360,9 +349,11 @@ def analyze_pair(
     if np.shape(x) != np.shape(y) or np.ndim(x) != 1:
         raise ValueError("input and target series must be equal-length 1-D arrays")
     block = run_states(build_reservoir(cfg), cfg, np.column_stack([zscore(x), zscore(y)]))
-    curve_xy = cross_map_curve(x, y, cfg, grid, "x->y", min_window, states=block[0])
-    curve_yx = cross_map_curve(y, x, cfg, grid, "y->x", min_window, states=block[1])
-    return curve_xy, curve_yx, classify(curve_xy, curve_yx)
+    curve_xy = cross_map_curve(block[0], y, cfg, grid, "x->y")
+    curve_yx = cross_map_curve(block[1], x, cfg, grid, "y->x")
+    return curve_xy, curve_yx, classify_peaks(
+        curve_xy.peak_lag, curve_yx.peak_lag, curve_xy.peak_rho, curve_yx.peak_rho
+    )
 
 
 # ---------------------------------------------------------------------------

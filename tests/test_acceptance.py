@@ -130,10 +130,10 @@ def test_c04_pearson_oracle():
     grid = LagGrid(-30, 30)
     n_rhos = 0
     for x, y, cfg in c04_cases():
-        curve = cross_map_curve(x, y, cfg, grid)
+        states = run_states(build_reservoir(cfg), cfg, zscore(x))
+        curve = cross_map_curve(states, y, cfg, grid)
         assert curve.lags == grid.values() and curve.skipped == ()
         # the direct fit: one ridge readout per lag on its own window
-        states = run_states(build_reservoir(cfg), cfg, zscore(x))
         for lag, rho in zip(curve.lags, curve.rhos):
             s_in, s_out = align_window(len(x), lag)
             shift = max(s_in.start, cfg.washout) - s_in.start
@@ -229,7 +229,7 @@ def test_c09_causal_direction_recovery():
                 CoupledMapConfig(length=500, seed=3000 + seed, coupling_yx=0.1,
                                  delay=delay, growth_y=3.82)
             )
-            peaks[delay] = cross_map_curve(y, x, cfg, grid, "y->x").peak_lag
+            peaks[delay] = analyze_pair(x, y, cfg, grid=grid)[1].peak_lag
         offsets.append(peaks[0] - peaks[3])
     med = float(np.median(offsets))
     assert 2.0 <= med <= 4.0, f"median peak-lag offset {med} not within 3 +/- 1"

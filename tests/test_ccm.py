@@ -14,7 +14,7 @@ from echosent.ccm import (
     LagGrid,
     align_window,
     analyze_pair,
-    classify,
+    MIN_WINDOW,
     classify_peaks,
     cross_map_curve,
     default_ccm_config,
@@ -35,6 +35,11 @@ from echosent import ccm as ccm_module
 from echosent import esn
 from echosent.synth import CoupledMapConfig, gen_ar1, gen_coupled_logistic
 from oracle import fsum_pearson, train_readout
+
+
+def states_of(x, cfg):
+    """One-column reservoir states of the z-scored series ``x``."""
+    return run_states(build_reservoir(cfg), cfg, zscore(x))
 
 
 def small_cfg(**kw):
@@ -214,7 +219,8 @@ def test_classifications_enumeration():
 def test_self_mapping_sanity():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(300)
-    curve = cross_map_curve(x, x, small_cfg(size=50, ridge=0.01), LagGrid(-5, 5))
+    cfg = small_cfg(size=50, ridge=0.01)
+    curve = cross_map_curve(states_of(x, cfg), x, cfg, LagGrid(-5, 5))
     rho0 = dict(zip(curve.lags, curve.rhos))[0]
     assert rho0 >= 0.99
 
@@ -222,8 +228,9 @@ def test_self_mapping_sanity():
 def test_short_windows_skipped_with_warning(caplog):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(38)
+    cfg = small_cfg(washout=0)
     with caplog.at_level("WARNING"):
-        curve = cross_map_curve(x, x, small_cfg(washout=0), LagGrid(-30, 30))
+        curve = cross_map_curve(states_of(x, cfg), x, cfg, LagGrid(-30, 30))
     assert len(curve.skipped) > 0
     assert all(t - abs(lag) < 10 for t, lag in [(38, s) for s in curve.skipped])
     assert set(curve.lags).isdisjoint(curve.skipped)
@@ -247,12 +254,22 @@ def test_windows_shorter_than_the_reservoir_warn_once_per_curve(caplog):
     assert caplog.records == []
 
 
+@pytest.mark.parametrize("states_len, targets_shape", [(99, (100,)), (100, (100, 1))])
+def test_curve_rejects_states_that_do_not_match_the_targets(states_len, targets_shape):
+    cfg = small_cfg()
+    states = np.ones((states_len, cfg.size))
+    with pytest.raises(ValueError, match=r"need \(T, N\) and \(T,\)"):
+        cross_map_curve(states, np.ones(targets_shape), cfg, LagGrid(-5, 5))
+    with pytest.raises(ValueError, match=r"need \(T, N\) and \(T,\)"):
+        cross_map_curve(np.ones(100), np.ones(100), cfg, LagGrid(-5, 5))
+
+
 def test_curve_deterministic_given_seed():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(200)
     y = rng.standard_normal(200)
-    a = cross_map_curve(x, y, small_cfg(), LagGrid(-10, 10))
-    b = cross_map_curve(x, y, small_cfg(), LagGrid(-10, 10))
+    a = cross_map_curve(states_of(x, small_cfg()), y, small_cfg(), LagGrid(-10, 10))
+    b = cross_map_curve(states_of(x, small_cfg()), y, small_cfg(), LagGrid(-10, 10))
     assert a == b
 
 
@@ -262,7 +279,7 @@ def test_coupled_logistic_informative_direction_strong():
     x, y = gen_coupled_logistic(
         CoupledMapConfig(length=500, seed=105, coupling_yx=0.3)
     )
-    curve_yx = cross_map_curve(y, x, cfg, LagGrid(-30, 30), "y->x")
+    curve_yx = cross_map_curve(states_of(y, cfg), x, cfg, LagGrid(-30, 30), "y->x")
     assert abs(curve_yx.peak_rho) >= 0.5
 
 
@@ -272,7 +289,7 @@ def test_white_noise_pair_stays_flat():
     for _ in range(10):
         x = rng.standard_normal(234)
         y = rng.standard_normal(234)
-        curve = cross_map_curve(x, y, cfg, LagGrid(-30, 30))
+        curve = cross_map_curve(states_of(x, cfg), y, cfg, LagGrid(-30, 30))
         assert max(abs(r) for r in curve.rhos) < 0.3
 
 
@@ -281,7 +298,8 @@ def test_peak_tie_breaks_toward_small_then_negative_lag():
     lags = (-2, -1, 0, 1, 2)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(100)
-    curve = cross_map_curve(x, x, small_cfg(ridge=0.1), LagGrid(-2, 2))
+    cfg = small_cfg(ridge=0.1)
+    curve = cross_map_curve(states_of(x, cfg), x, cfg, LagGrid(-2, 2))
     # self-map gives a unique max at 0; now verify the ordering rule directly
     order = sorted(
         range(len(lags)),
@@ -306,10 +324,9 @@ def test_analyze_pair_labels_directions():
     assert verdict.classification in CLASSIFICATIONS
 
 
-def direct_curve(x, y, cfg, grid, min_window):
+def direct_curve(states, y, cfg, grid):
     """Reference lag scan: one Gram and one ridge solve per lag."""
-    states = run_states(build_reservoir(cfg), cfg, zscore(x))
-    t_len = len(x)
+    t_len = len(y)
     lags, rhos, skipped = [], [], []
     for lag in grid.values():
         if abs(lag) >= t_len:
@@ -319,7 +336,7 @@ def direct_curve(x, y, cfg, grid, min_window):
         shift = max(s_in.start, cfg.washout) - s_in.start
         u = states[s_in.start + shift:s_in.stop]
         obs = y[s_out.start + shift:s_out.stop]
-        if len(u) < min_window or np.std(obs) == 0.0:
+        if len(u) < MIN_WINDOW or np.std(obs) == 0.0:
             skipped.append(lag)
             continue
         yz = (obs - np.mean(obs)) / np.std(obs)
@@ -342,14 +359,13 @@ def direct_curve(x, y, cfg, grid, min_window):
     lo=st.integers(-30, -1),
     hi=st.integers(1, 30),
     washout=st.integers(0, 20),
-    min_window=st.integers(2, 12),
     size=st.integers(3, 25),
     ridge=st.floats(0.1, 10.0),
     flat=st.integers(0, 30),
     seed=st.integers(0, 2**16),
 )
 def test_lag_scan_matches_direct_per_lag_fits(
-    t_len, lo, hi, washout, min_window, size, ridge, flat, seed
+    t_len, lo, hi, washout, size, ridge, flat, seed
 ):
     # washout is drawn both below and at or above |lo|, so the negative-lag
     # windows sometimes differ and sometimes coincide; a constant target tail
@@ -360,13 +376,14 @@ def test_lag_scan_matches_direct_per_lag_fits(
     y[max(t_len - flat, 0):] = 0.5
     cfg = small_cfg(size=size, ridge=ridge, washout=washout, seed=seed, sparsity=1.0)
     grid = LagGrid(lo, hi)
-    expected = direct_curve(x, y, cfg, grid, min_window)
+    states = states_of(x, cfg)
+    expected = direct_curve(states, y, cfg, grid)
     if expected is None:
         with pytest.raises(ValueError, match="no usable lag"):
-            cross_map_curve(x, y, cfg, grid, min_window=min_window)
+            cross_map_curve(states, y, cfg, grid)
         return
     lags, rhos, peak_lag, skipped = expected
-    curve = cross_map_curve(x, y, cfg, grid, min_window=min_window)
+    curve = cross_map_curve(states, y, cfg, grid)
     assert curve.lags == tuple(lags)
     assert curve.skipped == tuple(skipped)
     assert curve.peak_lag == peak_lag
@@ -388,8 +405,9 @@ def test_default_config_scan_matches_direct_per_lag_fits(t_len, kind, washout):
     x, y = _default_size_pair(kind, t_len)
     cfg = dataclasses.replace(default_ccm_config(3), washout=washout)
     grid = LagGrid(-30, 30)
-    lags, rhos, peak_lag, skipped = direct_curve(x, y, cfg, grid, 10)
-    curve = cross_map_curve(x, y, cfg, grid)
+    states = states_of(x, cfg)
+    lags, rhos, peak_lag, skipped = direct_curve(states, y, cfg, grid)
+    curve = cross_map_curve(states, y, cfg, grid)
     assert curve.lags == tuple(lags)
     assert curve.skipped == tuple(skipped)
     assert curve.peak_lag == peak_lag
@@ -405,8 +423,9 @@ def test_skipped_lags_stay_in_grid_order_across_skip_kinds(caplog):
     x = np.concatenate([np.zeros(20), np.tile([1.0, -1.0], 10)])
     y = np.random.default_rng(12).standard_normal(40)
     y[26:] = 2.0
+    cfg = small_cfg(washout=0)
     with caplog.at_level("WARNING"):
-        curve = cross_map_curve(x, y, small_cfg(washout=0), LagGrid(-3, 35))
+        curve = cross_map_curve(states_of(x, cfg), y, cfg, LagGrid(-3, 35))
     assert curve.skipped == tuple(range(20, 36))
     assert curve.lags == tuple(range(-3, 20))
     messages = " ".join(rec.getMessage() for rec in caplog.records)
@@ -419,10 +438,10 @@ def test_ridge_zero_on_rank_deficient_window_raises():
     x = rng.standard_normal(120)
     y = rng.standard_normal(120)
     cfg = small_cfg(ridge=0.0, washout=10)
-    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    states = states_of(x, cfg)
     states[:, 3] = 0.0  # one unit never moves: every window's Gram is singular
     with pytest.raises(ValueError, match="normal equations are singular"):
-        cross_map_curve(x, y, cfg, LagGrid(-12, 12), states=states)
+        cross_map_curve(states, y, cfg, LagGrid(-12, 12))
 
 
 @pytest.mark.parametrize("washout, live_rows", [(12, slice(117, 120)), (0, slice(0, 3))])
@@ -434,14 +453,14 @@ def test_ridge_zero_singular_only_on_shorter_windows_raises(washout, live_rows):
     x = rng.standard_normal(120)
     y = rng.standard_normal(120)
     cfg = small_cfg(ridge=0.0, washout=washout)
-    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    states = states_of(x, cfg)
     live = states[live_rows, 3].copy()
     states[:, 3] = 0.0
     states[live_rows, 3] = live
     union = states[washout:]
     np.linalg.cholesky(union.T @ union)
     with pytest.raises(ValueError, match=r"normal equations are singular \(ridge=0\.0\)"):
-        cross_map_curve(x, y, cfg, LagGrid(-12, 12), states=states)
+        cross_map_curve(states, y, cfg, LagGrid(-12, 12))
 
 
 def test_ridge_zero_window_with_fewer_rows_than_units_raises():
@@ -453,10 +472,10 @@ def test_ridge_zero_window_with_fewer_rows_than_units_raises():
     x = rng.standard_normal(20)
     y = rng.standard_normal(20)
     cfg = small_cfg(size=14, ridge=0.0, washout=0)
-    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    states = states_of(x, cfg)
     np.linalg.cholesky(states.T @ states)
     with pytest.raises(ValueError, match=r"normal equations are singular \(ridge=0\.0\)"):
-        cross_map_curve(x, y, cfg, LagGrid(-5, 8))
+        cross_map_curve(states, y, cfg, LagGrid(-5, 8))
 
 
 @pytest.mark.parametrize("copies", [1, 8])
@@ -469,7 +488,7 @@ def test_ridge_zero_collinear_units_on_shorter_windows_raise(copies):
     x = rng.standard_normal(120)
     y = rng.standard_normal(120)
     cfg = small_cfg(ridge=0.0, washout=15)
-    states = run_states(build_reservoir(cfg), cfg, zscore(x))
+    states = states_of(x, cfg)
     units = slice(3, 3 + copies)
     live = states[-copies:, units].copy()
     states[:, units] = states[:, [2]]
@@ -477,7 +496,7 @@ def test_ridge_zero_collinear_units_on_shorter_windows_raise(copies):
     union = states[15:]
     np.linalg.cholesky(union.T @ union)
     with pytest.raises(ValueError, match=r"normal equations are singular \(ridge=0\.0\)"):
-        cross_map_curve(x, y, cfg, LagGrid(-15, 15), states=states)
+        cross_map_curve(states, y, cfg, LagGrid(-15, 15))
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +803,8 @@ def test_analyze_pair_matches_independent_curves():
     cfg = small_cfg()
     grid = LagGrid(-8, 8)
     cxy, cyx, _ = analyze_pair(x, y, cfg, grid=grid)
-    ref_xy = cross_map_curve(x, y, cfg, grid, "x->y")
-    ref_yx = cross_map_curve(y, x, cfg, grid, "y->x")
+    ref_xy = cross_map_curve(states_of(x, cfg), y, cfg, grid, "x->y")
+    ref_yx = cross_map_curve(states_of(y, cfg), x, cfg, grid, "y->x")
     for got, ref in ((cxy, ref_xy), (cyx, ref_yx)):
         assert got.rhos == ref.rhos
         assert got.lags == ref.lags

@@ -265,6 +265,50 @@ def test_heatmap_reads_pipeline_series_of_cities_with_their_own_ranges(tmp_path)
     assert (out_dir / "heatmap_tweet_count.svg").read_text().count("<rect") == 9 + 4
 
 
+def ar1_series_with(tmp_path, feature, day, bad) -> Path:
+    """A ``synth --mode ar1 --length 200`` file whose ``feature`` value on day ``day`` is ``bad``."""
+    path = tmp_path / "ar1.csv"
+    assert main(["synth", "--mode", "ar1", "--length", "200", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    row = next(k for k, line in enumerate(lines) if f",unit00,{feature}," in line) + day
+    lines[row] = lines[row].rsplit(",", 1)[0] + f",{bad}\r\n"
+    path.write_text("".join(lines), newline="")
+    return path
+
+
+# nan on the first day set every drawn cell to full positive, and one inf
+# turned every other cell white; both exited 0
+@pytest.mark.parametrize("day, bad", [(0, "nan"), (99, "inf"), (199, "-inf")])
+def test_heatmap_rejects_a_value_that_is_not_finite(tmp_path, capsys, day, bad):
+    path = ar1_series_with(tmp_path, "y", day, bad)
+    capsys.readouterr()
+    out_dir = tmp_path / "hm"
+    assert main(["heatmap", "--series", str(path), "--feature", "y",
+                 "--out-dir", str(out_dir)]) == 2
+    date = dt.date(2020, 1, 1) + dt.timedelta(days=day)
+    assert (f"error: {path}: series 'unit00'/'y': value {bad} on {date} is not finite"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["heatmap", "--feature", "z"], "no 'z' series in {path}"),
+    (["ccm", "--city", "unit01", "--input-feature", "x", "--target-feature", "y"],
+     "{path}: city 'unit01' has no 'y' series"),
+])
+def test_a_series_file_without_the_series_a_command_needs_exits_2(tmp_path, capsys, argv,
+                                                                 message):
+    path = tmp_path / "series.csv"
+    path.write_text("date,city,feature,value\n"
+                    "2020-03-01,unit00,x,0.1\n2020-03-01,unit00,y,0.2\n"
+                    "2020-03-01,unit01,x,0.3\n")
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--series", str(path), "--out-dir", str(out_dir)]) == 2
+    assert f"error: {message.format(path=path)}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_aggregate_keyword_needs_corpus(tmp_path, fixtures_dir):
     _, scored = scored_setup(tmp_path, fixtures_dir)
     rc = main(["aggregate", "--scored", str(scored), "--keyword", "flight",
@@ -456,6 +500,19 @@ def test_a_bad_period_stops_aggregate_before_it_writes(tmp_path, fixtures_dir, c
     assert not out.exists()
 
 
+def test_a_period_that_ends_before_it_starts_stops_aggregate(tmp_path, fixtures_dir, capsys):
+    _, scored = scored_setup(tmp_path, fixtures_dir)
+    periods = tmp_path / "periods.ini"
+    periods.write_text("[Toronto]\nlockdown = 2020-06-30/2020-03-17\n")
+    out = tmp_path / "series.csv"
+    capsys.readouterr()
+    assert main(["aggregate", "--scored", str(scored), "--out", str(out),
+                 "--periods", str(periods)]) == 2
+    assert (f"error: {periods}: [Toronto] period 'lockdown' ends before it starts"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # synth + ccm + gridsearch
 
@@ -605,6 +662,21 @@ def test_ccm_series_needs_exactly_one_city(tmp_path, capsys):
     assert main(["ccm", "--series", str(panel), "--input-feature", "x", "--target-feature", "y",
                  "--out-dir", str(tmp_path / "ccm")]) == 2
     assert "need exactly one city with both features" in capsys.readouterr().err
+
+
+# the parent exited 2 with a bare "non-finite input" that named no series
+@pytest.mark.parametrize("feature, day, bad", [("x", 0, "nan"), ("y", 120, "inf")])
+def test_ccm_names_the_series_with_a_value_that_is_not_finite(tmp_path, capsys, feature, day,
+                                                              bad):
+    path = ar1_series_with(tmp_path, feature, day, bad)
+    capsys.readouterr()
+    out_dir = tmp_path / "ccm"
+    assert main(["ccm", "--series", str(path), "--input-feature", "x", "--target-feature", "y",
+                 "--out-dir", str(out_dir)]) == 2
+    date = dt.date(2020, 1, 1) + dt.timedelta(days=day)
+    assert (f"error: {path}: series 'unit00'/{feature!r}: value {bad} on {date} is not finite"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
 
 
 def test_result_files_keep_their_schemas(tmp_path):
@@ -1167,6 +1239,23 @@ def test_a_short_row_exits_2_with_its_path_and_line(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv) == 2
     assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["heatmap", "aggregate"])
+def test_a_wrong_header_exits_2_naming_the_file(tmp_path, capsys, command):
+    if command == "heatmap":
+        path = tmp_path / "series.csv"
+        path.write_text("day,city,feature,value\n2020-03-01,A,compound_mean,0.1\n")
+        argv = ["heatmap", "--series", str(path), "--out-dir", str(tmp_path / "hm")]
+        want = f"{path}: expected header date,city,feature,value"
+    else:
+        path = tmp_path / "scored.csv"
+        path.write_text(",".join(sentiment.SCORED_COLUMNS[::-1]) + "\n")
+        argv = ["aggregate", "--scored", str(path), "--out", str(tmp_path / "series.csv")]
+        want = f"{path}: unexpected scored CSV header"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: {want}" in capsys.readouterr().err
 
 
 def test_a_gap_in_a_series_the_command_does_not_keep_is_not_an_error(tmp_path, capsys):

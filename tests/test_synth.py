@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from echosent.ccm import LagGrid, analyze_pair, cross_map_curve, default_ccm_config
+from echosent.ccm import LagGrid, analyze_pair, default_ccm_config
 from echosent.synth import CoupledMapConfig, gen_ar1, gen_coupled_logistic
 
 
@@ -87,7 +87,7 @@ def test_coupling_strength_monotonicity():
             x, y = gen_coupled_logistic(
                 CoupledMapConfig(length=500, seed=4000 + s, coupling_yx=coupling)
             )
-            curve = cross_map_curve(y, x, cfg, LagGrid(-10, 10), "y->x")
+            curve = analyze_pair(x, y, cfg, grid=LagGrid(-10, 10))[1]
             vals.append(abs(curve.peak_rho))
         means.append(float(np.mean(vals)))
     assert means[0] <= means[1] <= means[2]
