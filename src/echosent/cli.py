@@ -24,7 +24,6 @@ import datetime as dt
 import functools
 import json
 import logging
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -391,23 +390,11 @@ def cmd_aggregate(args) -> int:
 # ---------------------------------------------------------------------------
 # heatmap
 
-def _require_finite(path, s: series.CitySeries) -> None:
-    """``ValueError`` naming the file, the series and the day of its first
-    value that is not finite. The series CSV format itself takes any float;
-    the commands that draw or analyse a series call this."""
-    for i, value in enumerate(s.values):
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: series {s.city!r}/{s.feature!r}: value {value!r} on "
-                             f"{s.start + dt.timedelta(days=i)} is not finite")
-
-
 def cmd_heatmap(args) -> int:
     feature = args.feature
     all_series = series.read_series_csv(args.series, features=[feature])
     if not all_series:
         raise ValueError(f"no {feature!r} series in {args.series}")
-    for s in all_series:
-        _require_finite(args.series, s)
     cities, dates, matrix = series.heatmap_matrix(all_series)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -455,8 +442,6 @@ def cmd_ccm(args) -> int:
         raise ValueError(f"ccm: need exactly one city with both features in {args.series} "
                          f"(city={args.city!r}); found {len(pairs)}")
     [(sx, sy)] = pairs.values()
-    _require_finite(args.series, sx)
-    _require_finite(args.series, sy)
     x = np.asarray(sx.values)
     y = np.asarray(sy.values)
     curve_xy, curve_yx, verdict = ccm.analyze_pair(x, y, cfg, grid=grid)

@@ -56,7 +56,6 @@ class ReservoirConfig:
 class Reservoir:
     matrix: np.ndarray          # (N, N) recurrent weights, rescaled
     input_weights: np.ndarray   # (N,)
-    achieved_radius: float
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -106,13 +105,12 @@ def draw_reservoir(size: int, sparsity: float, seed: int) -> RawReservoir:
 def scale_reservoir(raw: RawReservoir, cfg: ReservoirConfig) -> Reservoir:
     """Rescale a draw to the configured spectral radius and input scale.
 
-    The recurrent matrix is multiplied by target / rho(raw), so the achieved
-    radius is rho(raw) times that scale (rho(cA) = c rho(A)) without a second
-    eigensolve. The draw must come from ``draw_reservoir(cfg.size,
-    cfg.sparsity, cfg.seed)``.
+    The recurrent matrix is multiplied by target / rho(raw), which reaches
+    the target radius (rho(cA) = c rho(A)) without a second eigensolve. The
+    draw must come from ``draw_reservoir(cfg.size, cfg.sparsity, cfg.seed)``.
     """
     scale = cfg.spectral_radius / raw.radius
-    return Reservoir(raw.matrix * scale, cfg.input_scale * raw.input_weights, raw.radius * scale)
+    return Reservoir(raw.matrix * scale, cfg.input_scale * raw.input_weights)
 
 
 def build_reservoir(cfg: ReservoirConfig) -> Reservoir:

@@ -109,16 +109,19 @@ class _SentimentFields(NamedTuple):
 
 
 class SentimentScore(_SentimentFields):
-    """Polarity proportions, which sum to 1, and a compound score in [-1, 1].
+    """Polarity proportions in [0, 1], which sum to 1, and a compound score in [-1, 1].
 
-    The constructor, ``_make`` and ``_replace`` all check the fields.
+    The constructor, ``_make`` and ``_replace`` all check the fields; every
+    comparison is written so that a ``nan`` fails it.
     """
 
     __slots__ = ()
 
     def __new__(cls, negative: float, neutral: float, positive: float,
                 compound: float) -> SentimentScore:
-        if abs(negative + neutral + positive - 1.0) > 1e-6:
+        if not (0.0 <= negative <= 1.0 and 0.0 <= neutral <= 1.0 and 0.0 <= positive <= 1.0):
+            raise ValueError("polarity proportions must lie in [0, 1]")
+        if not abs(negative + neutral + positive - 1.0) <= 1e-6:
             raise ValueError("polarity proportions must sum to 1")
         if not (-1.0 <= compound <= 1.0):
             raise ValueError("compound must lie in [-1, 1]")
@@ -427,9 +430,10 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
     """Read scored rows; engagement counts are not part of this format.
 
     Every row must have one field per column of ``SCORED_COLUMNS``, an ISO
-    date and float scores, or ``ValueError`` names the file and line; blank
-    lines are skipped. Post ids must be unique: a repeated id raises
-    ``ValueError`` naming it.
+    date, float scores that ``SentimentScore`` accepts and ``emo_*``
+    frequencies in [0, 1] (not ``nan``), or ``ValueError`` names the file
+    and line; blank lines are skipped. Post ids must be unique: a repeated
+    id raises ``ValueError`` naming it.
     """
     width = len(SCORED_COLUMNS)
     no_counts = (0,) * len(EMOTION_CATEGORIES)
@@ -458,9 +462,13 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
             try:
                 scores = tuple(map(float, row[3:]))
                 sentiment = SentimentScore(*scores[:4])
+                emotions = scores[4:]
+                # min and max can step over a nan; the sum cannot
+                if not (0.0 <= min(emotions) and max(emotions) <= 1.0) or math.isnan(sum(emotions)):
+                    raise ValueError("emotion frequencies must lie in [0, 1]")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             out.append(ScoredPost(
-                pid, day, city, sentiment, EmotionProfile(no_counts, scores[4:], 0, True),
+                pid, day, city, sentiment, EmotionProfile(no_counts, emotions, 0, True),
             ))
     return out

@@ -429,8 +429,10 @@ def read_series_csv(
     names the file and line. Blank lines are skipped. Only the series whose
     feature is in ``features`` and whose city is in ``cities`` (``None``
     keeps all) are built, in (city, feature) order, and only those must be
-    gap-free daily series: a gap or a repeated date in one of them raises
-    ``ValueError`` naming the file and the series.
+    gap-free daily series of finite values: a gap or a repeated date in one
+    of them raises ``ValueError`` naming the file and the series, and then a
+    value that is not finite raises it naming the file, the series and the
+    day. A series that is not built may hold any float.
     """
     keep_features = None if features is None else frozenset(features)
     keep_cities = None if cities is None else frozenset(cities)
@@ -471,5 +473,9 @@ def read_series_csv(
             _check_contiguous(dates)
         except ValueError as exc:
             raise ValueError(f"{path}: series {city!r}/{feature!r}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            day, value = next(p for p in pairs if not math.isfinite(p[1]))
+            raise ValueError(f"{path}: series {city!r}/{feature!r}: value {value!r} on {day} "
+                             "is not finite")
         out.append(CitySeries(city, feature, dates[0], values))
     return out

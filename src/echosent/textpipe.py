@@ -119,9 +119,6 @@ class CleanDoc:
     trailing_exclamations: int
     trailing_double_question: bool
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
 
 def strip_artifacts(text: str) -> str:
     """Remove URLs, @-handles and '#' symbols (the tag word is kept).

@@ -652,7 +652,8 @@ def test_gridsearch_rejects_a_target_that_is_not_finite(tmp_path, capsys, bad):
     assert main(["gridsearch", "--panel", str(panel), "--input-feature", "x",
                  "--target-feature", "y", "--grid", "quick", "--washout", "10",
                  "--out-dir", str(out_dir)]) == 2
-    assert "unit 'unit01': target series has a value that is not finite" in capsys.readouterr().err
+    assert (f"error: {panel}: series 'unit01'/'y': value {bad} on 2020-02-10 is not finite"
+            in capsys.readouterr().err)
     assert not out_dir.exists()
 
 
@@ -1241,6 +1242,27 @@ def test_a_short_row_exits_2_with_its_path_and_line(tmp_path, capsys, command):
     assert want in capsys.readouterr().err
 
 
+# nan passes a sum check written as `> 1e-6`; emotion frequencies had no range check
+@pytest.mark.parametrize("column, bad", [("negative", "nan"), ("emo_joy", "nan"),
+                                         ("positive", "1.5"), ("emo_fear", "-0.5")])
+def test_aggregate_rejects_a_proportion_or_frequency_outside_0_to_1(tmp_path, capsys, column,
+                                                                    bad):
+    path = tmp_path / "scored.csv"
+    sentiment.write_scored_csv([sentiment.ScoredPost(
+        "p1", dt.date(2020, 3, 1), "Toronto", sentiment.SentimentScore(0.25, 0.5, 0.25, 0.0),
+        sentiment.EmotionProfile((0,) * 10, (0.1,) * 10, 0, degenerate=True),
+    )], path)
+    header, row = path.read_text().splitlines()
+    fields = row.split(",")
+    fields[header.split(",").index(column)] = bad
+    path.write_text(f"{header}\n{','.join(fields)}\n")
+    out = tmp_path / "series.csv"
+    capsys.readouterr()
+    assert main(["aggregate", "--scored", str(path), "--out", str(out)]) == 2
+    assert f"error: {path}:2: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["heatmap", "aggregate"])
 def test_a_wrong_header_exits_2_naming_the_file(tmp_path, capsys, command):
     if command == "heatmap":
@@ -1262,9 +1284,10 @@ def test_a_gap_in_a_series_the_command_does_not_keep_is_not_an_error(tmp_path, c
     panel = tmp_path / "panel.csv"
     assert main(["synth", "--mode", "coupled", "--coupling-yx", "0.3", "--length", "120",
                  "--units", "3", "--seed", "5", "--out", str(panel)]) == 0
-    # unit00 also carries a feature "z" with a one-day gap; x and y are contiguous
+    # unit00 also carries a feature "z" with a one-day gap and values that are
+    # not finite; x and y are contiguous and finite
     with panel.open("a", encoding="utf-8") as fh:
-        fh.write("2020-01-01,unit00,z,1.0\n2020-01-03,unit00,z,2.0\n")
+        fh.write("2020-01-01,unit00,z,nan\n2020-01-03,unit00,z,-inf\n")
     runs = [
         ["heatmap", "--series", str(panel), "--feature", "x", "--out-dir", str(tmp_path / "hm")],
         ["ccm", "--series", str(panel), "--city", "unit00", "--input-feature", "x",
@@ -1275,7 +1298,7 @@ def test_a_gap_in_a_series_the_command_does_not_keep_is_not_an_error(tmp_path, c
     ]
     for argv in runs:
         assert main(argv) == 0, argv[0]
-    # a series the command keeps must still be contiguous
+    # a series the command keeps must still be contiguous, which is checked first
     capsys.readouterr()
     assert main(["heatmap", "--series", str(panel), "--feature", "z",
                  "--out-dir", str(tmp_path / "hm_z")]) == 2

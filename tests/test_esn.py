@@ -54,14 +54,13 @@ def test_achieved_radius_matches_rescaled_matrix(size, seed, sparsity, target):
         res = build_reservoir(c)
     except ValueError:
         assume(False)  # degenerate draw (zero spectral radius)
-    assert abs(res.achieved_radius - spectral_radius(res.matrix)) <= 1e-12
-    assert abs(res.achieved_radius - target) <= 1e-12
+    assert abs(spectral_radius(res.matrix) - target) <= 1e-12
 
 
 def test_build_reservoir_published_direction1_values():
     c = cfg(size=150, spectral_radius=0.1, sparsity=0.1, leak=0.5, input_scale=0.9)
     res = build_reservoir(c)
-    assert res.achieved_radius == pytest.approx(0.1, abs=1e-6)
+    assert spectral_radius(res.matrix) == pytest.approx(0.1, abs=1e-6)
     assert res.matrix.shape == (150, 150)
     assert res.input_weights.shape == (150,)
 
@@ -98,7 +97,7 @@ def frozen_build_reservoir(cfg):
     in_gates = rng.random(n) < cfg.sparsity
     in_draws = rng.uniform(-1.0, 1.0, n)
     input_weights = cfg.input_scale * np.where(in_gates, in_draws, 0.0)
-    return matrix, input_weights, rho * scale
+    return matrix, input_weights
 
 
 @pytest.mark.parametrize("size", [1, 7, 50, 101, 250])
@@ -108,7 +107,7 @@ def test_build_reservoir_matches_frozen_draw(size, sparsity):
         c = cfg(size=size, sparsity=sparsity, seed=seed, spectral_radius=radius,
                 input_scale=input_scale)
         try:
-            matrix, input_weights, achieved = frozen_build_reservoir(c)
+            matrix, input_weights = frozen_build_reservoir(c)
         except ZeroDivisionError:
             with pytest.raises(ValueError, match="degenerate"):
                 build_reservoir(c)
@@ -116,7 +115,6 @@ def test_build_reservoir_matches_frozen_draw(size, sparsity):
         res = build_reservoir(c)
         assert res.matrix.tobytes() == matrix.tobytes()
         assert res.input_weights.tobytes() == input_weights.tobytes()
-        assert res.achieved_radius == achieved
         raw = draw_reservoir(size, sparsity, seed)
         assert raw.radius == spectral_radius(raw.matrix)
 
@@ -158,7 +156,7 @@ def test_leak_one_is_pure_candidate():
 def test_two_unit_hand_recursion():
     matrix = np.array([[0.2, -0.1], [0.05, 0.3]])
     w_in = np.array([0.7, -0.4])
-    res = Reservoir(matrix, w_in, 0.0)
+    res = Reservoir(matrix, w_in)
     c = cfg(size=2, leak=0.6)
     x = [0.5, -1.0, 0.25]
     states = run_states(res, c, np.array(x))

@@ -225,6 +225,10 @@ def test_sentiment_score_validates():
     for fields, message in (
         ((0.5, 0.2, 0.5, 0.0), "polarity proportions must sum to 1"),
         ((0.5, 0.2, 0.5, 2.0), "polarity proportions must sum to 1"),
+        # nan passes a sum check written as `> 1e-6`, and -0.5 + 1.5 sums to 1
+        ((math.nan, 0.5, 0.5, 0.0), r"polarity proportions must lie in \[0, 1\]"),
+        ((0.5, 0.5, math.nan, 0.0), r"polarity proportions must lie in \[0, 1\]"),
+        ((-0.5, 1.5, 0.0, 0.0), r"polarity proportions must lie in \[0, 1\]"),
         ((0.0, 1.0, 0.0, 1.5), r"compound must lie in \[-1, 1\]"),
         ((0.0, 1.0, 0.0, -1.0000001), r"compound must lie in \[-1, 1\]"),
         ((0.0, 1.0, 0.0, math.nan), r"compound must lie in \[-1, 1\]"),
@@ -481,6 +485,16 @@ def one_scored_post(pid="p1"):
     ("p2,2020-03-02,Toronto" + ",0.0" * 14 + ",999", "expected 17 fields, got 18"),
     ("p2,2020-03-02,Toronto,0.0,1.0,0.0,abc" + ",0.0" * 10, "'abc'"),
     ("p2,2020-02-30,Toronto,0.0,1.0,0.0,0.0" + ",0.0" * 10, "'2020-02-30'"),
+    ("p2,2020-03-02,Toronto,nan,1.0,0.0,0.0" + ",0.0" * 10,
+     "polarity proportions must lie in [0, 1]"),
+    ("p2,2020-03-02,Toronto,-0.5,1.5,0.0,0.0" + ",0.0" * 10,
+     "polarity proportions must lie in [0, 1]"),
+    ("p2,2020-03-02,Toronto,0.0,1.0,0.0,0.0" + ",0.0" * 5 + ",nan" + ",0.0" * 4,
+     "emotion frequencies must lie in [0, 1]"),
+    ("p2,2020-03-02,Toronto,0.0,1.0,0.0,0.0" + ",1.5" + ",0.0" * 9,
+     "emotion frequencies must lie in [0, 1]"),
+    ("p2,2020-03-02,Toronto,0.0,1.0,0.0,0.0" + ",0.0" * 9 + ",-0.25",
+     "emotion frequencies must lie in [0, 1]"),
 ])
 def test_read_scored_csv_names_path_and_line_of_a_malformed_row(tmp_path, row, message):
     path = tmp_path / "scored.csv"

@@ -540,7 +540,9 @@ def series_sets(draw):
     out = []
     for city, feature in keys:
         start = draw(st.dates(D(1, 1, 1), D(9999, 12, 1)))
-        values = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
+        # the reader refuses a value that is not finite in a series it builds
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=1, max_size=6))
         out.append(CitySeries(city, feature, start, tuple(values)))
     return out
 
@@ -589,6 +591,24 @@ def test_read_series_csv_requires_gap_free_days_only_of_the_series_it_builds(tmp
                                      (["x"], ["C"], "'C'/'x': date 2020-03-01 repeats"),
                                      (None, ["A"], "'A'/'y': date 2020-03-01 repeats")):
         with pytest.raises(ValueError, match=re.escape(named)):
+            read_series_csv(path, features=features, cities=cities)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_series_csv_refuses_a_value_that_is_not_finite_only_in_a_series_it_builds(
+        tmp_path, bad):
+    path = tmp_path / "series.csv"
+    path.write_text(
+        "date,city,feature,value\n"
+        "2020-03-01,A,x,0.1\n2020-03-02,A,x,0.2\n"
+        f"2020-03-01,B,x,1.0\n2020-03-02,B,x,{bad}\n2020-03-03,B,x,{bad}\n"
+        f"2020-03-01,A,y,{bad}\n"
+    )
+    want = [CitySeries("A", "x", D(2020, 3, 1), (0.1, 0.2))]
+    assert read_series_csv(path, features=["x"], cities=["A"]) == want
+    for features, cities, named in ((["x"], None, f"'B'/'x': value {bad} on 2020-03-02"),
+                                     (None, ["A"], f"'A'/'y': value {bad} on 2020-03-01")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: series {named} is not finite")):
             read_series_csv(path, features=features, cities=cities)
 
 

@@ -34,6 +34,10 @@ def post(text, lang=None):
     return RawPost("p1", DAY, "Toronto", text, lang=lang)
 
 
+def surfaces(doc):
+    return [t.surface for t in doc.tokens]
+
+
 # ---------------------------------------------------------------------------
 # strip_artifacts
 
@@ -179,14 +183,14 @@ def test_exact_threshold():
 
 def test_trailing_exclamations_counted():
     doc = tokenize("Good!!!")
-    assert doc.surfaces() == ["Good"]
+    assert surfaces(doc) == ["Good"]
     assert doc.trailing_exclamations == 3
     assert not doc.trailing_double_question
 
 
 def test_emoticon_preserved_as_token(vlex):
     doc = tokenize("ok :-)", vlex.symbol_tokens())
-    assert doc.surfaces() == ["ok", ":-)"]
+    assert surfaces(doc) == ["ok", ":-)"]
     assert doc.tokens[1].is_emoticon
     assert not doc.tokens[0].is_emoticon
 
@@ -209,12 +213,12 @@ def test_double_question_detected():
 
 def test_punctuation_and_meaningless_symbols_dropped():
     doc = tokenize("** SSS = $ & , ( ) ; - ~ word")
-    assert doc.surfaces() == ["word"]
+    assert surfaces(doc) == ["word"]
 
 
 def test_interior_punctuation_kept():
     doc = tokenize("don't stop COVID-19 it's real-time")
-    assert doc.surfaces() == ["don't", "stop", "COVID-19", "it's", "real-time"]
+    assert surfaces(doc) == ["don't", "stop", "COVID-19", "it's", "real-time"]
 
 
 def test_no_empty_surfaces_and_count_bound(vlex):
@@ -372,7 +376,7 @@ def test_chunk_table_is_emptied_at_its_bound(vlex, monkeypatch):
 def test_remove_stopwords_examples(stopwords):
     doc = tokenize("I like masks")
     out = remove_stopwords(doc, stopwords)
-    assert out.surfaces() == ["like", "masks"]
+    assert surfaces(out) == ["like", "masks"]
 
     assert remove_stopwords(tokenize(""), stopwords).tokens == ()
 
@@ -384,13 +388,13 @@ def test_remove_stopwords_preserves_emphasis(stopwords):
     doc = tokenize("I am HAPPY!!!")
     out = remove_stopwords(doc, stopwords)
     assert out.trailing_exclamations == 3
-    assert out.surfaces() == ["HAPPY"]
+    assert surfaces(out) == ["HAPPY"]
 
 
 def test_emoticons_survive_stopword_removal(vlex, stopwords):
     doc = tokenize("it :-)", vlex.symbol_tokens())
     out = remove_stopwords(doc, stopwords)
-    assert out.surfaces() == [":-)"]
+    assert surfaces(out) == [":-)"]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +409,7 @@ def test_pipeline_order_keeps_punctuation_intensity(stopwords):
     assert doc.trailing_exclamations == 0  # "!!!"" is not text-final after the tag word
     doc2 = remove_stopwords(tokenize(strip_artifacts("@bob this is GREAT!!!")), stopwords)
     assert doc2.trailing_exclamations == 3
-    assert doc2.surfaces() == ["GREAT"]
+    assert surfaces(doc2) == ["GREAT"]
     assert doc2.tokens[0].all_caps
 
 
