@@ -29,6 +29,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass, fields
 from importlib.resources import files
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -227,14 +228,18 @@ def _stripped(post: RawPost) -> RawPost:
     )
 
 
+_rule3_kept = attrgetter("kept")
+
+
 def _kept_posts(posts, chunks, report):
     """Stream ``(post, chunk entries)`` of the posts that pass rules 1-2 and
     the id rule, artifact-stripped.
 
     Each post is stripped once, and its text split and looked up in
     ``chunks``, the command's chunk table over the wordlist, at most once.
-    ``report`` gets every count but rule 3, which its caller counts from the
-    entries; ``malformed_lines`` is set once ``posts`` is exhausted.
+    ``report`` gets every count, rule 3 included: the chunks of each yielded
+    post that are not ``kept``. ``malformed_lines`` is set once ``posts`` is
+    exhausted.
     """
     seen_ids: set[str] = set()
     for post in posts:
@@ -251,6 +256,7 @@ def _kept_posts(posts, chunks, report):
             continue
         seen_ids.add(kept.id)
         report["output_posts"] += 1
+        report["rule3_tokens_dropped"] += len(entries) - sum(map(_rule3_kept, entries))
         yield kept, entries
     report["input_posts"] = posts.posts_read
     report["malformed_lines"] = posts.malformed
@@ -291,15 +297,8 @@ def cmd_clean(args) -> int:
     stopwords = load_wordlist(args.stopwords)
     report = _new_report()
     chunks = ScoringTable(vlex, None, stopwords, wordlist)
-
-    def counted(kept):
-        for post, entries in kept:
-            kept_tokens = sum(1 for e in entries if e.token is not None and not e.stop)
-            report["rule3_tokens_dropped"] += len(entries) - kept_tokens
-            yield post
-
     kept = _kept_posts(read_corpus(args.in_path, skip_malformed=True), chunks, report)
-    write_corpus(counted(kept), args.out)
+    write_corpus((post for post, _ in kept), args.out)
     return _finish_report(report, args.report)
 
 
@@ -556,8 +555,7 @@ def cmd_pipeline(args) -> int:
     chunk table once: those entries serve the language filter, the scoring
     and the rule-3 count. A kept post's cleaned line and scored row are
     written as it passes, and ``aggregate_daily`` keeps per-(city, day) sums
-    only. Rule 3 is the kept post's word count minus its stopword-free token
-    count, which is the emotion profile's word total.
+    only.
     """
     wordlist = load_wordlist(args.wordlist)
     vlex, elex, stopwords = _load_lexicons(args)
@@ -578,7 +576,6 @@ def cmd_pipeline(args) -> int:
                 cleaned.write(corpus_line(post))
                 # the scored post carries the engagement counts, so no corpus join is needed
                 sp = score_entries(post, entries)
-                report["rule3_tokens_dropped"] += len(entries) - sp.emotions.word_total
                 scored_csv.writerow(scored_row(sp))
                 yield sp
 

@@ -7,9 +7,9 @@ File formats (UTF-8, tab separated, one record per line):
 * emotion lexicon: ``token<TAB>emotion<TAB>flag`` triples with flag 0 or 1;
   a token's emotion set is the categories flagged 1.
 
-Lookups are total: a missing token yields ``None``, never an error. Tokens
-containing letters are case-folded; pure-symbol tokens (emoticons such as
-":-)") are matched verbatim.
+A store's ``entries`` are keyed by ``normalize_token``: tokens containing
+letters are case-folded; pure-symbol tokens (emoticons such as ":-)") are
+kept verbatim. Look a token up as ``entries.get(normalize_token(token))``.
 """
 
 from __future__ import annotations
@@ -64,15 +64,6 @@ class ValenceLexicon:
         symbols = frozenset(t for t in self.entries if not any(c.isalpha() for c in t))
         object.__setattr__(self, "_symbols", symbols)
 
-    def lookup(self, token: str) -> float | None:
-        return self.entries.get(normalize_token(token))
-
-    def __contains__(self, token: str) -> bool:
-        return normalize_token(token) in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def symbol_tokens(self) -> frozenset[str]:
         """Tokens with no letters (emoticons); the tokenizer's emoticon inventory."""
         return self._symbols
@@ -94,15 +85,6 @@ class EmotionLexicon:
             for tok, emotions in self.entries.items()
         }
         object.__setattr__(self, "_indices", MappingProxyType(indices))
-
-    def lookup(self, token: str) -> frozenset[str] | None:
-        return self.entries.get(normalize_token(token))
-
-    def __contains__(self, token: str) -> bool:
-        return normalize_token(token) in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def category_indices(self) -> Mapping[str, tuple[int, ...]]:
         """Token -> positions in ``EMOTION_CATEGORIES`` of its emotions, in that order."""

@@ -10,18 +10,18 @@ are fixed: their constants (``CAPS_BOOST``, ``EXCLAMATION_STEP``,
 published ones (Hutto & Gilbert, "VADER", ICWSM 2014).
 
 Emotion profiling counts category hits against the emotion lexicon on the
-stopword-free token stream and reports per-category frequencies
-(count / word total). No negation or emphasis adjustments apply on the
-emotion side.
+stopword-free token stream and reports the ten per-category frequencies
+(hits / token count), all 0.0 for a post with no stopword-free token. No
+negation or emphasis adjustments apply on the emotion side.
 
 Both rule sets are token-local apart from the lookback window, so each
 token's part can be looked up once and kept. ``clean``, ``score`` and
 ``pipeline`` each build one ``ScoringTable``, the package's one memo from a
 raw whitespace chunk to its ``ScoredChunk``: the chunk's token, language
-class and stopword flag (``textpipe``'s per-chunk rules), then its token's
+class and rule-3 flag (``textpipe``'s per-chunk rules), then its token's
 role (valence after the ALL-CAPS adjustment, sign, booster increment,
 negator flag, emotion categories), found by key lookups in the lexicons.
-The table holds at most ``CHUNK_TABLE_SIZE`` entries (about 5.2 MB when full)
+The table holds at most ``CHUNK_TABLE_SIZE`` entries (about 5 MB when full)
 and is emptied when full; nothing outlives the command run.
 ``score_entries`` scores a post from the entries of its chunks:
 ``pipeline`` passes the entries its language filter looked up, and
@@ -30,9 +30,9 @@ and is emptied when full; nothing outlives the command run.
 document. Both run through the same core (``_adjusted_valences``,
 ``_proportions``, ``_profile``), so they agree bit for bit.
 
-``SentimentScore``, ``EmotionProfile`` and ``ScoredPost`` are immutable
-tuple records (``NamedTuple``); ``SentimentScore``'s constructor checks its
-fields, so a scored row costs tuples to build.
+``SentimentScore`` and ``ScoredPost`` are immutable tuple records
+(``NamedTuple``); ``SentimentScore``'s constructor checks its fields, so a
+scored row costs tuples to build.
 """
 
 from __future__ import annotations
@@ -130,13 +130,6 @@ class SentimentScore(_SentimentFields):
     @classmethod
     def _make(cls, iterable: Iterable) -> SentimentScore:
         return cls(*iterable)
-
-
-class EmotionProfile(NamedTuple):
-    counts: tuple[int, ...]
-    frequencies: tuple[float, ...]
-    word_total: int
-    degenerate: bool = False
 
 
 def _sign(x: float) -> float:
@@ -250,33 +243,31 @@ def polarity_proportions(doc: CleanDoc, lex: ValenceLexicon) -> SentimentScore:
     return _proportions(vals, doc.trailing_exclamations, doc.trailing_double_question)
 
 
-def _profile(token_emotions: Sequence[tuple[int, ...]]) -> EmotionProfile:
-    """Per-category counts and frequencies from each token's category positions."""
+def _profile(token_emotions: Sequence[tuple[int, ...]]) -> tuple[float, ...]:
+    """Per-category frequencies from each token's category positions; all 0.0 for no tokens."""
     n = len(token_emotions)
     counts = [0] * len(EMOTION_CATEGORIES)
     for indices in token_emotions:
         for j in indices:
             counts[j] += 1
-    if n == 0:
-        return EmotionProfile(tuple(counts), (0.0,) * len(counts), 0, degenerate=True)
-    return EmotionProfile(tuple(counts), tuple([c / n for c in counts]), n)
+    return tuple([c / n for c in counts]) if n else (0.0,) * len(counts)
 
 
-def emotion_profile(doc: CleanDoc, lex: EmotionLexicon) -> EmotionProfile:
-    """Per-category hit counts and frequencies on a stopword-free document."""
+def emotion_profile(doc: CleanDoc, lex: EmotionLexicon) -> tuple[float, ...]:
+    """Per-category frequencies (hits / token count) on a stopword-free document."""
     indices = lex.category_indices()
     return _profile([indices.get(tok.normalized, ()) for tok in doc.tokens])
 
 
 class ScoredChunk(NamedTuple):
     """What the text layers derive from one whitespace chunk: its token,
-    language class and stopword flag, then its token's ``TokenRole`` fields."""
+    language class and rule-3 flag, then its token's ``TokenRole`` fields."""
 
     token: Token | None
     #: ``textpipe.language_class`` of the chunk.
     language: int
-    #: Whether the token is a stopword (``False`` when there is no token).
-    stop: bool
+    #: Whether the chunk survives rule 3: it has a token and the token is no stopword.
+    kept: bool
     valence: float | None
     sign: float
     boost: float | None
@@ -330,7 +321,7 @@ class ScoringTable:
             self._entries.clear()
         token = chunk_token(chunk, self._emoticons)
         head = (token, language_class(chunk, self._wordlist),
-                token is not None and token.normalized in self._stopwords)
+                token is not None and token.normalized not in self._stopwords)
         role = _NO_ROLE if token is None else _role_fields(token, self._valences, self._emotions)
         entry = self._entries[chunk] = ScoredChunk._make(head + role)
         return entry
@@ -364,7 +355,8 @@ class ScoredPost(NamedTuple):
     date: dt.date
     city: str
     sentiment: SentimentScore
-    emotions: EmotionProfile
+    #: The ``emo_*`` frequencies, in ``EMOTION_CATEGORIES`` order.
+    emotions: tuple[float, ...]
     like_count: int = 0
     reply_count: int = 0
     retweet_count: int = 0
@@ -396,12 +388,11 @@ def score_entries(post: RawPost, entries: Sequence[ScoredChunk]) -> ScoredPost:
     The entries with a token are scored exactly as ``polarity_proportions``
     scores ``tokenize``'s document and ``emotion_profile`` its stopword-free
     form: polarity on the full token stream (negators must survive),
-    emotions on the stopword-free one, so ``word_total`` is the post's token
-    count after stopword removal.
+    emotions on the stopword-free one (the entries ``kept`` by rule 3).
     """
     tokens = [e for e in entries if e.token is not None]
     sent = _proportions(_adjusted_valences(tokens), *trailing_emphasis(post.text))
-    emo = _profile([e.emotions for e in tokens if not e.stop])
+    emo = _profile([e.emotions for e in entries if e.kept])
     return ScoredPost(
         post.id, post.date, post.city, sent, emo,
         post.like_count, post.reply_count, post.retweet_count,
@@ -414,7 +405,7 @@ def scored_row(p: ScoredPost) -> list[str]:
     return [
         p.id, p.date.isoformat(), p.city,
         repr(s.negative), repr(s.neutral), repr(s.positive), repr(s.compound),
-        *map(repr, p.emotions.frequencies),
+        *map(repr, p.emotions),
     ]
 
 
@@ -436,7 +427,6 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
     id raises ``ValueError`` naming it.
     """
     width = len(SCORED_COLUMNS)
-    no_counts = (0,) * len(EMOTION_CATEGORIES)
     out: list[ScoredPost] = []
     seen: set[str] = set()
     days: dict[str, dt.date] = {}
@@ -468,7 +458,5 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
                     raise ValueError("emotion frequencies must lie in [0, 1]")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            out.append(ScoredPost(
-                pid, day, city, sentiment, EmotionProfile(no_counts, emotions, 0, True),
-            ))
+            out.append(ScoredPost(pid, day, city, sentiment, emotions))
     return out

@@ -7,7 +7,7 @@ before punctuation is dropped, so scoring downstream can still apply them.
 
 The per-chunk rules live in ``chunk_token`` (tokenizing) and
 ``language_class`` (the language filter). ``sentiment.ScoringTable``
-memoizes them for one command run, along with each token's stopword flag
+memoizes them for one command run, along with each chunk's rule-3 flag
 and scoring role, so a repeated chunk costs one dict lookup; ``clean``,
 ``score`` and ``pipeline`` each build one. The commands split each post's
 text once and look its chunks up once (``english_entries``); that one entry
@@ -107,10 +107,9 @@ class RawPost(_RawPostFields):
 
 
 class Token(NamedTuple):
-    surface: str
+    #: The lexicon key, in ``lexicon.normalize_token`` form.
     normalized: str
     all_caps: bool
-    is_emoticon: bool
 
 
 @dataclass(frozen=True)
@@ -179,18 +178,17 @@ def _mostly_known(classes: list[int]) -> bool:
 def chunk_token(chunk: str, emoticons: Container[str] = frozenset()) -> Token | None:
     """The token of one whitespace chunk, or ``None`` when the chunk is dropped.
 
-    An emoticon chunk, whole or punctuation-stripped, is kept verbatim;
-    otherwise punctuation is stripped, and empty chunks and spam markers are
-    dropped. ``Token.normalized`` is the lexicon key, ``lexicon.normalize_token``
-    of the surface.
+    An emoticon chunk, whole or punctuation-stripped, is one token, never
+    ALL-CAPS; otherwise punctuation is stripped, and empty chunks and spam
+    markers are dropped.
     """
     if chunk in emoticons:
-        return Token(chunk, normalize_token(chunk), False, True)
+        return Token(normalize_token(chunk), False)
     stripped = chunk.strip(_STRIP_CHARS)
     if not stripped:
         return None
     if stripped in emoticons:
-        return Token(stripped, normalize_token(stripped), False, True)
+        return Token(normalize_token(stripped), False)
     folded = stripped.casefold()
     if folded in MEANINGLESS_TOKENS:
         return None
@@ -201,7 +199,7 @@ def chunk_token(chunk: str, emoticons: Container[str] = frozenset()) -> Token | 
     ):
         folded = stripped
     all_caps = stripped.isupper() and sum(1 for c in stripped if c.isalpha()) >= 2
-    return Token(stripped, folded, all_caps, False)
+    return Token(folded, all_caps)
 
 
 def trailing_emphasis(text: str) -> tuple[int, bool]:

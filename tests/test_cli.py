@@ -104,12 +104,15 @@ def test_clean_rule3_uses_the_configured_lexicon_and_stoplist(tmp_path, monkeypa
     assert (report["output_posts"], report["rule3_tokens_dropped"]) == (1, 2)
 
 
-def test_pipeline_report_equals_clean_report(tmp_path, capsys):
+def test_pipeline_report_equals_clean_report(tmp_path, capsys, vlex, stopwords):
     corpus = tmp_path / "raw.jsonl"
     write_mixed_corpus(corpus)
+    # the last post has no stopword-free token: rule 3 drops all five of its chunks
     with corpus.open("a") as fh:
         fh.write(json.dumps({"id": "x1", "date": "2020-03-02", "city": "Toronto",
                              "text": "so GOOD :-) see https://t.co/abc @you !!", "lang": "en"}) + "\n")
+        fh.write(json.dumps({"id": "x2", "date": "2020-03-02", "city": "Toronto",
+                             "text": "the, and ... of it!", "lang": "en"}) + "\n")
     report_path = tmp_path / "report.json"
     assert main(["clean", "--in", str(corpus), "--out", str(tmp_path / "clean.jsonl"),
                  "--report", str(report_path)]) == 0
@@ -119,6 +122,18 @@ def test_pipeline_report_equals_clean_report(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert all(f"{key}: {value}" in printed for key, value in report.items())
     assert report["rule1_posts_with_artifacts"] == 1
+    # rule 3 by the per-post functions: each kept post's chunks less its stopword-free tokens
+    dropped = {
+        p.id: len(p.text.split())
+        - len(textpipe.remove_stopwords(textpipe.tokenize(p.text, vlex.symbol_tokens()),
+                                        stopwords).tokens)
+        for p in textpipe.read_corpus(tmp_path / "clean.jsonl")
+    }
+    assert dropped["x2"] == 5
+    assert report["rule3_tokens_dropped"] == sum(dropped.values())
+    with (tmp_path / "out" / "scored.csv").open(newline="") as fh:
+        row = next(r for r in csv.DictReader(fh) if r["id"] == "x2")
+    assert [row[f"emo_{c}"] for c in sentiment.EMOTION_CATEGORIES] == ["0.0"] * 10
 
 
 def test_clean_idempotent(tmp_path):
@@ -206,6 +221,23 @@ def scored_setup(tmp_path, fixtures_dir):
                  "--out", str(cleaned)]) == 0
     assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
     return cleaned, scored
+
+
+def test_scored_rows_read_back_as_the_posts_score_scored(tmp_path, vlex, elex, stopwords):
+    # the reader once filled in emotion counts, a word total and a flag the file does not hold
+    corpus = tmp_path / "corpus.jsonl"
+    write_posts(corpus, [
+        ("a", "2020-03-01", "Toronto", "we ADMIRE the beautiful award", 1),
+        ("b", "2020-03-01", "Toronto", "an angry attack, such agony and anxiety!!", 2),
+        ("c", "2020-03-02", "Montreal", "the, and ... of it!", 3),
+    ])
+    scored = tmp_path / "scored.csv"
+    assert main(["score", "--in", str(corpus), "--out", str(scored)]) == 0
+    fresh = [sentiment.score_post(p, vlex, elex, stopwords) for p in textpipe.read_corpus(corpus)]
+    back = sentiment.read_scored_csv(scored)
+    assert any(any(sp.emotions) for sp in fresh)
+    assert [sp.emotions for sp in back] == [sp.emotions for sp in fresh]
+    assert [sp[:5] for sp in back] == [sp[:5] for sp in fresh]
 
 
 def test_aggregate_and_heatmap(tmp_path, fixtures_dir):
@@ -340,7 +372,7 @@ def test_join_corpus_keeps_what_keyword_filter_keeps(tmp_path, keyword):
     ])
     raw = list(textpipe.read_corpus(corpus))
     neutral = sentiment.SentimentScore(0.0, 1.0, 0.0, 0.0)
-    no_emotions = sentiment.EmotionProfile((), (), 0, True)
+    no_emotions = (0.0,) * 10
     scored = [sentiment.ScoredPost(p.id, p.date, p.city, neutral, no_emotions) for p in reversed(raw)]
     joined = cli._join_corpus(scored, corpus, keyword)
     kept = {p.id for p in cli.series.keyword_filter(raw, keyword)} if keyword else None
@@ -1250,7 +1282,7 @@ def test_aggregate_rejects_a_proportion_or_frequency_outside_0_to_1(tmp_path, ca
     path = tmp_path / "scored.csv"
     sentiment.write_scored_csv([sentiment.ScoredPost(
         "p1", dt.date(2020, 3, 1), "Toronto", sentiment.SentimentScore(0.25, 0.5, 0.25, 0.0),
-        sentiment.EmotionProfile((0,) * 10, (0.1,) * 10, 0, degenerate=True),
+        (0.1,) * 10,
     )], path)
     header, row = path.read_text().splitlines()
     fields = row.split(",")

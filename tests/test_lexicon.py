@@ -27,7 +27,7 @@ KNOWN_VALENCES = {
 
 def test_bundled_valence_rows_roundtrip(vlex):
     for token, value in KNOWN_VALENCES.items():
-        assert vlex.lookup(token) == value
+        assert vlex.entries.get(normalize_token(token)) == value
 
 
 def test_roundtrip_property_against_file(data_dir):
@@ -38,34 +38,34 @@ def test_roundtrip_property_against_file(data_dir):
         rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
     assert rows
     for fields in rows:
-        assert lex.lookup(fields[0]) == float(fields[1])
+        assert lex.entries.get(normalize_token(fields[0])) == float(fields[1])
 
 
 def test_case_folding_and_verbatim_symbols(vlex):
-    assert vlex.lookup("LOL") == 2.9
-    assert vlex.lookup("Lol") == 2.9
-    assert vlex.lookup(":-)") == 1.3
+    assert vlex.entries.get(normalize_token("LOL")) == 2.9
+    assert vlex.entries.get(normalize_token("Lol")) == 2.9
+    assert vlex.entries.get(normalize_token(":-)")) == 1.3
     assert normalize_token(":-)") == ":-)"
     assert normalize_token("LOL") == "lol"
 
 
 def test_absent_token_is_none_not_error(vlex):
-    assert vlex.lookup("zzzzqq") is None
-    assert "zzzzqq" not in vlex
+    assert vlex.entries.get(normalize_token("zzzzqq")) is None
+    assert normalize_token("zzzzqq") not in vlex.entries
 
 
 def test_empty_file(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("")
     lex = load_valence_lexicon(p)
-    assert len(lex) == 0
-    assert lex.lookup("anything") is None
+    assert len(lex.entries) == 0
+    assert lex.entries.get(normalize_token("anything")) is None
 
 
 def test_extra_columns_ignored(tmp_path):
     p = tmp_path / "lex.txt"
     p.write_text("fine\t0.8\t0.6\t[1, 0, 1]\n")
-    assert load_valence_lexicon(p).lookup("fine") == 0.8
+    assert load_valence_lexicon(p).entries.get(normalize_token("fine")) == 0.8
 
 
 def test_duplicate_rows_last_wins_with_warning(tmp_path, caplog):
@@ -73,7 +73,7 @@ def test_duplicate_rows_last_wins_with_warning(tmp_path, caplog):
     p.write_text("good\t1.9\ngood\t1.0\n")
     with caplog.at_level("WARNING"):
         lex = load_valence_lexicon(p)
-    assert lex.lookup("good") == 1.0
+    assert lex.entries.get(normalize_token("good")) == 1.0
     assert any("duplicate" in rec.message for rec in caplog.records)
 
 
@@ -109,16 +109,16 @@ def test_two_loads_equal_and_immutable(data_dir):
 
 
 def test_bundled_emotion_rows(elex):
-    assert elex.lookup("abandon") == {"fear", "negative", "sadness"}
-    assert elex.lookup("abacus") == {"trust"}
+    assert elex.entries.get(normalize_token("abandon")) == {"fear", "negative", "sadness"}
+    assert elex.entries.get(normalize_token("abacus")) == {"trust"}
 
 
 def test_flag_zero_token_absent(tmp_path):
     p = tmp_path / "emo.txt"
     p.write_text("abacus\ttrust\t0\n")
     lex = load_emotion_lexicon(p)
-    assert lex.lookup("abacus") is None
-    assert len(lex) == 0
+    assert lex.entries.get(normalize_token("abacus")) is None
+    assert len(lex.entries) == 0
 
 
 def test_emotion_set_built_from_flag_one_rows(tmp_path):
@@ -128,7 +128,7 @@ def test_emotion_set_built_from_flag_one_rows(tmp_path):
         "abandon\tjoy\t0\n"
     )
     lex = load_emotion_lexicon(p)
-    assert lex.lookup("abandon") == {"fear", "negative", "sadness"}
+    assert lex.entries.get(normalize_token("abandon")) == {"fear", "negative", "sadness"}
 
 
 @pytest.mark.parametrize(

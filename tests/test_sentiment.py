@@ -15,7 +15,6 @@ from echosent import sentiment
 from echosent.sentiment import (
     BOOSTERS,
     NEGATORS,
-    EmotionProfile,
     ScoredPost,
     ScoringTable,
     SentimentScore,
@@ -41,7 +40,7 @@ def doc(text, vlex=None):
 def word_valences(d, vlex):
     """Adjusted valences of the lexicon-matched tokens, in document order."""
     vals = _token_valences(d, vlex)
-    return [v for v, tok in zip(vals, d.tokens) if tok.surface in vlex]
+    return [v for v, tok in zip(vals, d.tokens) if tok.normalized in vlex.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +246,13 @@ def test_sentiment_score_validates():
 def test_scored_records_are_immutable_and_built_by_position_or_keyword():
     sent = SentimentScore(0.25, 0.5, 0.25, -1.0)
     assert sent == SentimentScore(compound=-1.0, positive=0.25, neutral=0.5, negative=0.25)
-    emo = EmotionProfile((1,) + (0,) * 9, (0.5,) + (0.0,) * 9, 2)
-    assert emo == EmotionProfile(word_total=2, frequencies=emo.frequencies, counts=emo.counts,
-                                 degenerate=False)
-    assert EmotionProfile((), (), 0, True).degenerate
+    emo = (0.5,) + (0.0,) * 9
     day = dt.date(2020, 3, 1)
     post = ScoredPost("p", day, "Toronto", sent, emo, 1, 2, 3)
     assert post == ScoredPost(retweet_count=3, reply_count=2, like_count=1, emotions=emo,
                               sentiment=sent, city="Toronto", date=day, id="p")
     assert ScoredPost("p", day, "Toronto", sent, emo)[5:] == (0, 0, 0)
-    for record in (sent, emo, post):
+    for record in (sent, post):
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
         with pytest.raises(AttributeError):
@@ -273,46 +269,38 @@ def cat_index(name):
 
 def test_emotion_single_word(elex, stopwords):
     profile = emotion_profile(doc("abandon"), elex)
-    assert profile.word_total == 1
     for name in ("fear", "negative", "sadness"):
-        assert profile.counts[cat_index(name)] == 1
-        assert profile.frequencies[cat_index(name)] == 1.0
-    assert sum(profile.counts) == 3
+        assert profile[cat_index(name)] == 1.0
+    assert sum(profile) == 3.0
 
 
 def test_emotion_ratio(elex):
     text = "panic outbreak aaa bbb ccc ddd eee fff ggg hhh"
     profile = emotion_profile(doc(text), elex)
-    assert profile.word_total == 10
-    assert profile.frequencies[cat_index("fear")] == pytest.approx(0.2)
+    assert profile[cat_index("fear")] == pytest.approx(0.2)
 
 
 def test_emotion_no_hits(elex):
     profile = emotion_profile(doc("aaa bbb"), elex)
-    assert profile.counts == (0,) * 10
-    assert profile.frequencies == (0.0,) * 10
-    assert not profile.degenerate
+    assert profile == (0.0,) * 10
 
 
 def test_emotion_empty_doc_degenerate(elex):
     profile = emotion_profile(doc(""), elex)
-    assert profile.degenerate
-    assert profile.word_total == 0
-    assert profile.frequencies == (0.0,) * 10
+    assert profile == (0.0,) * 10
 
 
 def test_emotion_components_bounded_but_sum_can_exceed_one(elex):
     profile = emotion_profile(doc("abandon accident"), elex)
-    assert all(0.0 <= f <= 1.0 for f in profile.frequencies)
-    assert sum(profile.frequencies) > 1.0
+    assert all(0.0 <= f <= 1.0 for f in profile)
+    assert sum(profile) > 1.0
 
 
 def test_emotion_counts_on_stopword_free_doc(elex, stopwords):
     full = doc("i abandon it")
     bare = remove_stopwords(full, stopwords)
     profile = emotion_profile(bare, elex)
-    assert profile.word_total == 1
-    assert profile.frequencies[cat_index("fear")] == 1.0
+    assert profile[cat_index("fear")] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +443,13 @@ def scored_posts(draw, pid):
     total = sum(weights)
     sentiment = SentimentScore(*(w / total for w in weights), draw(st.floats(-1.0, 1.0)))
     freqs = tuple(draw(st.lists(UNIT, min_size=10, max_size=10)))
-    return ScoredPost(pid, draw(st.dates()), draw(CSV_TEXT), sentiment,
-                      EmotionProfile((0,) * 10, freqs, 0, degenerate=True))
+    return ScoredPost(pid, draw(st.dates()), draw(CSV_TEXT), sentiment, freqs)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data(), ids=st.lists(CSV_TEXT, max_size=5, unique=True))
 def test_scored_csv_roundtrip_property(data, ids):
-    # Engagement counts and emotion counts are not part of the format.
+    # Engagement counts are not part of the format.
     posts = [data.draw(scored_posts(pid)) for pid in ids]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scored.csv"
@@ -471,13 +458,13 @@ def test_scored_csv_roundtrip_property(data, ids):
     assert back == posts
     for got, want in zip(back, posts):
         assert repr(got.sentiment) == repr(want.sentiment)
-        assert list(map(repr, got.emotions.frequencies)) == list(map(repr, want.emotions.frequencies))
+        assert list(map(repr, got.emotions)) == list(map(repr, want.emotions))
 
 
 def one_scored_post(pid="p1"):
     return ScoredPost(pid, dt.date(2020, 3, 1), "Toronto",
                       SentimentScore(0.25, 0.5, 0.25, 0.125),
-                      EmotionProfile((0,) * 10, (0.5,) + (0.0,) * 9, 0, degenerate=True))
+                      (0.5,) + (0.0,) * 9)
 
 
 @pytest.mark.parametrize("row, message", [

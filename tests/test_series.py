@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echosent import series as series_module
-from echosent.sentiment import EmotionProfile, ScoredPost, SentimentScore
+from echosent.sentiment import ScoredPost, SentimentScore
 from echosent.series import (
     CitySeries,
     _diverging_fills,
@@ -31,7 +31,7 @@ from echosent.series import (
 from echosent.textpipe import RawPost
 
 D = dt.date
-EMPTY_EMOTIONS = EmotionProfile((0,) * 10, (0.0,) * 10, 0, degenerate=True)
+EMPTY_EMOTIONS = (0.0,) * 10
 
 
 def sp(pid, day, city, compound, likes=0, replies=0, retweets=0):

@@ -34,8 +34,8 @@ def post(text, lang=None):
     return RawPost("p1", DAY, "Toronto", text, lang=lang)
 
 
-def surfaces(doc):
-    return [t.surface for t in doc.tokens]
+def keys(doc):
+    return [t.normalized for t in doc.tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +183,14 @@ def test_exact_threshold():
 
 def test_trailing_exclamations_counted():
     doc = tokenize("Good!!!")
-    assert surfaces(doc) == ["Good"]
+    assert keys(doc) == ["good"]
     assert doc.trailing_exclamations == 3
     assert not doc.trailing_double_question
 
 
 def test_emoticon_preserved_as_token(vlex):
     doc = tokenize("ok :-)", vlex.symbol_tokens())
-    assert surfaces(doc) == ["ok", ":-)"]
-    assert doc.tokens[1].is_emoticon
-    assert not doc.tokens[0].is_emoticon
+    assert keys(doc) == ["ok", ":-)"]
 
 
 def test_caps_flagging():
@@ -213,12 +211,12 @@ def test_double_question_detected():
 
 def test_punctuation_and_meaningless_symbols_dropped():
     doc = tokenize("** SSS = $ & , ( ) ; - ~ word")
-    assert surfaces(doc) == ["word"]
+    assert keys(doc) == ["word"]
 
 
 def test_interior_punctuation_kept():
     doc = tokenize("don't stop COVID-19 it's real-time")
-    assert surfaces(doc) == ["don't", "stop", "COVID-19", "it's", "real-time"]
+    assert keys(doc) == ["don't", "stop", "covid-19", "it's", "real-time"]
 
 
 def test_no_empty_surfaces_and_count_bound(vlex):
@@ -228,7 +226,7 @@ def test_no_empty_surfaces_and_count_bound(vlex):
     for _ in range(200):
         text = " ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 10)))
         doc = tokenize(text, emoticons)
-        assert all(t.surface for t in doc.tokens)
+        assert all(t.normalized for t in doc.tokens)
         assert len(doc.tokens) <= len(text.split()) + sum(
             1 for c in text.split() if c in emoticons
         )
@@ -247,10 +245,8 @@ def _oracle_normalize_token(token):
 
 @dataclass(frozen=True)
 class _OracleToken:
-    surface: str
     normalized: str
     all_caps: bool
-    is_emoticon: bool
 
 
 def _oracle_tokenize(text, emoticons=frozenset()):
@@ -260,19 +256,19 @@ def _oracle_tokenize(text, emoticons=frozenset()):
     tokens = []
     for chunk in text.split():
         if chunk in emoticons:
-            tokens.append(_OracleToken(chunk, _oracle_normalize_token(chunk), False, True))
+            tokens.append(_OracleToken(_oracle_normalize_token(chunk), False))
             continue
         stripped = chunk.strip(_ORACLE_STRIP_CHARS)
         if not stripped:
             continue
         if stripped in emoticons:
-            tokens.append(_OracleToken(stripped, _oracle_normalize_token(stripped), False, True))
+            tokens.append(_OracleToken(_oracle_normalize_token(stripped), False))
             continue
         if stripped.casefold() in MEANINGLESS_TOKENS:
             continue
         n_letters = sum(1 for c in stripped if c.isalpha())
         all_caps = n_letters >= 2 and stripped.isupper()
-        tokens.append(_OracleToken(stripped, _oracle_normalize_token(stripped), all_caps, False))
+        tokens.append(_OracleToken(_oracle_normalize_token(stripped), all_caps))
     return tokens, n_excl, double_q
 
 
@@ -299,7 +295,7 @@ def _tokenizer_texts(draw, emoticons):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), which=st.sampled_from(["lexicon", "empty", "extra"]))
-def test_tokenize_matches_reference_tokenizer(vlex, elex, data, which):
+def test_tokenize_matches_reference_tokenizer(vlex, data, which):
     emoticons = {
         "lexicon": vlex.symbol_tokens(),
         "empty": frozenset(),
@@ -308,13 +304,10 @@ def test_tokenize_matches_reference_tokenizer(vlex, elex, data, which):
     text = data.draw(_tokenizer_texts(emoticons))
     doc = tokenize(text, emoticons)
     want, n_excl, double_q = _oracle_tokenize(text, emoticons)
-    assert [(t.surface, t.normalized, t.all_caps, t.is_emoticon) for t in doc.tokens] == [
-        (t.surface, t.normalized, t.all_caps, t.is_emoticon) for t in want
+    assert [(t.normalized, t.all_caps) for t in doc.tokens] == [
+        (t.normalized, t.all_caps) for t in want
     ]
     assert (doc.trailing_exclamations, doc.trailing_double_question) == (n_excl, double_q)
-    for tok in doc.tokens:
-        assert vlex.entries.get(tok.normalized) == vlex.lookup(tok.surface)
-        assert elex.entries.get(tok.normalized) == elex.lookup(tok.surface)
 
 
 _WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
@@ -346,7 +339,7 @@ def test_chunk_table_gives_what_the_per_post_functions_give(
         doc = tokenize(text, emoticons)
         scanned = [e for e in table.entries(text.split()) if e.token is not None]
         assert tuple(e.token for e in scanned) == doc.tokens
-        assert tuple(e.token for e in scanned if not e.stop) == (
+        assert tuple(e.token for e in scanned if e.kept) == (
             remove_stopwords(doc, stopwords).tokens
         )
         post = RawPost("p", DAY, "X", text, lang=lang)
@@ -376,7 +369,7 @@ def test_chunk_table_is_emptied_at_its_bound(vlex, monkeypatch):
 def test_remove_stopwords_examples(stopwords):
     doc = tokenize("I like masks")
     out = remove_stopwords(doc, stopwords)
-    assert surfaces(out) == ["like", "masks"]
+    assert keys(out) == ["like", "masks"]
 
     assert remove_stopwords(tokenize(""), stopwords).tokens == ()
 
@@ -388,13 +381,13 @@ def test_remove_stopwords_preserves_emphasis(stopwords):
     doc = tokenize("I am HAPPY!!!")
     out = remove_stopwords(doc, stopwords)
     assert out.trailing_exclamations == 3
-    assert surfaces(out) == ["HAPPY"]
+    assert keys(out) == ["happy"]
 
 
 def test_emoticons_survive_stopword_removal(vlex, stopwords):
     doc = tokenize("it :-)", vlex.symbol_tokens())
     out = remove_stopwords(doc, stopwords)
-    assert surfaces(out) == [":-)"]
+    assert keys(out) == [":-)"]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +402,7 @@ def test_pipeline_order_keeps_punctuation_intensity(stopwords):
     assert doc.trailing_exclamations == 0  # "!!!"" is not text-final after the tag word
     doc2 = remove_stopwords(tokenize(strip_artifacts("@bob this is GREAT!!!")), stopwords)
     assert doc2.trailing_exclamations == 3
-    assert surfaces(doc2) == ["GREAT"]
+    assert keys(doc2) == ["great"]
     assert doc2.tokens[0].all_caps
 
 
