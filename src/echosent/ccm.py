@@ -110,13 +110,21 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     return float((xc @ yc) / math.sqrt(sx * sy))
 
 
+#: How a curve's peak is picked among its kept lags; ``_peak_rank`` applies it.
+TIE_BREAK = "highest rho, then smallest |lag|, then negative lag"
+
+
+def _peak_rank(lag: int, rho: float) -> tuple[float, int, int]:
+    """The ``TIE_BREAK`` sort key of a kept lag: the peak ranks lowest."""
+    return -rho, abs(lag), lag
+
+
 @dataclass(frozen=True)
 class LagCorrelationCurve:
     """Correlation over the lag grid for one mapping direction.
 
     ``direction`` names the input series first ("x->y" maps reservoir states
-    of x to y). Peak ties break toward the smallest |lag|, then toward the
-    negative lag.
+    of x to y). The peak follows ``TIE_BREAK``.
     """
 
     direction: str
@@ -165,14 +173,13 @@ def cross_map_curve(
     # Plan: apply the skip rules. Each usable lag gets its training window
     # [a, b) and one row of ``targets_z``: its z-scored target on [a, b),
     # zero elsewhere.
-    skipped: set[int] = set()
-    plan: list[tuple[int, int, int]] = []
+    # rows only for the lags that fit: a grid far wider than T costs no more
     lag_values = grid.values()
-    targets_z = np.zeros((len(lag_values), t_len))
-    for lag in lag_values:
-        if abs(lag) >= t_len:
-            skipped.add(lag)
-            continue
+    fitting = [lag for lag in lag_values if abs(lag) < t_len]
+    skipped = set(lag_values).difference(fitting)
+    plan: list[tuple[int, int, int]] = []
+    targets_z = np.zeros((len(fitting), t_len))
+    for lag in fitting:
         s_in, _ = align_window(t_len, lag)
         a = max(s_in.start, cfg.washout)
         b = s_in.stop
@@ -281,8 +288,7 @@ def cross_map_curve(
     if short:
         log.warning("%s: %d kept lags fitted on fewer rows than the %d reservoir units "
                     "(shortest window %d)", direction, len(short), states.shape[1], min(short))
-    order = sorted(range(len(lags)), key=lambda i: (-rhos[i], abs(lags[i]), lags[i]))
-    best = order[0]
+    best = min(range(len(lags)), key=lambda i: _peak_rank(lags[i], rhos[i]))
     return LagCorrelationCurve(
         direction, tuple(lags), tuple(rhos), lags[best], rhos[best], tuple(sorted(skipped))
     )

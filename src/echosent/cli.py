@@ -51,6 +51,7 @@ from .textpipe import (
     corpus_line,
     english_entries,
     load_wordlist,
+    parse_day,
     read_corpus,
     strip_artifacts,
     write_corpus,
@@ -111,8 +112,8 @@ OPTIONS = {
     "features": Option("--features", "run", "features", "comma list of features"),
     "cities": Option("--cities", "run", "cities", "comma list of cities"),
     "keyword": Option("--keyword", "run", "keyword", "keep only posts containing this keyword"),
-    "date_from": Option("--from", "run", "date_from", "ISO start date", dt.date.fromisoformat),
-    "date_to": Option("--to", "run", "date_to", "ISO end date", dt.date.fromisoformat),
+    "date_from": Option("--from", "run", "date_from", "start day, YYYY-MM-DD", parse_day),
+    "date_to": Option("--to", "run", "date_to", "end day, YYYY-MM-DD", parse_day),
     "periods": Option("--periods", "paths", "periods",
                       "period config INI; also writes a period summary"),
     "series": Option("--series", "paths", "series", "series CSV"),
@@ -320,7 +321,7 @@ def cmd_score(args) -> int:
     posts = read_corpus(args.in_path)
     chunks = ScoringTable(vlex, elex, stopwords)
     write_scored_csv(
-        (score_post(_stripped(p), vlex, elex, stopwords, chunks) for p in posts),
+        (score_post(_stripped(p), chunks) for p in posts),
         args.out,
     )
     print(f"scored_posts: {posts.posts_read}")
@@ -330,32 +331,29 @@ def cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 # aggregate
 
-_COUNT_FEATURES = ("like_total", "reply_total", "retweet_total")
-
-
 def _join_corpus(scored, corpus_path, keyword=None):
     """Scored posts with their engagement counts from the corpus, in one read.
 
-    With ``keyword``, only posts whose text contains it, case-insensitive,
-    are kept (``series.keyword_filter``'s rule). Corpus ids must be unique
-    and every scored id must be in the corpus.
+    With ``keyword``, only the posts whose corpus text ``series.keyword_filter``
+    keeps are kept. Corpus ids must be unique and every scored id must be in
+    the corpus.
     """
     by_id = {}
     for p in read_corpus(corpus_path):
         if by_id.setdefault(p.id, p) is not p:
             raise ValueError(f"{corpus_path}: post id {p.id!r} repeats")
-    needle = keyword.casefold() if keyword else None
-    joined = []
+    raws = []
     for sp in scored:
         raw = by_id.get(sp.id)
         if raw is None:
             raise ValueError(f"scored post {sp.id!r} is not in {corpus_path}")
-        if needle is None or needle in raw.text.casefold():
-            joined.append(ScoredPost(
-                sp.id, sp.date, sp.city, sp.sentiment, sp.emotions,
-                raw.like_count, raw.reply_count, raw.retweet_count,
-            ))
-    return joined
+        raws.append(raw)
+    kept = {p.id for p in series.keyword_filter(raws, keyword)} if keyword else None
+    return [
+        ScoredPost(sp.id, sp.date, sp.city, sp.sentiment, sp.emotions,
+                   raw.like_count, raw.reply_count, raw.retweet_count)
+        for sp, raw in zip(scored, raws) if kept is None or sp.id in kept
+    ]
 
 
 def cmd_aggregate(args) -> int:
@@ -368,9 +366,8 @@ def cmd_aggregate(args) -> int:
     if args.features:
         feature_list = [f.strip() for f in args.features.split(",")]
     else:
-        feature_list = ["compound_mean", "tweet_count"]
-        if args.corpus:
-            feature_list += list(_COUNT_FEATURES)
+        # without the corpus there are no engagement counts to total
+        feature_list = series.FEATURES if args.corpus else series.FEATURES[:2]
     cities = [c.strip() for c in args.cities.split(",")] if args.cities else None
     built = series.aggregate_daily(scored, feature_list, cities, args.date_from, args.date_to)
     series.write_series_csv(built, args.out)
@@ -456,7 +453,7 @@ def cmd_ccm(args) -> int:
         **asdict(verdict),
         "input_series": f"{sx.city}/{sx.feature}",
         "target_series": f"{sy.city}/{sy.feature}",
-        "tie_break": "highest rho, then smallest |lag|, then negative lag",
+        "tie_break": ccm.TIE_BREAK,
         "seed": args.seed,
     }
     (out_dir / "ccm_verdict.json").write_text(
@@ -579,9 +576,7 @@ def cmd_pipeline(args) -> int:
                 scored_csv.writerow(scored_row(sp))
                 yield sp
 
-        built = series.aggregate_daily(
-            scored(), ["compound_mean", "tweet_count", *_COUNT_FEATURES]
-        )
+        built = series.aggregate_daily(scored(), series.FEATURES)
     series.write_series_csv(built, out_dir / "series.csv")
     return _finish_report(report, lines=(
         f"scored_posts: {report['output_posts']}", f"series_written: {len(built)}",

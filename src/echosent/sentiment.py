@@ -25,7 +25,7 @@ The table holds at most ``CHUNK_TABLE_SIZE`` entries (about 5 MB when full)
 and is emptied when full; nothing outlives the command run.
 ``score_entries`` scores a post from the entries of its chunks:
 ``pipeline`` passes the entries its language filter looked up, and
-``score_post`` (the ``score`` command) looks them up itself.
+``score_post(post, chunks)`` (the ``score`` command) looks them up itself.
 ``polarity_proportions`` and ``emotion_profile`` score a ``tokenize``
 document. Both run through the same core (``_adjusted_valences``,
 ``_proportions``, ``_profile``), so they agree bit for bit.
@@ -46,7 +46,7 @@ from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .lexicon import EMOTION_CATEGORIES, EmotionLexicon, ValenceLexicon
 from .textpipe import (
-    CleanDoc, RawPost, Token, chunk_token, language_class, trailing_emphasis,
+    CleanDoc, RawPost, Token, chunk_token, language_class, parse_day, trailing_emphasis,
 )
 # Re-exported: the benchmark tracer (bench/spans.py) wraps them under these names.
 from .textpipe import remove_stopwords, strip_artifacts, tokenize  # noqa: F401
@@ -304,7 +304,6 @@ class ScoringTable:
         stopwords: Container[str],
         wordlist: Container[str] = frozenset(),
     ) -> None:
-        self.inputs = (valence_lex, emotion_lex, stopwords)
         self._emoticons = valence_lex.symbol_tokens()
         self._wordlist = wordlist
         self._stopwords = stopwords
@@ -326,8 +325,9 @@ class ScoringTable:
         entry = self._entries[chunk] = ScoredChunk._make(head + role)
         return entry
 
-    def entries(self, chunks: list[str]) -> list[ScoredChunk]:
-        """The entry of each chunk, in order."""
+    def entries(self, text: str) -> list[ScoredChunk]:
+        """The entry of each whitespace chunk of ``text``, in order."""
+        chunks = text.split()
         entries = self._entries
         try:
             return list(map(entries.__getitem__, chunks))
@@ -362,24 +362,14 @@ class ScoredPost(NamedTuple):
     retweet_count: int = 0
 
 
-def score_post(
-    post: RawPost,
-    valence_lex: ValenceLexicon,
-    emotion_lex: EmotionLexicon,
-    stopwords: frozenset[str],
-    chunks: ScoringTable | None = None,
-) -> ScoredPost:
+def score_post(post: RawPost, chunks: ScoringTable) -> ScoredPost:
     """Score one already-English post: polarity and its emotion profile.
 
     ``post.text`` must already be artifact-stripped. Its chunks are looked
-    up in ``chunks``, a ``ScoringTable`` over these same lexicons and
-    stopwords (a new one when not given), and scored by ``score_entries``.
+    up in ``chunks``, whose lexicons and stopwords score it, and scored by
+    ``score_entries``.
     """
-    if chunks is None:
-        chunks = ScoringTable(valence_lex, emotion_lex, stopwords)
-    elif chunks.inputs != (valence_lex, emotion_lex, stopwords):
-        raise ValueError("score_post: the chunk table was built over other lexicons")
-    return score_entries(post, chunks.entries(post.text.split()))
+    return score_entries(post, chunks.entries(post.text))
 
 
 def score_entries(post: RawPost, entries: Sequence[ScoredChunk]) -> ScoredPost:
@@ -420,8 +410,8 @@ def write_scored_csv(posts: Iterable[ScoredPost], path: str | Path) -> None:
 def read_scored_csv(path: str | Path) -> list[ScoredPost]:
     """Read scored rows; engagement counts are not part of this format.
 
-    Every row must have one field per column of ``SCORED_COLUMNS``, an ISO
-    date, float scores that ``SentimentScore`` accepts and ``emo_*``
+    Every row must have one field per column of ``SCORED_COLUMNS``, a
+    YYYY-MM-DD date, float scores that ``SentimentScore`` accepts and ``emo_*``
     frequencies in [0, 1] (not ``nan``), or ``ValueError`` names the file
     and line; blank lines are skipped. Post ids must be unique: a repeated
     id raises ``ValueError`` naming it.
@@ -446,7 +436,7 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
             day = days.get(date)
             if day is None:
                 try:
-                    day = days[date] = dt.date.fromisoformat(date)
+                    day = days[date] = parse_day(date)
                 except ValueError:
                     raise ValueError(f"{path}:{reader.line_num}: bad date {date!r}") from None
             try:

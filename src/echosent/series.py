@@ -1,8 +1,8 @@
 """Daily per-city series, period summaries and heatmap emission.
 
 A ``CitySeries`` holds its first day and its values, gap-free by construction.
-Series CSV format: header ``date,city,feature,value`` with ISO dates, one
-row per day. ``read_series_csv`` checks every row of a file but builds,
+Series CSV format: header ``date,city,feature,value`` with YYYY-MM-DD dates,
+one row per day. ``read_series_csv`` checks every row of a file but builds,
 and requires gap-free, only the series it is asked for. Heatmap CSV: header
 ``city,<date>,...`` from the earliest first to the latest last day, one row
 per city and an empty field (no SVG cell) on a day outside the city's range.
@@ -28,15 +28,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .sentiment import ScoredPost
+from .textpipe import parse_day
 
-FEATURES = (
-    "compound_mean",
-    "tweet_count",
-    "like_total",
-    "reply_total",
-    "retweet_total",
-    "cases",
-)
+#: The features ``aggregate_daily`` builds, in output order. The first two
+#: need the scored posts alone; the engagement totals need their counts.
+FEATURES = ("compound_mean", "tweet_count", "like_total", "reply_total", "retweet_total")
 
 _ONE_DAY = dt.timedelta(days=1)
 
@@ -74,10 +70,6 @@ class CitySeries:
         return len(self.values)
 
 
-#: Position in a day's running sums (see ``aggregate_daily``) of each count feature.
-_COUNT_SLOT = {"tweet_count": 1, "like_total": 2, "reply_total": 3, "retweet_total": 4}
-
-
 def aggregate_daily(
     posts: Iterable[ScoredPost],
     features: Sequence[str],
@@ -101,11 +93,11 @@ def aggregate_daily(
             raise ValueError("case counts are external data; load them with read_series_csv")
         if feature not in FEATURES:
             raise ValueError(f"unknown feature {feature!r}")
-    # Running sums of one (city, day): [compound, posts, likes, replies,
-    # retweets]. Compounds are added one at a time in post order, starting
-    # from 0.0, so the day's mean is bit-identical to
-    # sum(compounds) / len(compounds) under the sequential float sum of
-    # Python 3.10 and 3.11.
+    # Running sums of one (city, day), one per feature in FEATURES order:
+    # [compound, posts, likes, replies, retweets]. Compounds are added one at
+    # a time in post order, starting from 0.0, so the day's mean is
+    # bit-identical to sum(compounds) / len(compounds) under the sequential
+    # float sum of Python 3.10 and 3.11.
     by_city: dict[str, dict[dt.date, list]] = {}
     for p in posts:
         by_day = by_city.get(p.city)
@@ -144,7 +136,7 @@ def aggregate_daily(
                         last = sums[0] / sums[1]
                     values.append(last)
             else:
-                k = _COUNT_SLOT[feature]
+                k = FEATURES.index(feature)
                 # an int plus 0.0 is float(int), without the call
                 values = [0.0 if sums is None else sums[k] + 0.0 for sums in days]
             out.append(CitySeries(city, feature, lo, tuple(values)))
@@ -174,7 +166,7 @@ class PeriodConfig:
     """Ordered, non-overlapping date intervals per city.
 
     File format (INI, read by ``read_ini``): one section per city,
-    ``label = start/end`` with ISO dates, both inclusive. A city section
+    ``label = start/end`` with YYYY-MM-DD dates, both inclusive. A city section
     holds exactly its own periods; the [DEFAULT] section's periods apply to
     cities without a section, or with an empty one.
     """
@@ -191,7 +183,7 @@ def _parse_periods(items: Iterable[tuple[str, str]]) -> tuple[Period, ...]:
     for label, value in items:
         try:
             lo, hi = value.split("/")
-            period = Period(label, dt.date.fromisoformat(lo.strip()), dt.date.fromisoformat(hi.strip()))
+            period = Period(label, parse_day(lo.strip()), parse_day(hi.strip()))
         except ValueError as exc:
             raise ValueError(f"bad period {label!r}: {value!r}") from exc
         if period.end < period.start:
@@ -349,13 +341,16 @@ def _diverging_fills(values: Sequence[float], vmax: float) -> list[str]:
 #: Side of one heatmap cell and width of the city-label column, in SVG px.
 _CELL_PX = 12
 _LABEL_PX = 90
+#: Escapes XML text; ``xml.sax.saxutils.escape`` would import ``urllib.request`` (about 7 MB).
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def write_heatmap_svg(cities, dates, matrix, path: str | Path) -> None:
     """Render the matrix as a static SVG with a zero-centered diverging scale.
 
-    A missing day (``None``) gets no cell. Each city's row is written as it
-    is built, so the whole document is never held in memory.
+    A missing day (``None``) gets no cell, and city names are escaped as XML
+    text. Each city's row is written as it is built, so the whole document
+    is never held in memory.
     """
     vmax = max((abs(v) for row in matrix for v in row if v is not None), default=0.0)
     width = _LABEL_PX + _CELL_PX * len(dates)
@@ -374,7 +369,7 @@ def write_heatmap_svg(cities, dates, matrix, path: str | Path) -> None:
             y = 20 + i * _CELL_PX
             days = [j for j, v in enumerate(values) if v is not None]
             fills = _diverging_fills([values[j] for j in days], vmax)
-            fh.write(f'<text x="0" y="{y + _CELL_PX - 3}">{city}</text>\n')
+            fh.write(f'<text x="0" y="{y + _CELL_PX - 3}">{city.translate(_XML_TEXT)}</text>\n')
             fh.write("".join([
                 f'<rect x="{_LABEL_PX + j * _CELL_PX}" y="{y}" width="{_CELL_PX}" '
                 f'height="{_CELL_PX}" fill="{fill}"/>\n'
@@ -425,7 +420,7 @@ def read_series_csv(
     """Read a long-format series CSV back into validated CitySeries objects.
 
     Every row is checked, whichever series it belongs to: it must have
-    exactly four fields, an ISO date and a float value, or ``ValueError``
+    exactly four fields, a YYYY-MM-DD date and a float value, or ``ValueError``
     names the file and line. Blank lines are skipped. Only the series whose
     feature is in ``features`` and whose city is in ``cities`` (``None``
     keeps all) are built, in (city, feature) order, and only those must be
@@ -451,7 +446,7 @@ def read_series_csv(
             day = days.get(date)
             if day is None:
                 try:
-                    day = days[date] = dt.date.fromisoformat(date)
+                    day = days[date] = parse_day(date)
                 except ValueError:
                     raise ValueError(f"{path}:{reader.line_num}: bad date {date!r}") from None
             try:

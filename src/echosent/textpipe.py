@@ -9,9 +9,9 @@ The per-chunk rules live in ``chunk_token`` (tokenizing) and
 ``language_class`` (the language filter). ``sentiment.ScoringTable``
 memoizes them for one command run, along with each chunk's rule-3 flag
 and scoring role, so a repeated chunk costs one dict lookup; ``clean``,
-``score`` and ``pipeline`` each build one. The commands split each post's
-text once and look its chunks up once (``english_entries``); that one entry
-list serves the language filter, scoring and the rule-3 count.
+``score`` and ``pipeline`` each build one. Its ``entries(post.text)`` splits
+a post's text and looks its chunks up once (``english_entries``); that one
+entry list serves the language filter, scoring and the rule-3 count.
 ``is_english``, ``tokenize`` and ``remove_stopwords`` derive the same from
 the text alone; the tests hold the table to them.
 
@@ -20,9 +20,10 @@ constructor checks its fields, so a post costs a tuple to build.
 
 Corpus files are JSON lines, one post per line with fields ``id``, ``date``
 ("YYYY-MM-DD"), ``city``, ``text``, optional ``like_count``, ``reply_count``,
-``retweet_count`` and ``lang``; unknown fields are ignored. ``read_corpus``
-parses them lazily, one post per iteration step, and ``write_corpus`` writes
-posts as it draws them, so a corpus streams through without being held.
+``retweet_count`` (JSON integers) and ``lang``; unknown fields are ignored.
+``read_corpus`` parses them lazily, one post per iteration step, and
+``write_corpus`` writes posts as it draws them, so a corpus streams through
+without being held.
 """
 
 from __future__ import annotations
@@ -180,26 +181,20 @@ def chunk_token(chunk: str, emoticons: Container[str] = frozenset()) -> Token | 
 
     An emoticon chunk, whole or punctuation-stripped, is one token, never
     ALL-CAPS; otherwise punctuation is stripped, and empty chunks and spam
-    markers are dropped.
+    markers are dropped. A token's key is ``normalize_token(stripped)``.
     """
     if chunk in emoticons:
         return Token(normalize_token(chunk), False)
     stripped = chunk.strip(_STRIP_CHARS)
     if not stripped:
         return None
+    key = normalize_token(stripped)
     if stripped in emoticons:
-        return Token(normalize_token(stripped), False)
-    folded = stripped.casefold()
-    if folded in MEANINGLESS_TOKENS:
+        return Token(key, False)
+    if key in MEANINGLESS_TOKENS:
         return None
-    # casefold changes an ASCII string only through its letters; other
-    # changed strings may be letter-free symbols ("Ⅻ"), kept verbatim
-    if folded != stripped and not stripped.isascii() and not any(
-        c.isalpha() for c in stripped
-    ):
-        folded = stripped
     all_caps = stripped.isupper() and sum(1 for c in stripped if c.isalpha()) >= 2
-    return Token(folded, all_caps)
+    return Token(key, all_caps)
 
 
 def trailing_emphasis(text: str) -> tuple[int, bool]:
@@ -244,7 +239,7 @@ def english_entries(post: RawPost, chunks: ScoringTable) -> list[ScoredChunk] | 
     lang = post.lang
     if lang is not None and lang != "en":
         return None
-    entries = chunks.entries(post.text.split())
+    entries = chunks.entries(post.text)
     if lang is None and not _mostly_known([e.language for e in entries]):
         return None
     return entries
@@ -256,24 +251,37 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
         return frozenset(line.strip().casefold() for line in fh if line.strip())
 
 
+_DAY_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_day(text: str) -> dt.date:
+    """The day of a "YYYY-MM-DD" string, the one date form a command reads.
+
+    Other forms raise ``ValueError``: ``dt.date.fromisoformat`` alone also
+    takes "20200224" and "2020-W09-1" from Python 3.11 on.
+    """
+    if not _DAY_RE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD day: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
+_COUNTS = ("like_count", "reply_count", "retweet_count")
+
+
 def parse_post(obj: dict) -> RawPost:
     """Build a RawPost from a decoded JSON object, ignoring unknown fields.
 
     The day field is ``date`` ("YYYY-MM-DD"); ``timestamp`` is accepted as an
-    alias.
+    alias. A count must be a JSON integer: 3.7, "3" and true are refused.
     """
     try:
-        date = dt.date.fromisoformat(str(obj.get("date", obj.get("timestamp"))))
-        return RawPost(
-            str(obj["id"]),
-            date,
-            str(obj["city"]),
-            str(obj["text"]),
-            int(obj.get("like_count", 0)),
-            int(obj.get("reply_count", 0)),
-            int(obj.get("retweet_count", 0)),
-            obj.get("lang"),
-        )
+        date = parse_day(str(obj.get("date", obj.get("timestamp"))))
+        counts = [obj.get(name, 0) for name in _COUNTS]
+        for name, count in zip(_COUNTS, counts):
+            if type(count) is not int:  # bool is a subclass of int
+                raise ValueError(f"{name} {count!r} is no integer")
+        return RawPost(str(obj["id"]), date, str(obj["city"]), str(obj["text"]), *counts,
+                       obj.get("lang"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad post record: {exc}") from exc
 

@@ -37,7 +37,7 @@ from echosent.esn import (
     zscore,
 )
 from echosent.lexicon import ValenceLexicon, normalize_token
-from echosent.sentiment import score_post
+from echosent.sentiment import ScoringTable, score_post
 from echosent.synth import CoupledMapConfig, gen_ar1, gen_coupled_logistic
 from echosent.textpipe import RawPost, read_corpus, tokenize
 from oracle import compound_score, fsum_pearson, train_readout
@@ -71,8 +71,9 @@ def test_c02_scored_tweet_goldens(vlex, elex, stopwords, fixtures_dir):
         (0.0, 0.769, 0.231, 0.5574),
     ]
     exact_rows = {0, 1, 3}
+    chunks = ScoringTable(vlex, elex, stopwords)
     for i, (post, exp) in enumerate(zip(posts, expected)):
-        s = score_post(post, vlex, elex, stopwords).sentiment
+        s = score_post(post, chunks).sentiment
         got = (s.negative, s.neutral, s.positive, s.compound)
         if i in exact_rows:
             assert got == exp, f"row {i + 1} must be exactly (0,1,0,0)"
@@ -90,7 +91,7 @@ def test_c03_compound_normalization(elex, stopwords):
     def scored_compound(s):
         lex = ValenceLexicon(MappingProxyType({"zzq": s / 8}), "c03", "")
         post = RawPost("c03", dt.date(2020, 3, 1), "X", text)
-        c = score_post(post, lex, elex, stopwords).sentiment.compound
+        c = score_post(post, ScoringTable(lex, elex, stopwords)).sentiment.compound
         assert c == compound_score([s / 8] * 8, tokenize(text))
         return c
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from echosent.ccm import (
     CLASSIFICATIONS,
     DEFAULT_CCM_PARAMS,
     LagGrid,
+    _peak_rank,
     align_window,
     analyze_pair,
     MIN_WINDOW,
@@ -301,17 +303,31 @@ def test_peak_tie_breaks_toward_small_then_negative_lag():
     cfg = small_cfg(ridge=0.1)
     curve = cross_map_curve(states_of(x, cfg), x, cfg, LagGrid(-2, 2))
     # self-map gives a unique max at 0; now verify the ordering rule directly
-    order = sorted(
-        range(len(lags)),
-        key=lambda i: (-[0.5, 0.9, 0.9, 0.9, 0.2][i], abs(lags[i]), lags[i]),
-    )
+    rhos = (0.5, 0.9, 0.9, 0.9, 0.2)
+    order = sorted(range(len(lags)), key=lambda i: _peak_rank(lags[i], rhos[i]))
     assert lags[order[0]] == 0  # smallest |lag| among the tied maxima
-    order2 = sorted(
-        range(len(lags)),
-        key=lambda i: (-[0.5, 0.9, 0.2, 0.9, 0.2][i], abs(lags[i]), lags[i]),
-    )
+    rhos2 = (0.5, 0.9, 0.2, 0.9, 0.2)
+    order2 = sorted(range(len(lags)), key=lambda i: _peak_rank(lags[i], rhos2[i]))
     assert lags[order2[0]] == -1  # negative wins the +/-1 tie
     assert curve.peak_lag == 0
+
+
+def test_lag_scan_memory_scales_with_the_lags_that_fit():
+    # a target row per grid lag would be 40,001 rows of 60 floats (19 MB)
+    # here; only the lags with |lag| < T get one
+    x = np.random.default_rng(3).standard_normal(60)
+    cfg = small_cfg(ridge=0.1)
+    states = states_of(x, cfg)
+    grid = LagGrid(-20000, 20000)
+    tracemalloc.start()
+    try:
+        curve = cross_map_curve(states, x, cfg, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(curve.lags) + len(curve.skipped) == len(grid.values())
+    assert curve.lags == cross_map_curve(states, x, cfg, LagGrid(-60, 60)).lags
 
 
 def test_analyze_pair_labels_directions():

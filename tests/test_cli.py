@@ -183,6 +183,43 @@ def test_pipeline_exits_nonzero_on_heavy_malformation(tmp_path, capsys):
     assert "error: 50.0% malformed lines" in capsys.readouterr().err.splitlines()
 
 
+@pytest.mark.parametrize("field, value", [
+    # ISO 8601 forms of 2020-03-01 that Python 3.11's date.fromisoformat takes
+    ("date", "20200301"), ("date", "2020-W09-7"),
+    ("like_count", 3.7), ("reply_count", "3"), ("retweet_count", True),
+])
+def test_a_bad_date_or_count_makes_a_corpus_line_malformed_in_every_command(
+    tmp_path, capsys, field, value
+):
+    good = {"id": "a", "date": "2020-03-01", "city": "X", "text": ENGLISH_TEXTS[0]}
+    corpus = tmp_path / "raw.jsonl"
+    bad = {**good, "id": "b", field: value}
+    corpus.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    # clean and pipeline skip the line and count it
+    cleaned, report = tmp_path / "cleaned.jsonl", tmp_path / "report.json"
+    main(["clean", "--in", str(corpus), "--out", str(cleaned), "--report", str(report)])
+    counts = json.loads(report.read_text())
+    assert (counts["malformed_lines"], counts["output_posts"]) == (1, 1)
+    main(["pipeline", "--in", str(corpus), "--out-dir", str(tmp_path / "pipe")])
+    assert "malformed_lines: 1" in capsys.readouterr().out.splitlines()
+    # score and aggregate --corpus refuse it, naming the file and the line
+    scored = tmp_path / "scored.csv"
+    assert main(["score", "--in", str(corpus), "--out", str(scored)]) == 2
+    assert f"error: {corpus}:2: bad post record" in capsys.readouterr().err
+    assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
+    assert main(["aggregate", "--scored", str(scored), "--corpus", str(corpus),
+                 "--out", str(tmp_path / "series.csv")]) == 2
+    assert f"error: {corpus}:2: bad post record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("value", ["20200301", "2020-W09-7", "2020-3-1"])
+def test_from_and_to_take_only_yyyy_mm_dd_days(tmp_path, capsys, flag, value):
+    assert main(["aggregate", "--scored", str(tmp_path / "scored.csv"), flag, value,
+                 "--out", str(tmp_path / "series.csv")]) == 2
+    assert f"error: {flag}: invalid parse_day value {value!r}" in capsys.readouterr().err
+
+
 def test_clean_tolerates_rare_malformation(tmp_path):
     corpus = tmp_path / "raw.jsonl"
     good = json.dumps({"id": "a", "date": "2020-03-01", "city": "X",
@@ -233,7 +270,8 @@ def test_scored_rows_read_back_as_the_posts_score_scored(tmp_path, vlex, elex, s
     ])
     scored = tmp_path / "scored.csv"
     assert main(["score", "--in", str(corpus), "--out", str(scored)]) == 0
-    fresh = [sentiment.score_post(p, vlex, elex, stopwords) for p in textpipe.read_corpus(corpus)]
+    chunks = sentiment.ScoringTable(vlex, elex, stopwords)
+    fresh = [sentiment.score_post(p, chunks) for p in textpipe.read_corpus(corpus)]
     back = sentiment.read_scored_csv(scored)
     assert any(any(sp.emotions) for sp in fresh)
     assert [sp.emotions for sp in back] == [sp.emotions for sp in fresh]
@@ -748,38 +786,46 @@ def test_result_files_keep_their_schemas(tmp_path):
 # composition and reproducibility
 
 
-def test_pipeline_equals_staged_composition(tmp_path, fixtures_dir):
-    # two cities with their own ranges and gap days; listed Toronto first
-    two_city = tmp_path / "two_city.jsonl"
-    write_posts(two_city, [
-        ("t1", "2020-03-02", "Toronto", ENGLISH_TEXTS[0], 3),
-        ("m1", "2020-03-01", "Montreal", ENGLISH_TEXTS[1], 1),
-        ("t2", "2020-03-05", "Toronto", ENGLISH_TEXTS[4], 0),
-        ("m2", "2020-03-04", "Montreal", ENGLISH_TEXTS[5], 2),
-        ("t3", "2020-03-05", "Toronto", ENGLISH_TEXTS[7], 5),
-        ("m3", "2020-03-09", "Montreal", ENGLISH_TEXTS[6], 4),
-    ])
-    for corpus in (f"{fixtures_dir}/toronto_feb24.jsonl", str(two_city)):
-        run_dir = tmp_path / Path(corpus).stem
-        staged = run_dir / "staged"
-        staged.mkdir(parents=True)
-        cleaned = staged / "cleaned.jsonl"
-        scored = staged / "scored.csv"
-        series_csv = staged / "series.csv"
-        assert main(["clean", "--in", corpus, "--out", str(cleaned)]) == 0
-        assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
-        assert main(["aggregate", "--scored", str(scored), "--corpus", str(cleaned),
-                     "--out", str(series_csv)]) == 0
+@pytest.mark.parametrize("corpus", ["toronto_feb24", "nrc_emotions", "two_city"])
+def test_pipeline_equals_staged_composition(tmp_path, fixtures_dir, corpus):
+    if corpus == "two_city":
+        # two cities with their own ranges and gap days; listed Toronto first
+        path = tmp_path / "two_city.jsonl"
+        write_posts(path, [
+            ("t1", "2020-03-02", "Toronto", ENGLISH_TEXTS[0], 3),
+            ("m1", "2020-03-01", "Montreal", ENGLISH_TEXTS[1], 1),
+            ("t2", "2020-03-05", "Toronto", ENGLISH_TEXTS[4], 0),
+            ("m2", "2020-03-04", "Montreal", ENGLISH_TEXTS[5], 2),
+            ("t3", "2020-03-05", "Toronto", ENGLISH_TEXTS[7], 5),
+            ("m3", "2020-03-09", "Montreal", ENGLISH_TEXTS[6], 4),
+        ])
+    else:
+        path = Path(fixtures_dir) / f"{corpus}.jsonl"
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    cleaned = staged / "cleaned.jsonl"
+    scored = staged / "scored.csv"
+    series_csv = staged / "series.csv"
+    assert main(["clean", "--in", str(path), "--out", str(cleaned)]) == 0
+    assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
+    assert main(["aggregate", "--scored", str(scored), "--corpus", str(cleaned),
+                 "--out", str(series_csv)]) == 0
 
-        oneshot = run_dir / "oneshot"
-        assert main(["pipeline", "--in", corpus, "--out-dir", str(oneshot)]) == 0
-        assert (oneshot / "cleaned.jsonl").read_bytes() == cleaned.read_bytes()
-        assert (oneshot / "scored.csv").read_bytes() == scored.read_bytes()
-        assert (oneshot / "series.csv").read_bytes() == series_csv.read_bytes()
-    rows = series_csv.read_text().splitlines()
-    assert rows[1].startswith("2020-03-01,Montreal,compound_mean,")
-    assert "2020-03-03,Toronto,like_total,0.0" in rows
-    assert sum(1 for row in rows if ",Montreal,tweet_count," in row) == 9
+    oneshot = tmp_path / "oneshot"
+    assert main(["pipeline", "--in", str(path), "--out-dir", str(oneshot)]) == 0
+    assert (oneshot / "cleaned.jsonl").read_bytes() == cleaned.read_bytes()
+    assert (oneshot / "scored.csv").read_bytes() == scored.read_bytes()
+    assert (oneshot / "series.csv").read_bytes() == series_csv.read_bytes()
+    if corpus == "nrc_emotions":
+        # its words are in the bundled NRC excerpt, so nonzero emotions are compared
+        with scored.open(encoding="utf-8", newline="") as fh:
+            assert any(float(v) for row in csv.DictReader(fh)
+                       for k, v in row.items() if k.startswith("emo_"))
+    if corpus == "two_city":
+        rows = series_csv.read_text().splitlines()
+        assert rows[1].startswith("2020-03-01,Montreal,compound_mean,")
+        assert "2020-03-03,Toronto,like_total,0.0" in rows
+        assert sum(1 for row in rows if ",Montreal,tweet_count," in row) == 9
 
 
 def counting(monkeypatch, counts, name, owners):

@@ -350,7 +350,8 @@ def test_scoring_does_not_rebuild_the_emoticon_inventory(vlex, elex, stopwords):
     built = entries.iterations
     for i in range(20):
         post = RawPost(f"p{i}", dt.date(2020, 3, 1), "Toronto", "so GOOD :-) not bad!!")
-        assert score_post(post, counted, elex, stopwords) == score_post(post, vlex, elex, stopwords)
+        assert score_post(post, ScoringTable(counted, elex, stopwords)) == score_post(
+            post, ScoringTable(vlex, elex, stopwords))
     assert entries.iterations == built
 
 
@@ -405,9 +406,9 @@ def test_table_scoring_equals_the_reference_path(vlex, elex, stopwords, data, ze
     for _ in range(3):
         post = data.draw(vocabulary_posts(lex, elex, stopwords))
         want = reference_score(post, lex, elex, stopwords)
-        for got in (score_post(post, lex, elex, stopwords, table),
-                    score_post(post, lex, elex, stopwords),
-                    score_entries(post, table.entries(post.text.split()))):
+        for got in (score_post(post, table),
+                    score_post(post, ScoringTable(lex, elex, stopwords)),
+                    score_entries(post, table.entries(post.text))):
             assert got == want
             assert scored_row(got) == scored_row(want)  # repr tells -0.0 from 0.0
             assert got.emotions == want.emotions
@@ -419,16 +420,8 @@ def test_score_post_compound_is_the_oracle_compound_map(vlex, elex, stopwords, d
     # most drawn posts end in "!", "?" or "??" runs, so the amplifier is checked too
     post = data.draw(vocabulary_posts(vlex, elex, stopwords))
     d = doc(post.text, vlex)
-    got = score_post(post, vlex, elex, stopwords).sentiment.compound
+    got = score_post(post, ScoringTable(vlex, elex, stopwords)).sentiment.compound
     assert got == compound_score(_token_valences(d, vlex), d)
-
-
-def test_score_post_refuses_a_table_over_other_lexicons(vlex, elex, stopwords):
-    post = RawPost("p", dt.date(2020, 3, 1), "Toronto", "so GOOD")
-    table = ScoringTable(vlex, elex, stopwords)
-    other = stopwords - {"so"}
-    with pytest.raises(ValueError, match="other lexicons"):
-        score_post(post, vlex, elex, other, table)
 
 
 # Any Unicode text but lone surrogates, which UTF-8 cannot encode; commas,
@@ -472,6 +465,9 @@ def one_scored_post(pid="p1"):
     ("p2,2020-03-02,Toronto" + ",0.0" * 14 + ",999", "expected 17 fields, got 18"),
     ("p2,2020-03-02,Toronto,0.0,1.0,0.0,abc" + ",0.0" * 10, "'abc'"),
     ("p2,2020-02-30,Toronto,0.0,1.0,0.0,0.0" + ",0.0" * 10, "'2020-02-30'"),
+    # ISO 8601 forms that Python 3.11's date.fromisoformat takes but 3.10's does not
+    ("p2,20200302,Toronto,0.0,1.0,0.0,0.0" + ",0.0" * 10, "'20200302'"),
+    ("p2,2020-W10-1,Toronto,0.0,1.0,0.0,0.0" + ",0.0" * 10, "'2020-W10-1'"),
     ("p2,2020-03-02,Toronto,nan,1.0,0.0,0.0" + ",0.0" * 10,
      "polarity proportions must lie in [0, 1]"),
     ("p2,2020-03-02,Toronto,-0.5,1.5,0.0,0.0" + ",0.0" * 10,

@@ -5,6 +5,7 @@ import re
 import tempfile
 from importlib.resources import files
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings
@@ -413,6 +414,14 @@ def test_period_config_rejects_overlap(tmp_path):
         load_period_config(path)
 
 
+@pytest.mark.parametrize("day", ["20200301", "2020-W09-7", "2020-3-1"])
+def test_period_config_takes_only_yyyy_mm_dd_days(tmp_path, day):
+    path = tmp_path / "periods.ini"
+    path.write_text(f"[Toronto]\nearly = {day}/2020-03-10\n")
+    with pytest.raises(ValueError, match=r"\[Toronto\] bad period 'early'"):
+        load_period_config(path)
+
+
 def test_city_periods_do_not_inherit_default(tmp_path):
     path = tmp_path / "periods.ini"
     path.write_text(
@@ -489,6 +498,16 @@ def test_heatmap_spans_every_city_range(tmp_path):
     svg = (tmp_path / "hm.svg").read_text()
     assert svg.count("<rect") == 5
     assert svg.count('fill="#1a9641"') == 1  # -0.5 is the largest present magnitude
+
+
+def test_heatmap_svg_escapes_city_names(tmp_path):
+    city = "A&B <x>"
+    cities, dates, matrix = heatmap_matrix([mk_series(city, [0.5, -0.5]), mk_series("C", [0.1])])
+    out = tmp_path / "hm.svg"
+    write_heatmap_svg(cities, dates, matrix, out)
+    root = ElementTree.parse(out).getroot()
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text") if t.get("x") == "0"]
+    assert labels == [city, "C"]
 
 
 def test_heatmap_svg_all_zero_uses_midpoint(tmp_path):
@@ -659,6 +678,9 @@ def test_only_read_series_csv_checks_dates(monkeypatch, tmp_path):
     ("2020-03-02,A,compound_mean,0.1,999", "expected 4 fields, got 5"),
     ("2020-03-02,A,compound_mean,abc", "'abc'"),
     ("2020-13-02,A,compound_mean,0.1", "'2020-13-02'"),
+    # ISO 8601 forms that Python 3.11's date.fromisoformat takes but 3.10's does not
+    ("20200302,A,compound_mean,0.1", "'20200302'"),
+    ("2020-W10-1,A,compound_mean,0.1", "'2020-W10-1'"),
 ])
 def test_read_series_csv_names_path_and_line_of_a_malformed_row(tmp_path, row, message, features):
     # a row is checked whether or not its series is kept

@@ -18,6 +18,7 @@ from echosent.textpipe import (
     corpus_line,
     english_entries,
     is_english,
+    parse_day,
     parse_post,
     read_corpus,
     remove_stopwords,
@@ -337,7 +338,7 @@ def test_chunk_table_gives_what_the_per_post_functions_give(
             ["the vaccine works well here", "le confinement est difficile", ""]
         ))
         doc = tokenize(text, emoticons)
-        scanned = [e for e in table.entries(text.split()) if e.token is not None]
+        scanned = [e for e in table.entries(text) if e.token is not None]
         assert tuple(e.token for e in scanned) == doc.tokens
         assert tuple(e.token for e in scanned if e.kept) == (
             remove_stopwords(doc, stopwords).tokens
@@ -346,7 +347,7 @@ def test_chunk_table_gives_what_the_per_post_functions_give(
         entries = english_entries(post, table)
         assert (entries is not None) == is_english(post, wordlist)
         if entries is not None:
-            assert entries == table.entries(text.split())
+            assert entries == table.entries(text)
 
 
 def test_chunk_table_is_emptied_at_its_bound(vlex, monkeypatch):
@@ -356,7 +357,7 @@ def test_chunk_table_is_emptied_at_its_bound(vlex, monkeypatch):
     text = "one two three four five six seven :) SIX one"
     sizes = []
     for _ in range(3):
-        tokens = tuple(e.token for e in table.entries(text.split()) if e.token is not None)
+        tokens = tuple(e.token for e in table.entries(text) if e.token is not None)
         assert tokens == tokenize(text, emoticons).tokens
         sizes.append(len(table))
     assert 0 < max(sizes) <= 4
@@ -453,6 +454,37 @@ def test_raw_post_is_an_immutable_record_built_by_position_or_keyword():
         by_position.extra = 1
     with pytest.raises(TypeError):
         RawPost("p", DAY, "X")
+
+
+def test_parse_post_reads_the_timestamp_alias():
+    p = parse_post({"id": "a", "timestamp": "2020-03-01", "city": "X", "text": "hi"})
+    assert p.date == dt.date(2020, 3, 1)
+    # date wins when both are given
+    p = parse_post({"id": "a", "date": "2020-03-02", "timestamp": "2020-03-01", "city": "X",
+                    "text": "hi"})
+    assert p.date == dt.date(2020, 3, 2)
+
+
+@pytest.mark.parametrize("day", [
+    # ISO 8601 forms that Python 3.11's date.fromisoformat takes but 3.10's does not
+    "20200301", "2020-W09-7", "2020-W097",
+    "2020-3-1", " 2020-03-01", "2020-03-01T00:00", "２０２０-03-01",
+])
+def test_parse_day_takes_yyyy_mm_dd_only(day):
+    with pytest.raises(ValueError, match=re.escape(repr(day))):
+        parse_day(day)
+    with pytest.raises(ValueError, match="bad post record"):
+        parse_post({"id": "a", "date": day, "city": "X", "text": "hi"})
+    assert parse_day("2020-03-01") == dt.date(2020, 3, 1)
+
+
+@pytest.mark.parametrize("name", ["like_count", "reply_count", "retweet_count"])
+@pytest.mark.parametrize("count", [3.7, 3.0, "3", True, None, [3]])
+def test_parse_post_takes_only_integer_counts(name, count):
+    with pytest.raises(ValueError, match=f"bad post record: {name} "):
+        parse_post({"id": "a", "date": "2020-03-01", "city": "X", "text": "hi", name: count})
+    assert getattr(parse_post({"id": "a", "date": "2020-03-01", "city": "X", "text": "hi",
+                               name: 3}), name) == 3
 
 
 def test_parse_post_rejects_bad_records():
