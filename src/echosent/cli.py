@@ -62,6 +62,7 @@ from .textpipe import is_english, remove_stopwords, tokenize  # noqa: F401
 _DATA = files("echosent") / "data"
 _ENV_PREFIX = "ECHOSENT"
 _SYNTH_EPOCH = dt.date(2020, 1, 1)
+_SCORED_FEATURES = series.FEATURES[:2]
 
 
 def _default_path(name: str) -> str:
@@ -263,6 +264,19 @@ def _kept_posts(posts, chunks, report):
     report["malformed_lines"] = posts.malformed
 
 
+def _write_json(path, obj) -> None:
+    """``obj`` as JSON with sorted keys, indented by 2, and a final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CSV file of ``header`` and then ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _new_report() -> dict:
     return dict.fromkeys((
         "input_posts", "malformed_lines", "rule1_posts_with_artifacts",
@@ -278,7 +292,7 @@ def _finish_report(report: dict, json_path: str | None = None, lines: tuple[str,
     input lines were malformed, else 0.
     """
     if json_path:
-        Path(json_path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_json(json_path, report)
     for key in sorted(report):
         print(f"{key}: {report[key]}")
     for line in lines:
@@ -359,15 +373,15 @@ def _join_corpus(scored, corpus_path, keyword=None):
 def cmd_aggregate(args) -> int:
     if args.keyword and not args.corpus:
         raise ValueError("aggregate: --keyword needs --corpus for the post text")
+    feature_list = ([f.strip() for f in args.features.split(",")] if args.features
+                    else series.FEATURES if args.corpus else _SCORED_FEATURES)
+    totals = [f for f in feature_list if f in series.FEATURES and f not in _SCORED_FEATURES]
+    if totals and not args.corpus:
+        raise ValueError(f"aggregate: {totals[0]} needs --corpus for the engagement counts")
     periods = series.load_period_config(args.periods) if args.periods else None
     scored = read_scored_csv(args.scored)
     if args.corpus:
         scored = _join_corpus(scored, args.corpus, args.keyword)
-    if args.features:
-        feature_list = [f.strip() for f in args.features.split(",")]
-    else:
-        # without the corpus there are no engagement counts to total
-        feature_list = series.FEATURES if args.corpus else series.FEATURES[:2]
     cities = [c.strip() for c in args.cities.split(",")] if args.cities else None
     built = series.aggregate_daily(scored, feature_list, cities, args.date_from, args.date_to)
     series.write_series_csv(built, args.out)
@@ -375,10 +389,8 @@ def cmd_aggregate(args) -> int:
     if periods is not None:
         summary = series.period_summary(scored, periods)
         out = args.period_out or str(Path(args.out).with_name("periods.csv"))
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f.name for f in fields(series.PeriodSummary)])
-            writer.writerows((r.city, r.period, r.n_tweets, r.mean, r.sd) for r in summary)
+        _write_csv(out, [f.name for f in fields(series.PeriodSummary)],
+                   ((r.city, r.period, r.n_tweets, r.mean, r.sd) for r in summary))
         print(f"period_summary: {out}")
     return 0
 
@@ -443,22 +455,16 @@ def cmd_ccm(args) -> int:
     curve_xy, curve_yx, verdict = ccm.analyze_pair(x, y, cfg, grid=grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "ccm_curves.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["direction", "tau", "rho"])
-        for curve in (curve_xy, curve_yx):
-            for lag, rho in zip(curve.lags, curve.rhos):
-                writer.writerow([curve.direction, lag, repr(rho)])
-    verdict_obj = {
+    _write_csv(out_dir / "ccm_curves.csv", ["direction", "tau", "rho"],
+               ((c.direction, lag, repr(rho)) for c in (curve_xy, curve_yx)
+                for lag, rho in zip(c.lags, c.rhos)))
+    _write_json(out_dir / "ccm_verdict.json", {
         **asdict(verdict),
         "input_series": f"{sx.city}/{sx.feature}",
         "target_series": f"{sy.city}/{sy.feature}",
         "tie_break": ccm.TIE_BREAK,
         "seed": args.seed,
-    }
-    (out_dir / "ccm_verdict.json").write_text(
-        json.dumps(verdict_obj, sort_keys=True, indent=2) + "\n"
-    )
+    })
     print(f"verdict: {verdict.classification}"
           + (f" ({verdict.note})" if verdict.note else ""))
     print(f"peaks: x->y lag {verdict.peak_lag_xy} rho {verdict.peak_rho_xy:.4f}; "
@@ -479,26 +485,18 @@ def cmd_gridsearch(args) -> int:
     report = ccm.loo_cv_grid_search(panel, configs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "gridsearch_cells.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "config_index", *(f.name for f in fields(esn.ReservoirConfig)), "fold", "nrmse",
-        ])
-        config_fields = [astuple(c) for c in report.configs]
-        writer.writerows(
-            (cell.config_index, *config_fields[cell.config_index], cell.unit, cell.nrmse)
-            for cell in report.cells
-        )
+    config_fields = [astuple(c) for c in report.configs]
+    _write_csv(out_dir / "gridsearch_cells.csv",
+               ["config_index", *(f.name for f in fields(esn.ReservoirConfig)), "fold", "nrmse"],
+               ((cell.config_index, *config_fields[cell.config_index], cell.unit, cell.nrmse)
+                for cell in report.cells))
     w = report.winner
-    winner_obj = {
+    _write_json(out_dir / "gridsearch_winner.json", {
         "winner_index": report.winner_index,
         **asdict(w),
         "mean_nrmse": report.scores[report.winner_index],
         "invalid_configs": {str(k): v for k, v in sorted(report.invalid.items())},
-    }
-    (out_dir / "gridsearch_winner.json").write_text(
-        json.dumps(winner_obj, sort_keys=True, indent=2) + "\n"
-    )
+    })
     print(
         f"winner: size={w.size} spectral_radius={w.spectral_radius} leak={w.leak} "
         f"sparsity={w.sparsity} ridge={w.ridge} input_scale={w.input_scale} "

@@ -1,25 +1,29 @@
 """Immutable valence and emotion lexicon stores.
 
-File formats (UTF-8, tab separated, one record per line):
+File formats (UTF-8, tab separated, one record per line; blank lines are
+skipped, and a line ends at "\\n", "\\r\\n" or "\\r" as in a text-mode file):
 
 * valence lexicon: ``token<TAB>score`` with optional extra columns that are
   ignored, score a real number in [-4, 4].
 * emotion lexicon: ``token<TAB>emotion<TAB>flag`` triples with flag 0 or 1;
   a token's emotion set is the categories flagged 1.
 
-A store's ``entries`` are keyed by ``normalize_token``: tokens containing
-letters are case-folded; pure-symbol tokens (emoticons such as ":-)") are
-kept verbatim. Look a token up as ``entries.get(normalize_token(token))``.
+A bad record raises ``ValueError`` naming the file and line. A store's
+``checksum`` is the sha256 of the bytes it was parsed from, and its
+``entries`` are keyed by ``normalize_token``: tokens containing letters are
+case-folded; pure-symbol tokens (emoticons such as ":-)") are kept
+verbatim. Look a token up as ``entries.get(normalize_token(token))``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 log = logging.getLogger(__name__)
 
@@ -44,10 +48,6 @@ VALENCE_MAX = 4.0
 def normalize_token(token: str) -> str:
     """Case-fold tokens that contain letters; pure-symbol tokens are kept verbatim."""
     return token.casefold() if any(ch.isalpha() for ch in token) else token
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,51 @@ class EmotionLexicon:
         return self._indices
 
 
+def _read_records(path: Path, parse: Callable[[list[str]], object]) -> tuple[list, str]:
+    """``(normalize_token(token), value)`` of each nonblank line whose tab-split
+    fields (the token first) ``parse`` to a value other than ``None``, and the
+    file's sha256."""
+    data = path.read_bytes()
+    records, lineno = [], 0
+    try:
+        for lineno, line in enumerate(io.StringIO(data.decode("utf-8"), newline=None), 1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            token = fields[0].strip()
+            if not token:
+                raise ValueError("empty token")
+            value = parse(fields)
+            if value is not None:
+                records.append((normalize_token(token), value))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return records, hashlib.sha256(data).hexdigest()
+
+
+def _valence(fields: list[str]) -> float:
+    if len(fields) < 2:
+        raise ValueError("expected at least 2 tab-separated fields")
+    try:
+        valence = float(fields[1])
+    except ValueError:
+        raise ValueError(f"non-numeric valence {fields[1]!r}") from None
+    if not VALENCE_MIN <= valence <= VALENCE_MAX:  # nan fails it too
+        raise ValueError(f"valence {valence} outside [-4, 4]")
+    return valence
+
+
+def _flagged_emotion(fields: list[str]) -> str | None:
+    if len(fields) != 3:
+        raise ValueError("expected word<TAB>emotion<TAB>flag")
+    _, emotion, flag = fields
+    if emotion not in EMOTION_CATEGORIES:
+        raise ValueError(f"unknown emotion label {emotion!r}")
+    if flag not in ("0", "1"):
+        raise ValueError(f"malformed flag {flag!r}")
+    return emotion if flag == "1" else None
+
+
 def load_valence_lexicon(path: str | Path) -> ValenceLexicon:
     """Parse a tab-separated valence lexicon file.
 
@@ -98,56 +143,18 @@ def load_valence_lexicon(path: str | Path) -> ValenceLexicon:
     ``ValueError`` for records with fewer than two fields, non-numeric or
     out-of-range valences, or empty tokens.
     """
-    path = Path(path)
-    entries: dict[str, float] = {}
-    duplicates = 0
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise ValueError(f"{path}:{lineno}: expected at least 2 tab-separated fields")
-            token = fields[0].strip()
-            if not token:
-                raise ValueError(f"{path}:{lineno}: empty token")
-            try:
-                valence = float(fields[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric valence {fields[1]!r}") from None
-            if not (VALENCE_MIN <= valence <= VALENCE_MAX) or valence != valence:
-                raise ValueError(f"{path}:{lineno}: valence {valence} outside [-4, 4]")
-            key = normalize_token(token)
-            if key in entries:
-                duplicates += 1
-            entries[key] = valence
-    if duplicates:
+    records, checksum = _read_records(Path(path), _valence)
+    entries = dict(records)
+    if duplicates := len(records) - len(entries):
         log.warning("%s: %d duplicate token rows (last occurrence wins)", path, duplicates)
-    return ValenceLexicon(MappingProxyType(entries), str(path), _sha256(path))
+    return ValenceLexicon(MappingProxyType(entries), str(path), checksum)
 
 
 def load_emotion_lexicon(path: str | Path) -> EmotionLexicon:
     """Parse a word/emotion/flag triple file; a token maps to its flag-1 categories."""
-    path = Path(path)
+    records, checksum = _read_records(Path(path), _flagged_emotion)
     sets: dict[str, set[str]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected word<TAB>emotion<TAB>flag")
-            token, emotion, flag = fields
-            token = token.strip()
-            if not token:
-                raise ValueError(f"{path}:{lineno}: empty token")
-            if emotion not in EMOTION_CATEGORIES:
-                raise ValueError(f"{path}:{lineno}: unknown emotion label {emotion!r}")
-            if flag not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: malformed flag {flag!r}")
-            if flag == "1":
-                sets.setdefault(normalize_token(token), set()).add(emotion)
+    for key, emotion in records:
+        sets.setdefault(key, set()).add(emotion)
     frozen = {tok: frozenset(emos) for tok, emos in sets.items()}
-    return EmotionLexicon(MappingProxyType(frozen), str(path), _sha256(path))
+    return EmotionLexicon(MappingProxyType(frozen), str(path), checksum)

@@ -411,35 +411,29 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
     """Read scored rows; engagement counts are not part of this format.
 
     Every row must have one field per column of ``SCORED_COLUMNS``, a
-    YYYY-MM-DD date, float scores that ``SentimentScore`` accepts and ``emo_*``
-    frequencies in [0, 1] (not ``nan``), or ``ValueError`` names the file
-    and line; blank lines are skipped. Post ids must be unique: a repeated
-    id raises ``ValueError`` naming it.
+    YYYY-MM-DD date, float scores that ``SentimentScore`` accepts, ``emo_*``
+    frequencies in [0, 1] (not ``nan``) and an id no earlier row has, or
+    ``ValueError`` names the file and line; blank lines are skipped. Dates
+    are read by the memoized ``parse_day``.
     """
     width = len(SCORED_COLUMNS)
     out: list[ScoredPost] = []
     seen: set[str] = set()
-    days: dict[str, dt.date] = {}
     with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != SCORED_COLUMNS:
             raise ValueError(f"{path}: unexpected scored CSV header")
         for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ValueError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
-            pid, date, city = row[0], row[1], row[2]
-            if pid in seen:
-                raise ValueError(f"{path}: scored post id {pid!r} repeats")
-            seen.add(pid)
-            day = days.get(date)
-            if day is None:
-                try:
-                    day = days[date] = parse_day(date)
-                except ValueError:
-                    raise ValueError(f"{path}:{reader.line_num}: bad date {date!r}") from None
             try:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                pid, city = row[0], row[2]
+                if pid in seen:
+                    raise ValueError(f"scored post id {pid!r} repeats")
+                seen.add(pid)
+                day = parse_day(row[1])
                 scores = tuple(map(float, row[3:]))
                 sentiment = SentimentScore(*scores[:4])
                 emotions = scores[4:]

@@ -427,32 +427,30 @@ def read_series_csv(
     gap-free daily series of finite values: a gap or a repeated date in one
     of them raises ``ValueError`` naming the file and the series, and then a
     value that is not finite raises it naming the file, the series and the
-    day. A series that is not built may hold any float.
+    day. A series that is not built may hold any float. Dates are read by
+    the memoized ``parse_day``.
     """
     keep_features = None if features is None else frozenset(features)
     keep_cities = None if cities is None else frozenset(cities)
     rows: dict[tuple[str, str], list[tuple[dt.date, float]]] = {}
-    days: dict[str, dt.date] = {}
     with Path(path).open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != _SERIES_HEADER:
             raise ValueError(f"{path}: expected header {','.join(_SERIES_HEADER)}")
         for row in reader:
-            if len(row) != 4:
-                if not row:
-                    continue
-                raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
-            date, city, feature, value = row
-            day = days.get(date)
-            if day is None:
-                try:
-                    day = days[date] = parse_day(date)
-                except ValueError:
-                    raise ValueError(f"{path}:{reader.line_num}: bad date {date!r}") from None
             try:
-                number = float(value)
-            except ValueError:
-                raise ValueError(f"{path}:{reader.line_num}: bad value {value!r}") from None
+                if len(row) != 4:
+                    if not row:
+                        continue
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                date, city, feature, value = row
+                day = parse_day(date)
+                try:
+                    number = float(value)
+                except ValueError:
+                    raise ValueError(f"bad value {value!r}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             if (keep_features is None or feature in keep_features) and (
                 keep_cities is None or city in keep_cities
             ):

@@ -18,9 +18,9 @@ the text alone; the tests hold the table to them.
 ``RawPost`` is an immutable tuple record (a ``NamedTuple`` subclass) whose
 constructor checks its fields, so a post costs a tuple to build.
 
-Corpus files are JSON lines, one post per line with fields ``id``, ``date``
-("YYYY-MM-DD"), ``city``, ``text``, optional ``like_count``, ``reply_count``,
-``retweet_count`` (JSON integers) and ``lang``; unknown fields are ignored.
+Corpus files are JSON lines, one object per line: ``id`` (string or integer),
+``date`` ("YYYY-MM-DD"), ``city``, ``text`` and optional ``lang`` (strings),
+optional ``like_count``, ``reply_count``, ``retweet_count`` (JSON integers).
 ``read_corpus`` parses them lazily, one post per iteration step, and
 ``write_corpus`` writes posts as it draws them, so a corpus streams through
 without being held.
@@ -28,7 +28,9 @@ without being held.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
+import functools
 import json
 import logging
 import re
@@ -254,15 +256,17 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 _DAY_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
+@functools.lru_cache(maxsize=4096)  # a file names far fewer days than lines
 def parse_day(text: str) -> dt.date:
     """The day of a "YYYY-MM-DD" string, the one date form a command reads.
 
-    Other forms raise ``ValueError``: ``dt.date.fromisoformat`` alone also
-    takes "20200224" and "2020-W09-1" from Python 3.11 on.
+    Others raise ``ValueError("bad date '…'")``, though ``dt.date.fromisoformat``
+    takes "20200224" and "2020-W09-1" from Python 3.11 on. Memoized.
     """
-    if not _DAY_RE.fullmatch(text):
-        raise ValueError(f"not a YYYY-MM-DD day: {text!r}")
-    return dt.date.fromisoformat(text)
+    if _DAY_RE.fullmatch(text):
+        with contextlib.suppress(ValueError):  # a month or day out of range
+            return dt.date.fromisoformat(text)
+    raise ValueError(f"bad date {text!r}")
 
 
 _COUNTS = ("like_count", "reply_count", "retweet_count")
@@ -272,17 +276,25 @@ def parse_post(obj: dict) -> RawPost:
     """Build a RawPost from a decoded JSON object, ignoring unknown fields.
 
     The day field is ``date`` ("YYYY-MM-DD"); ``timestamp`` is accepted as an
-    alias. A count must be a JSON integer: 3.7, "3" and true are refused.
+    alias. Each field must have the JSON type the module docstring gives it:
+    3.7, "3" and true are no count, and null is no city. A value that is no
+    object raises too.
     """
     try:
         date = parse_day(str(obj.get("date", obj.get("timestamp"))))
+        pid, city, text, lang = obj["id"], obj["city"], obj["text"], obj.get("lang")
+        if type(pid) is int:  # tweet dumps carry integer ids (a bool's type is not int)
+            pid = str(pid)
+        for name, value in (("id", pid), ("city", city), ("text", text),
+                            ("lang", "" if lang is None else lang)):
+            if type(value) is not str:
+                raise ValueError(f"{name} {value!r} is no string")
         counts = [obj.get(name, 0) for name in _COUNTS]
         for name, count in zip(_COUNTS, counts):
             if type(count) is not int:  # bool is a subclass of int
                 raise ValueError(f"{name} {count!r} is no integer")
-        return RawPost(str(obj["id"]), date, str(obj["city"]), str(obj["text"]), *counts,
-                       obj.get("lang"))
-    except (KeyError, TypeError, ValueError) as exc:
+        return RawPost(pid, date, city, text, *counts, lang)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad post record: {exc}") from exc
 
 

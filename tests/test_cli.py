@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import echosent
-from echosent import cli, sentiment, textpipe
+from echosent import cli, sentiment, series, textpipe
 from echosent.cli import main
 
 ENGLISH_TEXTS = [
@@ -210,6 +210,31 @@ def test_a_bad_date_or_count_makes_a_corpus_line_malformed_in_every_command(
     assert main(["aggregate", "--scored", str(scored), "--corpus", str(corpus),
                  "--out", str(tmp_path / "series.csv")]) == 2
     assert f"error: {corpus}:2: bad post record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "b", "date": "2020-03-01", "city": null, "text": "the vaccine works"}',
+    '{"id": "b", "date": "2020-03-01", "city": ["X"], "text": "the vaccine works"}',
+    '{"id": "b", "date": "2020-03-01", "city": "X", "text": null}',
+    '{"id": "b", "date": "2020-03-01", "city": "X", "text": "the vaccine works", "lang": 5}',
+    '{"id": null, "date": "2020-03-01", "city": "X", "text": "the vaccine works"}',
+    '{"id": 1.5, "date": "2020-03-01", "city": "X", "text": "the vaccine works"}',
+    '["b", "2020-03-01", "X", "the vaccine works"]',
+    '3',
+], ids=["city-null", "city-list", "text-null", "lang-int", "id-null", "id-float", "array",
+        "number"])
+def test_a_field_of_another_json_type_makes_a_corpus_line_malformed(tmp_path, capsys, line):
+    corpus = tmp_path / "raw.jsonl"
+    good = {"id": "a", "date": "2020-03-01", "city": "X", "text": ENGLISH_TEXTS[0]}
+    corpus.write_text(json.dumps(good) + "\n" + line + "\n")
+    cleaned, report = tmp_path / "cleaned.jsonl", tmp_path / "report.json"
+    main(["clean", "--in", str(corpus), "--out", str(cleaned), "--report", str(report)])
+    counts = json.loads(report.read_text())
+    assert (counts["malformed_lines"], counts["output_posts"]) == (1, 1)
+    capsys.readouterr()
+    assert main(["score", "--in", str(corpus), "--out", str(tmp_path / "scored.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {corpus}:2: bad post record" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--from", "--to"])
@@ -526,6 +551,35 @@ def test_aggregate_rejects_repeated_scored_ids(tmp_path, capsys, with_corpus):
     assert main(argv) == 2
     assert "scored post id 'b' repeats" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("feature", ["like_total", "reply_total", "retweet_total"])
+def test_aggregate_refuses_engagement_totals_without_the_corpus(tmp_path, fixtures_dir, capsys,
+                                                              feature):
+    # the scored CSV holds no counts: without --corpus the totals used to be written as 0.0
+    cleaned, scored = scored_setup(tmp_path, fixtures_dir)
+    periods = tmp_path / "periods.ini"
+    periods.write_text("[DEFAULT]\nfeb = 2020-02-01/2020-02-28\n")
+    out, period_out = tmp_path / "series.csv", tmp_path / "periods.csv"
+    argv = ["aggregate", "--scored", str(scored), "--features", f"compound_mean,{feature}",
+            "--periods", str(periods), "--period-out", str(period_out), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: aggregate: {feature} needs --corpus") and "Traceback" not in err
+    assert not out.exists() and not period_out.exists()
+    # the corpus holds the counts: Toronto's five posts on 2020-02-24
+    assert main(argv + ["--corpus", str(cleaned)]) == 0
+    totals = {"like_total": "15.0", "reply_total": "0.0", "retweet_total": "3.0"}
+    assert f"2020-02-24,Toronto,{feature},{totals[feature]}" in out.read_text().splitlines()
+
+
+def test_aggregate_without_the_corpus_builds_the_scored_features(tmp_path, fixtures_dir):
+    _, scored = scored_setup(tmp_path, fixtures_dir)
+    out = tmp_path / "series.csv"
+    assert main(["aggregate", "--scored", str(scored), "--out", str(out)]) == 0
+    features = {line.split(",")[2] for line in out.read_text().splitlines()[1:]}
+    assert features == set(series.FEATURES[:2]) == {"compound_mean", "tweet_count"}
 
 
 def test_aggregate_periods_summary(tmp_path, fixtures_dir):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -140,6 +141,59 @@ def test_emotion_errors(tmp_path, content):
     p.write_text(content)
     with pytest.raises(ValueError):
         load_emotion_lexicon(p)
+
+
+# ---------------------------------------------------------------------------
+# The shared line loop: messages, line ends and checksums
+
+
+@pytest.mark.parametrize("load, bad, message", [
+    (load_valence_lexicon, "good", "expected at least 2 tab-separated fields"),
+    (load_valence_lexicon, "  \t1.0", "empty token"),
+    (load_valence_lexicon, "good\tnotanumber", "non-numeric valence 'notanumber'"),
+    (load_valence_lexicon, "good\t4.5", "valence 4.5 outside [-4, 4]"),
+    (load_emotion_lexicon, "word\tfear", "expected word<TAB>emotion<TAB>flag"),
+    (load_emotion_lexicon, " \tfear\t1", "empty token"),
+    (load_emotion_lexicon, "word\tboredom\t1", "unknown emotion label 'boredom'"),
+    (load_emotion_lexicon, "word\tfear\t2", "malformed flag '2'"),
+])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_a_bad_record_names_its_file_and_line(tmp_path, load, bad, message, newline):
+    good = "fine\t0.8" if load is load_valence_lexicon else "abacus\ttrust\t1"
+    p = tmp_path / "lex.txt"
+    # line 2 is blank: blank lines are counted, not parsed
+    p.write_bytes(newline.join([good, "", bad, good]).encode())
+    with pytest.raises(ValueError) as err:
+        load(p)
+    assert str(err.value) == f"{p}:3: {message}"
+
+
+def test_lines_end_as_in_a_text_mode_file(tmp_path):
+    rows = ["good\t1.9", "lol\t2.9", ":-)\t1.3", "", "bad\t-2.5"]
+    lf, crlf, cr = tmp_path / "lf.txt", tmp_path / "crlf.txt", tmp_path / "cr.txt"
+    lf.write_bytes("\n".join(rows).encode())
+    crlf.write_bytes("\r\n".join(rows).encode() + b"\r\n")
+    cr.write_bytes("\r".join(rows).encode())
+    want = load_valence_lexicon(lf).entries
+    assert dict(want) == {"good": 1.9, "lol": 2.9, ":-)": 1.3, "bad": -2.5}
+    assert load_valence_lexicon(crlf).entries == want
+    assert load_valence_lexicon(cr).entries == want
+    # str.splitlines would also end a line at these; a text-mode file does not
+    p = tmp_path / "emo.txt"
+    p.write_text("x\x1cy\tfear\t1\nup\u2028down\tjoy\t1\n", encoding="utf-8")
+    assert dict(load_emotion_lexicon(p).entries) == {
+        "x\x1cy": frozenset({"fear"}), "up\u2028down": frozenset({"joy"}),
+    }
+
+
+def test_checksum_is_the_sha256_of_the_file_bytes(tmp_path, data_dir):
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(b"good\t1.9\r\nabacus\t0.5\r\n")
+    paths = [(load_valence_lexicon, data_dir / "vader_lexicon.txt"),
+             (load_emotion_lexicon, data_dir / "nrc_emotion_lexicon.txt"),
+             (load_valence_lexicon, crlf)]
+    for load, path in paths:
+        assert load(path).checksum == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_emotion_categories_are_the_ten_moods():

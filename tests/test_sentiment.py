@@ -490,6 +490,14 @@ def test_read_scored_csv_names_path_and_line_of_a_malformed_row(tmp_path, row, m
     assert message in str(err.value)
 
 
+def test_a_repeated_scored_id_names_its_line(tmp_path):
+    path = tmp_path / "scored.csv"
+    write_scored_csv([one_scored_post("p1"), one_scored_post("p2"), one_scored_post("p1")], path)
+    with pytest.raises(ValueError) as err:
+        read_scored_csv(path)
+    assert str(err.value) == f"{path}:4: scored post id 'p1' repeats"
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_read_scored_csv_skips_blank_lines_under_either_line_ending(tmp_path, newline):
     posts = [one_scored_post("p1"), one_scored_post("p2")]

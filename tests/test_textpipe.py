@@ -478,6 +478,39 @@ def test_parse_day_takes_yyyy_mm_dd_only(day):
     assert parse_day("2020-03-01") == dt.date(2020, 3, 1)
 
 
+def test_parse_day_memo_is_bounded():
+    parse_day.cache_clear()
+    for _ in range(3):
+        assert parse_day("2020-03-01") == dt.date(2020, 3, 1)
+    info = parse_day.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    assert info.maxsize is not None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("city", None), ("city", ["Toronto"]), ("city", 5),
+    ("text", None), ("text", 5), ("text", {"body": "hi"}),
+    ("lang", 5), ("lang", True), ("lang", ["en"]),
+    ("id", None), ("id", True), ("id", 1.5), ("id", [1]), ("id", {"n": 1}),
+])
+def test_parse_post_refuses_fields_of_another_json_type(field, value):
+    good = {"id": "a", "date": "2020-03-01", "city": "X", "text": "hi", "lang": "en"}
+    with pytest.raises(ValueError, match=f"bad post record: {field} "):
+        parse_post({**good, field: value})
+
+
+def test_parse_post_reads_an_integer_id_as_its_digits_and_a_null_lang_as_untagged():
+    post = parse_post({"id": 1234567890123456789, "date": "2020-03-01", "city": "X",
+                       "text": "hi", "lang": None})
+    assert (post.id, post.lang) == ("1234567890123456789", None)
+
+
+@pytest.mark.parametrize("obj", [3, "text", ["a"], None])
+def test_parse_post_refuses_a_value_that_is_no_object(obj):
+    with pytest.raises(ValueError, match="bad post record"):
+        parse_post(obj)
+
+
 @pytest.mark.parametrize("name", ["like_count", "reply_count", "retweet_count"])
 @pytest.mark.parametrize("count", [3.7, 3.0, "3", True, None, [3]])
 def test_parse_post_takes_only_integer_counts(name, count):
