@@ -206,7 +206,9 @@ def _resolve(args: argparse.Namespace) -> None:
         else:
             try:
                 value = opt.type(raw)
-            except ValueError:
+            except ValueError as exc:
+                if opt.type is parse_day:  # its message names the one form it reads
+                    raise ValueError(f"{source}: {exc}") from None
                 raise ValueError(f"{source}: invalid {opt.type.__name__} value {raw!r}") from None
             if opt.choices and value not in opt.choices:
                 raise ValueError(f"{source}: {raw!r} is not one of {', '.join(opt.choices)}")

@@ -1,15 +1,17 @@
 """Immutable valence and emotion lexicon stores.
 
-File formats (UTF-8, tab separated, one record per line; blank lines are
-skipped, and a line ends at "\\n", "\\r\\n" or "\\r" as in a text-mode file):
+File formats (UTF-8, tab separated, one record per line; a leading byte-order
+mark is skipped, blank lines are skipped, and a line ends at "\\n", "\\r\\n"
+or "\\r" as in a text-mode file):
 
 * valence lexicon: ``token<TAB>score`` with optional extra columns that are
   ignored, score a real number in [-4, 4].
 * emotion lexicon: ``token<TAB>emotion<TAB>flag`` triples with flag 0 or 1;
   a token's emotion set is the categories flagged 1.
 
-A bad record raises ``ValueError`` naming the file and line. A store's
-``checksum`` is the sha256 of the bytes it was parsed from, and its
+A bad record, or a line that is no UTF-8, raises ``ValueError`` naming the
+file and line; ``textpipe.load_wordlist`` reads word lists the same way. A
+store's ``checksum`` is the sha256 of the bytes it was parsed from, and its
 ``entries`` are keyed by ``normalize_token``: tokens containing letters are
 case-folded; pure-symbol tokens (emoticons such as ":-)") are kept
 verbatim. Look a token up as ``entries.get(normalize_token(token))``.
@@ -17,13 +19,13 @@ verbatim. Look a token up as ``entries.get(normalize_token(token))``.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
-import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 log = logging.getLogger(__name__)
 
@@ -91,25 +93,39 @@ class EmotionLexicon:
         return self._indices
 
 
+def _lines(path: Path, data: bytes) -> Iterator[tuple[int, str]]:
+    """The number and text of each nonblank line of a word file's bytes.
+
+    A leading UTF-8 byte-order mark is skipped. Lines end at "\\n", "\\r\\n"
+    or "\\r", as in a text-mode file, and are decoded one by one, so a line
+    that is no UTF-8 raises ``ValueError`` naming the file and that line.
+    """
+    for lineno, raw in enumerate(data.removeprefix(codecs.BOM_UTF8).splitlines(), 1):
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if line.strip():
+            yield lineno, line
+
+
 def _read_records(path: Path, parse: Callable[[list[str]], object]) -> tuple[list, str]:
     """``(normalize_token(token), value)`` of each nonblank line whose tab-split
     fields (the token first) ``parse`` to a value other than ``None``, and the
     file's sha256."""
     data = path.read_bytes()
-    records, lineno = [], 0
-    try:
-        for lineno, line in enumerate(io.StringIO(data.decode("utf-8"), newline=None), 1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
+    records = []
+    for lineno, line in _lines(path, data):
+        try:
+            fields = line.split("\t")
             token = fields[0].strip()
             if not token:
                 raise ValueError("empty token")
             value = parse(fields)
-            if value is not None:
-                records.append((normalize_token(token), value))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if value is not None:
+            records.append((normalize_token(token), value))
     return records, hashlib.sha256(data).hexdigest()
 
 

@@ -30,9 +30,10 @@ and is emptied when full; nothing outlives the command run.
 document. Both run through the same core (``_adjusted_valences``,
 ``_proportions``, ``_profile``), so they agree bit for bit.
 
-``SentimentScore`` and ``ScoredPost`` are immutable tuple records
-(``NamedTuple``); ``SentimentScore``'s constructor checks its fields, so a
-scored row costs tuples to build.
+``SentimentScore`` and ``ScoredPost`` are plain immutable records
+(``NamedTuple``). ``read_scored_csv``, where scored rows arrive from a file,
+checks every field of each row; a score the program computes keeps the
+ranges by construction, and a property test holds it to them.
 """
 
 from __future__ import annotations
@@ -98,38 +99,17 @@ def _is_negator(normalized: str) -> bool:
     return normalized in NEGATORS or normalized.endswith("n't")
 
 
-_tuple_new = tuple.__new__
+class SentimentScore(NamedTuple):
+    """Polarity proportions in [0, 1], which sum to 1, and a compound score in [-1, 1].
 
+    ``read_scored_csv`` refuses a row that breaks these rules; the scores the
+    program computes keep them by construction.
+    """
 
-class _SentimentFields(NamedTuple):
     negative: float
     neutral: float
     positive: float
     compound: float
-
-
-class SentimentScore(_SentimentFields):
-    """Polarity proportions in [0, 1], which sum to 1, and a compound score in [-1, 1].
-
-    The constructor, ``_make`` and ``_replace`` all check the fields; every
-    comparison is written so that a ``nan`` fails it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, negative: float, neutral: float, positive: float,
-                compound: float) -> SentimentScore:
-        if not (0.0 <= negative <= 1.0 and 0.0 <= neutral <= 1.0 and 0.0 <= positive <= 1.0):
-            raise ValueError("polarity proportions must lie in [0, 1]")
-        if not abs(negative + neutral + positive - 1.0) <= 1e-6:
-            raise ValueError("polarity proportions must sum to 1")
-        if not (-1.0 <= compound <= 1.0):
-            raise ValueError("compound must lie in [-1, 1]")
-        return _tuple_new(cls, (negative, neutral, positive, compound))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> SentimentScore:
-        return cls(*iterable)
 
 
 def _sign(x: float) -> float:
@@ -411,10 +391,10 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
     """Read scored rows; engagement counts are not part of this format.
 
     Every row must have one field per column of ``SCORED_COLUMNS``, a
-    YYYY-MM-DD date, float scores that ``SentimentScore`` accepts, ``emo_*``
-    frequencies in [0, 1] (not ``nan``) and an id no earlier row has, or
-    ``ValueError`` names the file and line; blank lines are skipped. Dates
-    are read by the memoized ``parse_day``.
+    YYYY-MM-DD date, float scores in the ranges ``SentimentScore`` gives,
+    ``emo_*`` frequencies in [0, 1] (none of them ``nan``) and an id no
+    earlier row has, or ``ValueError`` names the file and line; blank lines
+    are skipped. Dates are read by the memoized ``parse_day``.
     """
     width = len(SCORED_COLUMNS)
     out: list[ScoredPost] = []
@@ -436,6 +416,15 @@ def read_scored_csv(path: str | Path) -> list[ScoredPost]:
                 day = parse_day(row[1])
                 scores = tuple(map(float, row[3:]))
                 sentiment = SentimentScore(*scores[:4])
+                negative, neutral, positive, compound = sentiment
+                # every comparison is written so that a nan fails it
+                if not (0.0 <= negative <= 1.0 and 0.0 <= neutral <= 1.0
+                        and 0.0 <= positive <= 1.0):
+                    raise ValueError("polarity proportions must lie in [0, 1]")
+                if not abs(negative + neutral + positive - 1.0) <= 1e-6:
+                    raise ValueError("polarity proportions must sum to 1")
+                if not -1.0 <= compound <= 1.0:
+                    raise ValueError("compound must lie in [-1, 1]")
                 emotions = scores[4:]
                 # min and max can step over a nan; the sum cannot
                 if not (0.0 <= min(emotions) and max(emotions) <= 1.0) or math.isnan(sum(emotions)):

@@ -47,20 +47,16 @@ def _check_contiguous(dates: Sequence[dt.date]) -> None:
 
 @dataclass(frozen=True)
 class CitySeries:
-    """A daily series of one feature for one city: ``values[i]`` is day ``start + i``."""
+    """A daily series of one feature for one city: ``values[i]`` is day ``start + i``.
+
+    Its feature is nonempty and it has at least one value: ``read_series_csv``
+    refuses a file that breaks this, and the series the program builds keep it.
+    """
 
     city: str
     feature: str
     start: dt.date
     values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        # aggregate_daily restricts features to FEATURES; synthetic series
-        # flowing through the same CSV format may carry other names.
-        if not self.feature:
-            raise ValueError("feature must be nonempty")
-        if not self.values:
-            raise ValueError("series must be nonempty")
 
     @property
     def end(self) -> dt.date:
@@ -423,12 +419,12 @@ def read_series_csv(
     exactly four fields, a YYYY-MM-DD date and a float value, or ``ValueError``
     names the file and line. Blank lines are skipped. Only the series whose
     feature is in ``features`` and whose city is in ``cities`` (``None``
-    keeps all) are built, in (city, feature) order, and only those must be
-    gap-free daily series of finite values: a gap or a repeated date in one
-    of them raises ``ValueError`` naming the file and the series, and then a
-    value that is not finite raises it naming the file, the series and the
-    day. A series that is not built may hold any float. Dates are read by
-    the memoized ``parse_day``.
+    keeps all) are built, in (city, feature) order, and only those must have
+    a nonempty feature and be gap-free daily series of finite values: an
+    empty feature raises ``ValueError`` naming the file and line, a gap or a
+    repeated date names the file and the series, and then a value that is
+    not finite names the file, the series and the day. A series that is not
+    built may hold any float. Dates are read by the memoized ``parse_day``.
     """
     keep_features = None if features is None else frozenset(features)
     keep_cities = None if cities is None else frozenset(cities)
@@ -454,6 +450,8 @@ def read_series_csv(
             if (keep_features is None or feature in keep_features) and (
                 keep_cities is None or city in keep_cities
             ):
+                if not feature:
+                    raise ValueError(f"{path}:{reader.line_num}: feature must be nonempty")
                 pairs = rows.get((city, feature))
                 if pairs is None:
                     pairs = rows[city, feature] = []

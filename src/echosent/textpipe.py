@@ -15,15 +15,15 @@ entry list serves the language filter, scoring and the rule-3 count.
 ``is_english``, ``tokenize`` and ``remove_stopwords`` derive the same from
 the text alone; the tests hold the table to them.
 
-``RawPost`` is an immutable tuple record (a ``NamedTuple`` subclass) whose
-constructor checks its fields, so a post costs a tuple to build.
-
-Corpus files are JSON lines, one object per line: ``id`` (string or integer),
-``date`` ("YYYY-MM-DD"), ``city``, ``text`` and optional ``lang`` (strings),
-optional ``like_count``, ``reply_count``, ``retweet_count`` (JSON integers).
-``read_corpus`` parses them lazily, one post per iteration step, and
-``write_corpus`` writes posts as it draws them, so a corpus streams through
-without being held.
+Corpus files are JSON lines in UTF-8, one object per line: ``id`` (string
+or integer), ``date`` ("YYYY-MM-DD"), ``city`` (a nonempty string), ``text``
+and optional ``lang`` (strings), optional ``like_count``, ``reply_count``,
+``retweet_count`` (JSON integers >= 0). A line ends at "\\n" (or "\\r\\n").
+``RawPost`` is a plain immutable record: ``parse_post``, where a corpus line
+arrives, checks every field, and a post the program derives from a checked
+one keeps it valid. ``read_corpus`` parses a corpus lazily, one post per
+iteration step, and ``write_corpus`` writes posts as it draws them, so a
+corpus streams through without being held.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Container, Iterable, Iterator, NamedTuple
 
-from .lexicon import normalize_token
+from .lexicon import _lines, normalize_token
 
 if TYPE_CHECKING:
     from .sentiment import ScoredChunk, ScoringTable
@@ -63,50 +63,18 @@ ENGLISH_RATIO = 0.40
 #: Language-filter classes of a whitespace chunk (see ``language_class``).
 NOT_ALPHA, KNOWN_WORD, UNKNOWN_WORD = 0, 1, 2
 
-_tuple_new = tuple.__new__
 
+class RawPost(NamedTuple):
+    """One corpus post; ``parse_post`` refuses an empty city and negative counts."""
 
-class _RawPostFields(NamedTuple):
     id: str
     date: dt.date
     city: str
     text: str
-    like_count: int
-    reply_count: int
-    retweet_count: int
-    lang: str | None
-
-
-class RawPost(_RawPostFields):
-    """One corpus post. Its city must be nonempty and its counts >= 0.
-
-    The constructor, ``_make`` and ``_replace`` all check the fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        id: str,
-        date: dt.date,
-        city: str,
-        text: str,
-        like_count: int = 0,
-        reply_count: int = 0,
-        retweet_count: int = 0,
-        lang: str | None = None,
-    ) -> RawPost:
-        if not city:
-            raise ValueError("post city must be nonempty")
-        if like_count < 0 or reply_count < 0 or retweet_count < 0:
-            name = "like_count" if like_count < 0 else (
-                "reply_count" if reply_count < 0 else "retweet_count")
-            raise ValueError(f"post {name} must be >= 0")
-        return _tuple_new(cls, (id, date, city, text, like_count, reply_count, retweet_count, lang))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> RawPost:
-        return cls(*iterable)
+    like_count: int = 0
+    reply_count: int = 0
+    retweet_count: int = 0
+    lang: str | None = None
 
 
 class Token(NamedTuple):
@@ -248,9 +216,9 @@ def english_entries(post: RawPost, chunks: ScoringTable) -> list[ScoredChunk] | 
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """One word per line, case-folded."""
-    with Path(path).open(encoding="utf-8") as fh:
-        return frozenset(line.strip().casefold() for line in fh if line.strip())
+    """One word per line, case-folded; the file is read as a lexicon is (see ``lexicon``)."""
+    path = Path(path)
+    return frozenset(line.strip().casefold() for _, line in _lines(path, path.read_bytes()))
 
 
 _DAY_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -260,13 +228,14 @@ _DAY_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 def parse_day(text: str) -> dt.date:
     """The day of a "YYYY-MM-DD" string, the one date form a command reads.
 
-    Others raise ``ValueError("bad date '…'")``, though ``dt.date.fromisoformat``
-    takes "20200224" and "2020-W09-1" from Python 3.11 on. Memoized.
+    Others raise ``ValueError("bad date '…', expected YYYY-MM-DD")``, though
+    ``dt.date.fromisoformat`` takes "20200224" and "2020-W09-1" from Python
+    3.11 on. Memoized.
     """
     if _DAY_RE.fullmatch(text):
         with contextlib.suppress(ValueError):  # a month or day out of range
             return dt.date.fromisoformat(text)
-    raise ValueError(f"bad date {text!r}")
+    raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
 
 
 _COUNTS = ("like_count", "reply_count", "retweet_count")
@@ -276,9 +245,9 @@ def parse_post(obj: dict) -> RawPost:
     """Build a RawPost from a decoded JSON object, ignoring unknown fields.
 
     The day field is ``date`` ("YYYY-MM-DD"); ``timestamp`` is accepted as an
-    alias. Each field must have the JSON type the module docstring gives it:
-    3.7, "3" and true are no count, and null is no city. A value that is no
-    object raises too.
+    alias. Each field must have the JSON type and range the module docstring
+    gives it: 3.7, "3", true and -1 are no count, and null and "" are no
+    city. A value that is no object raises too.
     """
     try:
         date = parse_day(str(obj.get("date", obj.get("timestamp"))))
@@ -289,10 +258,14 @@ def parse_post(obj: dict) -> RawPost:
                             ("lang", "" if lang is None else lang)):
             if type(value) is not str:
                 raise ValueError(f"{name} {value!r} is no string")
+        if not city:
+            raise ValueError("post city must be nonempty")
         counts = [obj.get(name, 0) for name in _COUNTS]
         for name, count in zip(_COUNTS, counts):
             if type(count) is not int:  # bool is a subclass of int
                 raise ValueError(f"{name} {count!r} is no integer")
+            if count < 0:
+                raise ValueError(f"post {name} must be >= 0")
         return RawPost(pid, date, city, text, *counts, lang)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad post record: {exc}") from exc
@@ -303,7 +276,8 @@ class CorpusReader:
 
     Iterate it once. ``posts_read`` counts the posts yielded so far and
     ``malformed`` the lines skipped so far; with ``skip_malformed`` false the
-    first bad line raises ``ValueError`` with file/line context instead.
+    first bad line raises ``ValueError`` with file/line context instead. A
+    line that is no UTF-8 is a bad line; a lone "\\r" ends no line.
     """
 
     def __init__(self, path: str | Path, skip_malformed: bool = False) -> None:
@@ -312,16 +286,18 @@ class CorpusReader:
         self.posts_read = 0
         self.malformed = 0
         # opened now, so a missing file fails before any output is written
-        self._fh = Path(path).open(encoding="utf-8")
+        self._fh = Path(path).open("rb")
 
     def __iter__(self) -> Iterator[RawPost]:
         with self._fh as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+            for lineno, raw in enumerate(fh, start=1):
                 try:
+                    # decoded line by line, so a byte that is no UTF-8 spoils one line
+                    line = raw.decode()
+                    if not line.strip():
+                        continue
                     post = parse_post(json.loads(line))
-                except (json.JSONDecodeError, ValueError) as exc:
+                except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
                     if not self.skip_malformed:
                         raise ValueError(f"{self.path}:{lineno}: {exc}") from exc
                     self.malformed += 1

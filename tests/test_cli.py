@@ -187,6 +187,7 @@ def test_pipeline_exits_nonzero_on_heavy_malformation(tmp_path, capsys):
     # ISO 8601 forms of 2020-03-01 that Python 3.11's date.fromisoformat takes
     ("date", "20200301"), ("date", "2020-W09-7"),
     ("like_count", 3.7), ("reply_count", "3"), ("retweet_count", True),
+    ("retweet_count", -1), ("city", ""),
 ])
 def test_a_bad_date_or_count_makes_a_corpus_line_malformed_in_every_command(
     tmp_path, capsys, field, value
@@ -210,6 +211,29 @@ def test_a_bad_date_or_count_makes_a_corpus_line_malformed_in_every_command(
     assert main(["aggregate", "--scored", str(scored), "--corpus", str(corpus),
                  "--out", str(tmp_path / "series.csv")]) == 2
     assert f"error: {corpus}:2: bad post record" in capsys.readouterr().err
+
+
+def test_a_corpus_line_that_is_no_utf8_is_malformed_in_every_command(tmp_path, capsys):
+    good = {"id": "a", "date": "2020-03-01", "city": "X", "text": ENGLISH_TEXTS[0]}
+    corpus = tmp_path / "raw.jsonl"
+    latin1 = b'{"id": "b", "date": "2020-03-01", "city": "Montr\xe9al", "text": "hi"}'
+    corpus.write_bytes(json.dumps(good).encode() + b"\n" + latin1 + b"\n")
+    # clean and pipeline skip the line and count it (1 of 2 lines: clean exits 1)
+    cleaned, report = tmp_path / "cleaned.jsonl", tmp_path / "report.json"
+    assert main(["clean", "--in", str(corpus), "--out", str(cleaned),
+                 "--report", str(report)]) == 1
+    counts = json.loads(report.read_text())
+    assert (counts["malformed_lines"], counts["output_posts"]) == (1, 1)
+    main(["pipeline", "--in", str(corpus), "--out-dir", str(tmp_path / "pipe")])
+    assert "malformed_lines: 1" in capsys.readouterr().out.splitlines()
+    # score and aggregate --corpus refuse it, naming the file and the line
+    scored = tmp_path / "scored.csv"
+    assert main(["score", "--in", str(corpus), "--out", str(scored)]) == 2
+    assert f"error: {corpus}:2: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+    assert main(["score", "--in", str(cleaned), "--out", str(scored)]) == 0
+    assert main(["aggregate", "--scored", str(scored), "--corpus", str(corpus),
+                 "--out", str(tmp_path / "series.csv")]) == 2
+    assert f"error: {corpus}:2: 'utf-8' codec" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", [
@@ -242,7 +266,9 @@ def test_a_field_of_another_json_type_makes_a_corpus_line_malformed(tmp_path, ca
 def test_from_and_to_take_only_yyyy_mm_dd_days(tmp_path, capsys, flag, value):
     assert main(["aggregate", "--scored", str(tmp_path / "scored.csv"), flag, value,
                  "--out", str(tmp_path / "series.csv")]) == 2
-    assert f"error: {flag}: invalid parse_day value {value!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {flag}: bad date {value!r}, expected YYYY-MM-DD" in err
+    assert "parse_day" not in err
 
 
 def test_clean_tolerates_rare_malformation(tmp_path):

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import hashlib
 
@@ -9,6 +10,7 @@ from echosent.lexicon import (
     load_valence_lexicon,
     normalize_token,
 )
+from echosent.textpipe import load_wordlist
 
 # Known rows of the bundled valence excerpt.
 KNOWN_VALENCES = {
@@ -184,6 +186,33 @@ def test_lines_end_as_in_a_text_mode_file(tmp_path):
     assert dict(load_emotion_lexicon(p).entries) == {
         "x\x1cy": frozenset({"fear"}), "up\u2028down": frozenset({"joy"}),
     }
+
+
+@pytest.mark.parametrize("load, good", [
+    (load_valence_lexicon, b"fine\t0.8"),
+    (load_emotion_lexicon, b"fine\ttrust\t1"),
+    (load_wordlist, b"fine"),
+])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_a_line_that_is_no_utf8_names_its_file_and_line(tmp_path, load, good, newline):
+    p = tmp_path / "bad.txt"
+    # line 3 is Latin-1; line 2 is blank, and blank lines are counted
+    p.write_bytes(newline.join([good, b"", good.replace(b"fine", b"caf\xe9"), good]))
+    with pytest.raises(ValueError) as err:
+        load(p)
+    assert str(err.value).startswith(f"{p}:3: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    valence, emotion, words = tmp_path / "v.txt", tmp_path / "e.txt", tmp_path / "w.txt"
+    valence.write_bytes(codecs.BOM_UTF8 + b"good\t1.9\r\nbad\t-2.5\r\n")
+    emotion.write_bytes(codecs.BOM_UTF8 + b"abacus\ttrust\t1\n")
+    words.write_bytes(codecs.BOM_UTF8 + b"Good\nbad\n")
+    lex = load_valence_lexicon(valence)
+    assert dict(lex.entries) == {"good": 1.9, "bad": -2.5}
+    assert lex.checksum == hashlib.sha256(valence.read_bytes()).hexdigest()
+    assert dict(load_emotion_lexicon(emotion).entries) == {"abacus": frozenset({"trust"})}
+    assert load_wordlist(words) == {"good", "bad"}
 
 
 def test_checksum_is_the_sha256_of_the_file_bytes(tmp_path, data_dir):

@@ -219,30 +219,6 @@ def test_negating_single_positive_flips_compound(vlex):
     assert polarity_proportions(doc("not good"), vlex).compound < 0
 
 
-def test_sentiment_score_validates():
-    good = SentimentScore(0.25, 0.5, 0.25, 0.0)
-    for fields, message in (
-        ((0.5, 0.2, 0.5, 0.0), "polarity proportions must sum to 1"),
-        ((0.5, 0.2, 0.5, 2.0), "polarity proportions must sum to 1"),
-        # nan passes a sum check written as `> 1e-6`, and -0.5 + 1.5 sums to 1
-        ((math.nan, 0.5, 0.5, 0.0), r"polarity proportions must lie in \[0, 1\]"),
-        ((0.5, 0.5, math.nan, 0.0), r"polarity proportions must lie in \[0, 1\]"),
-        ((-0.5, 1.5, 0.0, 0.0), r"polarity proportions must lie in \[0, 1\]"),
-        ((0.0, 1.0, 0.0, 1.5), r"compound must lie in \[-1, 1\]"),
-        ((0.0, 1.0, 0.0, -1.0000001), r"compound must lie in \[-1, 1\]"),
-        ((0.0, 1.0, 0.0, math.nan), r"compound must lie in \[-1, 1\]"),
-    ):
-        named = dict(zip(SentimentScore._fields, fields))
-        for build in (
-            lambda: SentimentScore(*fields),
-            lambda: SentimentScore(**named),
-            lambda: SentimentScore._make(fields),
-            lambda: good._replace(**named),
-        ):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                build()
-
-
 def test_scored_records_are_immutable_and_built_by_position_or_keyword():
     sent = SentimentScore(0.25, 0.5, 0.25, -1.0)
     assert sent == SentimentScore(compound=-1.0, positive=0.25, neutral=0.5, negative=0.25)
@@ -414,6 +390,22 @@ def test_table_scoring_equals_the_reference_path(vlex, elex, stopwords, data, ze
             assert got.emotions == want.emotions
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), zeros=st.booleans())
+def test_a_computed_score_keeps_the_ranges_read_scored_csv_checks(
+        vlex, elex, stopwords, data, zeros):
+    # SentimentScore does not check its fields: scoring must keep them valid
+    lex = with_zero_valences(vlex) if zeros else vlex
+    table = ScoringTable(lex, elex, stopwords)
+    post = data.draw(vocabulary_posts(lex, elex, stopwords))
+    scored = score_entries(post, table.entries(post.text))
+    negative, neutral, positive, compound = scored.sentiment
+    assert 0.0 <= negative <= 1.0 and 0.0 <= neutral <= 1.0 and 0.0 <= positive <= 1.0
+    assert abs(negative + neutral + positive - 1.0) <= 1e-6
+    assert -1.0 <= compound <= 1.0
+    assert all(0.0 <= f <= 1.0 for f in scored.emotions)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_score_post_compound_is_the_oracle_compound_map(vlex, elex, stopwords, data):
@@ -472,6 +464,19 @@ def one_scored_post(pid="p1"):
      "polarity proportions must lie in [0, 1]"),
     ("p2,2020-03-02,Toronto,-0.5,1.5,0.0,0.0" + ",0.0" * 10,
      "polarity proportions must lie in [0, 1]"),
+    # nan passes a sum check written as `> 1e-6`
+    ("p2,2020-03-02,Toronto,0.5,0.5,nan,0.0" + ",0.0" * 10,
+     "polarity proportions must lie in [0, 1]"),
+    ("p2,2020-03-02,Toronto,0.5,0.2,0.5,0.0" + ",0.0" * 10,
+     "polarity proportions must sum to 1"),
+    ("p2,2020-03-02,Toronto,0.5,0.2,0.5,2.0" + ",0.0" * 10,
+     "polarity proportions must sum to 1"),
+    ("p2,2020-03-02,Toronto,0.0,1.0,0.0,1.5" + ",0.0" * 10,
+     "compound must lie in [-1, 1]"),
+    ("p2,2020-03-02,Toronto,0.0,1.0,0.0,-1.0000001" + ",0.0" * 10,
+     "compound must lie in [-1, 1]"),
+    ("p2,2020-03-02,Toronto,0.0,1.0,0.0,nan" + ",0.0" * 10,
+     "compound must lie in [-1, 1]"),
     ("p2,2020-03-02,Toronto,0.0,1.0,0.0,0.0" + ",0.0" * 5 + ",nan" + ",0.0" * 4,
      "emotion frequencies must lie in [0, 1]"),
     ("p2,2020-03-02,Toronto,0.0,1.0,0.0,0.0" + ",1.5" + ",0.0" * 9,

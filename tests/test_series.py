@@ -631,13 +631,18 @@ def test_read_series_csv_refuses_a_value_that_is_not_finite_only_in_a_series_it_
             read_series_csv(path, features=features, cities=cities)
 
 
-def test_city_series_validation():
-    with pytest.raises(ValueError, match="feature must be nonempty"):
-        CitySeries("A", "", D(2020, 3, 1), (0.1,))
-    with pytest.raises(ValueError, match="series must be nonempty"):
-        CitySeries("A", "compound_mean", D(2020, 3, 1), ())
+def test_city_series_length_and_end():
     s = CitySeries("A", "x", D(2020, 2, 28), (0.1, 0.2, 0.3))
     assert (len(s), s.end) == (3, D(2020, 3, 1))
+
+
+def test_read_series_csv_refuses_an_empty_feature_only_in_a_series_it_builds(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("date,city,feature,value\n2020-03-01,A,x,0.1\n2020-03-01,A,,0.2\n")
+    assert read_series_csv(path, features=["x"]) == [CitySeries("A", "x", D(2020, 3, 1), (0.1,))]
+    for features in (None, [""]):  # heatmap --feature "" asks for [""]
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: feature must be nonempty")):
+            read_series_csv(path, features=features)
 
 
 @pytest.mark.parametrize("dates, message", [

@@ -426,17 +426,17 @@ def test_parse_post_ignores_unknown_fields():
     (dict(retweet_count=-2, like_count=-1), "post like_count must be >= 0"),
     (dict(retweet_count=-1), "post retweet_count must be >= 0"),
 ])
-def test_raw_post_rejects_bad_fields_however_it_is_built(fields, message):
-    good = RawPost("p", DAY, "X", "hi", 1, 2, 3, "en")
-    values = {**good._asdict(), **fields}
-    for build in (
-        lambda: RawPost(**values),
-        lambda: RawPost(*values.values()),
-        lambda: RawPost._make(values.values()),
-        lambda: good._replace(**fields),
-    ):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            build()
+def test_parse_post_refuses_an_empty_city_and_negative_counts(tmp_path, fields, message):
+    good = {"id": "a", "date": "2020-03-01", "city": "X", "text": "hi",
+            "like_count": 1, "reply_count": 2, "retweet_count": 3, "lang": "en"}
+    with pytest.raises(ValueError, match=f"^bad post record: {message}$"):
+        parse_post({**good, **fields})
+    # a reader that skips bad lines counts the line as malformed
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **fields}) + "\n")
+    reader = read_corpus(path, skip_malformed=True)
+    assert [p.id for p in reader] == ["a"]
+    assert reader.malformed == 1
 
 
 def test_raw_post_is_an_immutable_record_built_by_position_or_keyword():
@@ -540,6 +540,22 @@ def test_corpus_roundtrip(tmp_path):
     assert list(reader) == posts
     assert reader.posts_read == 2
     assert reader.malformed == 0
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_a_corpus_line_that_is_no_utf8_is_malformed(tmp_path, newline):
+    def line(pid, city):
+        return b'{"id": "%s", "date": "2020-03-01", "city": "%s", "text": "hi"}' % (pid, city)
+    path = tmp_path / "corpus.jsonl"
+    # line 3 is Latin-1; lines 1 and 4 are UTF-8
+    path.write_bytes(newline.join([line(b"a", "Montréal".encode()), b"",
+                                   line(b"b", "Montréal".encode("latin-1")),
+                                   line(b"c", "Québec".encode()), b""]))
+    reader = read_corpus(path, skip_malformed=True)
+    assert [(p.id, p.city) for p in reader] == [("a", "Montréal"), ("c", "Québec")]
+    assert (reader.posts_read, reader.malformed) == (2, 1)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: 'utf-8' codec can't decode")):
+        list(read_corpus(path))
 
 
 def test_read_corpus_malformed_handling(tmp_path):
