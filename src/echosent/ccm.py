@@ -124,7 +124,8 @@ class LagCorrelationCurve:
     """Correlation over the lag grid for one mapping direction.
 
     ``direction`` names the input series first ("x->y" maps reservoir states
-    of x to y). The peak follows ``TIE_BREAK``.
+    of x to y). The peak follows ``TIE_BREAK``. ``skipped`` holds the grid
+    lags with |lag| below the series length that a skip rule dropped.
     """
 
     direction: str
@@ -147,12 +148,13 @@ def cross_map_curve(
     ``states`` are the (T, N) reservoir states of the input series and
     ``targets`` the T target values; other shapes raise ``ValueError``. Per
     lag, the readout is ridge-trained on the aligned window (the first
-    ``cfg.washout`` state rows are excluded) and evaluated in place. Lags
-    with |lag| not below T are skipped; so are lags whose window is shorter
-    than ``MIN_WINDOW``, whose target window is constant or whose prediction
-    is constant on its window, each with a warning. ``skipped`` lists them in
-    grid order. Kept lags fitted on fewer rows than reservoir units get one
-    warning per curve, with their count and the shortest window.
+    ``cfg.washout`` state rows are excluded) and evaluated in place. Only the
+    grid lags with |lag| below T are scanned; of those, lags whose window is
+    shorter than ``MIN_WINDOW``, whose target window is constant or whose
+    prediction is constant on its window are skipped with a warning, and
+    ``skipped`` lists them in grid order. Kept lags fitted on fewer rows than
+    reservoir units get one warning per curve, with their count and the
+    shortest window.
 
     Cost: one Gram over the union of the training windows and one ridge
     factorization, solved for every lag's target at once. A window is the
@@ -173,10 +175,9 @@ def cross_map_curve(
     # Plan: apply the skip rules. Each usable lag gets its training window
     # [a, b) and one row of ``targets_z``: its z-scored target on [a, b),
     # zero elsewhere.
-    # rows only for the lags that fit: a grid far wider than T costs no more
-    lag_values = grid.values()
-    fitting = [lag for lag in lag_values if abs(lag) < t_len]
-    skipped = set(lag_values).difference(fitting)
+    # clipped to |lag| < T before anything is built: a grid far wider than T costs no more
+    fitting = range(max(grid.lo, 1 - t_len), min(grid.hi, t_len - 1) + 1)
+    skipped: set[int] = set()
     plan: list[tuple[int, int, int]] = []
     targets_z = np.zeros((len(fitting), t_len))
     for lag in fitting:

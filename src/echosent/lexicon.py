@@ -1,17 +1,17 @@
-"""Immutable valence and emotion lexicon stores.
+"""Immutable valence and emotion lexicon stores, and the reading of input files.
 
-File formats (UTF-8, tab separated, one record per line; a leading byte-order
-mark is skipped, blank lines are skipped, and a line ends at "\\n", "\\r\\n"
-or "\\r" as in a text-mode file):
+``decoded_lines`` reads every input file but the corpus, whose reader skips a
+byte-order mark by the same rule. Lexicon file formats (tab separated, one
+record per line; blank lines are skipped, and "\\r" ends a line too):
 
 * valence lexicon: ``token<TAB>score`` with optional extra columns that are
   ignored, score a real number in [-4, 4].
 * emotion lexicon: ``token<TAB>emotion<TAB>flag`` triples with flag 0 or 1;
   a token's emotion set is the categories flagged 1.
 
-A bad record, or a line that is no UTF-8, raises ``ValueError`` naming the
-file and line; ``textpipe.load_wordlist`` reads word lists the same way. A
-store's ``checksum`` is the sha256 of the bytes it was parsed from, and its
+A bad record raises ``ValueError`` naming the file and line;
+``textpipe.load_wordlist`` reads word lists the same way. A store's
+``checksum`` is the sha256 of the bytes it was parsed from, and its
 ``entries`` are keyed by ``normalize_token``: tokens containing letters are
 case-folded; pure-symbol tokens (emoticons such as ":-)") are kept
 verbatim. Look a token up as ``entries.get(normalize_token(token))``.
@@ -20,12 +20,15 @@ verbatim. Look a token up as ``entries.get(normalize_token(token))``.
 from __future__ import annotations
 
 import codecs
+import contextlib
+import csv
 import hashlib
+import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping
 
 log = logging.getLogger(__name__)
 
@@ -93,20 +96,31 @@ class EmotionLexicon:
         return self._indices
 
 
-def _lines(path: Path, data: bytes) -> Iterator[tuple[int, str]]:
-    """The number and text of each nonblank line of a word file's bytes.
+def skip_byte_order_mark(fh: BinaryIO) -> BinaryIO:
+    """``fh``, a binary stream at its start, past a leading UTF-8 byte-order mark."""
+    fh.seek(3 if fh.read(3) == codecs.BOM_UTF8 else 0)
+    return fh
 
-    A leading UTF-8 byte-order mark is skipped. Lines end at "\\n", "\\r\\n"
-    or "\\r", as in a text-mode file, and are decoded one by one, so a line
-    that is no UTF-8 raises ``ValueError`` naming the file and that line.
-    """
-    for lineno, raw in enumerate(data.removeprefix(codecs.BOM_UTF8).splitlines(), 1):
-        try:
-            line = raw.decode()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if line.strip():
-            yield lineno, line
+
+@contextlib.contextmanager
+def decoded_lines(path: str | Path, fh: BinaryIO) -> Iterator[Iterator[str]]:
+    """One pass over the lines of ``fh``, file ``path`` opened in binary, past a
+    byte-order mark: each decoded as UTF-8 and ending at "\\n", kept. A bad
+    byte, a row the ``csv`` module cannot parse or any ``ValueError`` raised in
+    the ``with`` block is raised again naming the file and the line last read,
+    counted only then from the bytes read, so a line costs no Python work."""
+    try:
+        yield map(bytes.decode, skip_byte_order_mark(fh))
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        end = fh.tell()
+        fh.seek(0)
+        lineno = fh.read(end)[:-1].count(b"\n") + 1
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def word_lines(path: Path, data: bytes) -> contextlib.AbstractContextManager[Iterator[str]]:
+    """``decoded_lines`` of a word file's bytes, where "\\r" also ends a line."""
+    return decoded_lines(path, io.BytesIO(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")))
 
 
 def _read_records(path: Path, parse: Callable[[list[str]], object]) -> tuple[list, str]:
@@ -115,17 +129,17 @@ def _read_records(path: Path, parse: Callable[[list[str]], object]) -> tuple[lis
     file's sha256."""
     data = path.read_bytes()
     records = []
-    for lineno, line in _lines(path, data):
-        try:
-            fields = line.split("\t")
+    with word_lines(path, data) as lines:
+        for line in lines:
+            if not line.strip():
+                continue
+            fields = line.removesuffix("\n").split("\t")
             token = fields[0].strip()
             if not token:
                 raise ValueError("empty token")
             value = parse(fields)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if value is not None:
-            records.append((normalize_token(token), value))
+            if value is not None:
+                records.append((normalize_token(token), value))
     return records, hashlib.sha256(data).hexdigest()
 
 

@@ -45,7 +45,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .lexicon import EMOTION_CATEGORIES, EmotionLexicon, ValenceLexicon
+from .lexicon import EMOTION_CATEGORIES, EmotionLexicon, ValenceLexicon, decoded_lines
 from .textpipe import (
     CleanDoc, RawPost, Token, chunk_token, language_class, parse_day, trailing_emphasis,
 )
@@ -390,46 +390,45 @@ def write_scored_csv(posts: Iterable[ScoredPost], path: str | Path) -> None:
 def read_scored_csv(path: str | Path) -> list[ScoredPost]:
     """Read scored rows; engagement counts are not part of this format.
 
-    Every row must have one field per column of ``SCORED_COLUMNS``, a
-    YYYY-MM-DD date, float scores in the ranges ``SentimentScore`` gives,
-    ``emo_*`` frequencies in [0, 1] (none of them ``nan``) and an id no
-    earlier row has, or ``ValueError`` names the file and line; blank lines
-    are skipped. Dates are read by the memoized ``parse_day``.
+    Every row needs one field per ``SCORED_COLUMNS`` column, a YYYY-MM-DD
+    date, a nonempty city, float scores in the ranges ``SentimentScore``
+    gives, ``emo_*`` frequencies in [0, 1] (none ``nan``) and an id no earlier
+    row has, or ``ValueError`` names the file and line; blank lines are
+    skipped. Dates are read by the memoized ``parse_day``.
     """
     width = len(SCORED_COLUMNS)
     out: list[ScoredPost] = []
     seen: set[str] = set()
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with Path(path).open("rb") as fh, decoded_lines(path, fh) as lines:
+        reader = csv.reader(lines)
         if tuple(next(reader, ())) != SCORED_COLUMNS:
-            raise ValueError(f"{path}: unexpected scored CSV header")
+            raise ValueError("unexpected scored CSV header")
         for row in reader:
-            try:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise ValueError(f"expected {width} fields, got {len(row)}")
-                pid, city = row[0], row[2]
-                if pid in seen:
-                    raise ValueError(f"scored post id {pid!r} repeats")
-                seen.add(pid)
-                day = parse_day(row[1])
-                scores = tuple(map(float, row[3:]))
-                sentiment = SentimentScore(*scores[:4])
-                negative, neutral, positive, compound = sentiment
-                # every comparison is written so that a nan fails it
-                if not (0.0 <= negative <= 1.0 and 0.0 <= neutral <= 1.0
-                        and 0.0 <= positive <= 1.0):
-                    raise ValueError("polarity proportions must lie in [0, 1]")
-                if not abs(negative + neutral + positive - 1.0) <= 1e-6:
-                    raise ValueError("polarity proportions must sum to 1")
-                if not -1.0 <= compound <= 1.0:
-                    raise ValueError("compound must lie in [-1, 1]")
-                emotions = scores[4:]
-                # min and max can step over a nan; the sum cannot
-                if not (0.0 <= min(emotions) and max(emotions) <= 1.0) or math.isnan(sum(emotions)):
-                    raise ValueError("emotion frequencies must lie in [0, 1]")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            pid, city = row[0], row[2]
+            if not city:
+                raise ValueError("city must be nonempty")
+            if pid in seen:
+                raise ValueError(f"scored post id {pid!r} repeats")
+            seen.add(pid)
+            day = parse_day(row[1])
+            scores = tuple(map(float, row[3:]))
+            sentiment = SentimentScore(*scores[:4])
+            negative, neutral, positive, compound = sentiment
+            # every comparison is written so that a nan fails it
+            if not (0.0 <= negative <= 1.0 and 0.0 <= neutral <= 1.0
+                    and 0.0 <= positive <= 1.0):
+                raise ValueError("polarity proportions must lie in [0, 1]")
+            if not abs(negative + neutral + positive - 1.0) <= 1e-6:
+                raise ValueError("polarity proportions must sum to 1")
+            if not -1.0 <= compound <= 1.0:
+                raise ValueError("compound must lie in [-1, 1]")
+            emotions = scores[4:]
+            # min and max can step over a nan; the sum cannot
+            if not (0.0 <= min(emotions) and max(emotions) <= 1.0) or math.isnan(sum(emotions)):
+                raise ValueError("emotion frequencies must lie in [0, 1]")
             out.append(ScoredPost(pid, day, city, sentiment, emotions))
     return out

@@ -9,7 +9,9 @@ per city and an empty field (no SVG cell) on a day outside the city's range.
 The SVG heatmap uses a diverging color scale centered at zero (orange
 positive, green negative) and contains no timestamps, so identical inputs
 produce byte-identical files. ``read_ini`` reads every INI file (periods and
-``--config``): values are literal and no section inherits ``[DEFAULT]``.
+``--config``): values are literal and no section inherits ``[DEFAULT]``. The
+CSV and INI files are read by ``lexicon.decoded_lines``; a lone "\\r" outside
+a quoted field ends no line and raises ``ValueError`` naming file and line.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .lexicon import decoded_lines
 from .sentiment import ScoredPost
 from .textpipe import parse_day
 
@@ -201,11 +204,15 @@ def read_ini(path: str | Path) -> dict[str, dict[str, str]]:
     """
     # no text file names a section "\0", so [DEFAULT] parses as an ordinary section
     parser = configparser.ConfigParser(interpolation=None, default_section="\0")
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
-            parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    with Path(path).open("rb") as fh, decoded_lines(path, fh) as lines:
+        lines = list(lines)
+    for lineno, line in enumerate(lines, 1):
+        if "\r" in line.removesuffix("\n").removesuffix("\r"):
+            raise ValueError(f'{path}:{lineno}: lone "\\r" (lines end at "\\n" or "\\r\\n")')
+    try:
+        parser.read_file(lines, str(path))
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
@@ -419,39 +426,36 @@ def read_series_csv(
     exactly four fields, a YYYY-MM-DD date and a float value, or ``ValueError``
     names the file and line. Blank lines are skipped. Only the series whose
     feature is in ``features`` and whose city is in ``cities`` (``None``
-    keeps all) are built, in (city, feature) order, and only those must have
-    a nonempty feature and be gap-free daily series of finite values: an
-    empty feature raises ``ValueError`` naming the file and line, a gap or a
-    repeated date names the file and the series, and then a value that is
+    keeps all) are built, in (city, feature) order, and only those need a
+    nonempty city and feature and gap-free days of finite values: an empty
+    city or feature raises ``ValueError`` naming the file and line, a gap or
+    a repeated date names the file and the series, and then a value that is
     not finite names the file, the series and the day. A series that is not
     built may hold any float. Dates are read by the memoized ``parse_day``.
     """
     keep_features = None if features is None else frozenset(features)
     keep_cities = None if cities is None else frozenset(cities)
     rows: dict[tuple[str, str], list[tuple[dt.date, float]]] = {}
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with Path(path).open("rb") as fh, decoded_lines(path, fh) as lines:
+        reader = csv.reader(lines)
         if next(reader, None) != _SERIES_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(_SERIES_HEADER)}")
+            raise ValueError(f"expected header {','.join(_SERIES_HEADER)}")
         for row in reader:
+            if len(row) != 4:
+                if not row:
+                    continue
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            date, city, feature, value = row
+            day = parse_day(date)
             try:
-                if len(row) != 4:
-                    if not row:
-                        continue
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                date, city, feature, value = row
-                day = parse_day(date)
-                try:
-                    number = float(value)
-                except ValueError:
-                    raise ValueError(f"bad value {value!r}") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                number = float(value)
+            except ValueError:
+                raise ValueError(f"bad value {value!r}") from None
             if (keep_features is None or feature in keep_features) and (
                 keep_cities is None or city in keep_cities
             ):
-                if not feature:
-                    raise ValueError(f"{path}:{reader.line_num}: feature must be nonempty")
+                if not (city and feature):
+                    raise ValueError(f"{'feature' if city else 'city'} must be nonempty")
                 pairs = rows.get((city, feature))
                 if pairs is None:
                     pairs = rows[city, feature] = []

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Container, Iterable, Iterator, NamedTuple
 
-from .lexicon import _lines, normalize_token
+from .lexicon import normalize_token, skip_byte_order_mark, word_lines
 
 if TYPE_CHECKING:
     from .sentiment import ScoredChunk, ScoringTable
@@ -218,7 +218,8 @@ def english_entries(post: RawPost, chunks: ScoringTable) -> list[ScoredChunk] | 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """One word per line, case-folded; the file is read as a lexicon is (see ``lexicon``)."""
     path = Path(path)
-    return frozenset(line.strip().casefold() for _, line in _lines(path, path.read_bytes()))
+    with word_lines(path, path.read_bytes()) as lines:
+        return frozenset(line.strip().casefold() for line in lines) - {""}
 
 
 _DAY_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -277,7 +278,8 @@ class CorpusReader:
     Iterate it once. ``posts_read`` counts the posts yielded so far and
     ``malformed`` the lines skipped so far; with ``skip_malformed`` false the
     first bad line raises ``ValueError`` with file/line context instead. A
-    line that is no UTF-8 is a bad line; a lone "\\r" ends no line.
+    line that is no UTF-8 is bad, a lone "\\r" ends no line, and a leading
+    byte-order mark is skipped (``lexicon.skip_byte_order_mark``).
     """
 
     def __init__(self, path: str | Path, skip_malformed: bool = False) -> None:
@@ -286,7 +288,7 @@ class CorpusReader:
         self.posts_read = 0
         self.malformed = 0
         # opened now, so a missing file fails before any output is written
-        self._fh = Path(path).open("rb")
+        self._fh = skip_byte_order_mark(Path(path).open("rb"))
 
     def __iter__(self) -> Iterator[RawPost]:
         with self._fh as fh:

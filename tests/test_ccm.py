@@ -312,22 +312,44 @@ def test_peak_tie_breaks_toward_small_then_negative_lag():
     assert curve.peak_lag == 0
 
 
-def test_lag_scan_memory_scales_with_the_lags_that_fit():
-    # a target row per grid lag would be 40,001 rows of 60 floats (19 MB)
-    # here; only the lags with |lag| < T get one
+@pytest.mark.parametrize("width", [20_000, 1_000_000])
+def test_lag_scan_memory_scales_with_the_lags_that_fit(width):
+    # a target row per grid lag would be 40,001 rows of 60 floats (19 MB) at
+    # width 20,000; only the lags with |lag| < T are scanned at all
     x = np.random.default_rng(3).standard_normal(60)
     cfg = small_cfg(ridge=0.1)
     states = states_of(x, cfg)
-    grid = LagGrid(-20000, 20000)
     tracemalloc.start()
     try:
-        curve = cross_map_curve(states, x, cfg, grid)
+        curve = cross_map_curve(states, x, cfg, LagGrid(-width, width))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert len(curve.lags) + len(curve.skipped) == len(grid.values())
-    assert curve.lags == cross_map_curve(states, x, cfg, LagGrid(-60, 60)).lags
+    assert len(curve.lags) + len(curve.skipped) == 2 * 60 - 1
+    assert curve == cross_map_curve(states, x, cfg, LagGrid(-60, 60))
+
+
+def test_a_failing_side_factor_names_the_ridge(monkeypatch):
+    # at ridge 10 solve_ridge skips its Cholesky probe, so only the Woodbury
+    # side factor of cross_map_curve meets the failing factorization
+    def cholesky(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    x = np.random.default_rng(5).standard_normal(80)
+    cfg = small_cfg(ridge=10.0)
+    states = states_of(x, cfg)
+    monkeypatch.setattr(ccm_module.np.linalg, "cholesky", cholesky)
+    with pytest.raises(esn.SingularSystemError, match=r"\(ridge=10\.0\)"):
+        cross_map_curve(states, x, cfg, LagGrid(-5, 5))
+
+
+def test_a_curve_whose_every_kept_lag_is_degenerate_raises():
+    # all-zero states predict zero at every lag, so no lag has a correlation
+    x = np.random.default_rng(6).standard_normal(60)
+    cfg = small_cfg()
+    with pytest.raises(ValueError, match="no usable lag"):
+        cross_map_curve(np.zeros((60, cfg.size)), x, cfg, LagGrid(-5, 5))
 
 
 def test_analyze_pair_labels_directions():
@@ -345,8 +367,7 @@ def direct_curve(states, y, cfg, grid):
     t_len = len(y)
     lags, rhos, skipped = [], [], []
     for lag in grid.values():
-        if abs(lag) >= t_len:
-            skipped.append(lag)
+        if abs(lag) >= t_len:  # not scanned, so not skipped either
             continue
         s_in, s_out = align_window(t_len, lag)
         shift = max(s_in.start, cfg.washout) - s_in.start

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import datetime as dt
 import gc
@@ -1427,12 +1428,12 @@ def test_a_wrong_header_exits_2_naming_the_file(tmp_path, capsys, command):
         path = tmp_path / "series.csv"
         path.write_text("day,city,feature,value\n2020-03-01,A,compound_mean,0.1\n")
         argv = ["heatmap", "--series", str(path), "--out-dir", str(tmp_path / "hm")]
-        want = f"{path}: expected header date,city,feature,value"
+        want = f"{path}:1: expected header date,city,feature,value"
     else:
         path = tmp_path / "scored.csv"
         path.write_text(",".join(sentiment.SCORED_COLUMNS[::-1]) + "\n")
         argv = ["aggregate", "--scored", str(path), "--out", str(tmp_path / "series.csv")]
-        want = f"{path}: unexpected scored CSV header"
+        want = f"{path}:1: unexpected scored CSV header"
     capsys.readouterr()
     assert main(argv) == 2
     assert f"error: {want}" in capsys.readouterr().err
@@ -1497,3 +1498,105 @@ def test_successive_in_process_calls_match_separate_processes(tmp_path, monkeypa
     assert files == sorted(p.relative_to(together) for p in together.rglob("*") if p.is_file())
     for name in files:
         assert (separate / name).read_bytes() == (together / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Input files other than the corpus: one decoding rule for every reader
+
+
+def three_scored_posts():
+    return [sentiment.ScoredPost(f"p{k}", dt.date(2020, 3, k), "Toronto",
+                                 sentiment.SentimentScore(0.25, 0.5, 0.25, 0.125 * k),
+                                 (0.1,) * 10) for k in (1, 2, 3)]
+
+
+def input_file(tmp_path, kind):
+    """A good ``kind`` input file of at least three lines, and the argv of a
+    command that reads it and writes only into the empty ``tmp_path / "out"``."""
+    scored = tmp_path / "scored.csv"
+    sentiment.write_scored_csv(three_scored_posts(), scored)
+    series_csv = tmp_path / "series.csv"
+    series_csv.write_text("date,city,feature,value\n" + "".join(
+        f"2020-03-0{k},A,compound_mean,0.{k}\n" for k in (1, 2, 3)))
+    out = tmp_path / "out"
+    out.mkdir()
+    if kind == "scored":
+        return scored, ["aggregate", "--scored", str(scored), "--out", str(out / "s.csv")]
+    if kind == "series":
+        return series_csv, ["heatmap", "--series", str(series_csv), "--out-dir", str(out)]
+    if kind == "periods":
+        periods = tmp_path / "periods.ini"
+        periods.write_text("[DEFAULT]\nfirst = 2020-03-01/2020-03-01\n"
+                           "second = 2020-03-02/2020-03-03\n")
+        return periods, ["aggregate", "--scored", str(scored), "--out", str(out / "s.csv"),
+                         "--periods", str(periods), "--period-out", str(out / "p.csv")]
+    config = tmp_path / "run.ini"
+    config.write_text(f"[paths]\n# the series to draw\nseries = {series_csv}\n")
+    return config, ["heatmap", "--config", str(config), "--out-dir", str(out)]
+
+
+READ_KINDS = ["scored", "series", "periods", "config"]
+
+
+@pytest.mark.parametrize("kind", READ_KINDS)
+def test_a_byte_that_is_no_utf8_names_the_file_and_line_in_every_reader(tmp_path, capsys, kind):
+    path, argv = input_file(tmp_path, kind)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] += b" caf\xe9"
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: 'utf-8' codec can't decode byte 0xe9"), err
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("kind", READ_KINDS)
+def test_a_leading_byte_order_mark_reads_the_same_in_every_reader(tmp_path, kind):
+    path, argv = input_file(tmp_path, kind)
+    assert main(argv) == 0
+    plain = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == plain
+
+
+@pytest.mark.parametrize("kind", ["scored", "series"])
+def test_a_stray_quote_exits_2_naming_the_file_and_line(tmp_path, capsys, kind):
+    # the quote opens a field that runs on past the csv module's field limit
+    # (131,072 characters) in the scored file, and to the end of the series file
+    path, argv = input_file(tmp_path, kind)
+    if kind == "scored":
+        posts = [p._replace(id=f"p{k}") for k in range(2000) for p in three_scored_posts()[:1]]
+        sentiment.write_scored_csv(posts, path)
+    text = path.read_text().split("\n")
+    text[1] = text[1].replace(",", ',"', 1)
+    path.write_text("\n".join(text))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("kind", ["scored", "series", "periods", "config"])
+def test_a_lone_carriage_return_exits_2_naming_the_file_and_line(tmp_path, capsys, kind):
+    path, argv = input_file(tmp_path, kind)
+    data = path.read_bytes()
+    cut = data.index(b"\n", data.index(b"\n") + 1)  # the end of line 2
+    path.write_bytes(data[:cut] + b"\r" + data[cut + 1:])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+
+@pytest.mark.parametrize("kind", ["scored", "series"])
+def test_an_empty_city_exits_2_naming_the_file_and_line(tmp_path, capsys, kind):
+    path, argv = input_file(tmp_path, kind)
+    city = b",Toronto," if kind == "scored" else b",A,"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(city, b",,")
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: {path}:3: city must be nonempty" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())

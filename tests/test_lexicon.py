@@ -1,11 +1,15 @@
 import codecs
+import csv
 import dataclasses
 import hashlib
+import io
+import re
 
 import pytest
 
 from echosent.lexicon import (
     EMOTION_CATEGORIES,
+    decoded_lines,
     load_emotion_lexicon,
     load_valence_lexicon,
     normalize_token,
@@ -213,6 +217,39 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path):
     assert lex.checksum == hashlib.sha256(valence.read_bytes()).hexdigest()
     assert dict(load_emotion_lexicon(emotion).entries) == {"abacus": frozenset({"trust"})}
     assert load_wordlist(words) == {"good", "bad"}
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+@pytest.mark.parametrize("end", [b"", b"\n"])
+@pytest.mark.parametrize("bad", [1, 2, 3])
+def test_decoded_lines_names_the_line_of_a_bad_byte(bom, newline, end, bad):
+    rows = [b"one", b"", b"three"]
+    fh = io.BytesIO(bom + newline.join(rows) + end)
+    with decoded_lines("f.txt", fh) as lines:
+        assert list(lines) == [row.decode() + newline.decode() for row in rows[:2]] + [
+            "three" + end.decode()]
+    rows[bad - 1] += b"caf\xe9"
+    fh = io.BytesIO(bom + newline.join(rows) + end)
+    with pytest.raises(ValueError, match=re.escape(f"f.txt:{bad}: 'utf-8' codec can't decode")):
+        with decoded_lines("f.txt", fh) as lines:
+            list(lines)
+
+
+def test_decoded_lines_names_the_line_of_a_csv_fault_or_a_reader_check():
+    fh = io.BytesIO(b"a,b\r\nc,d\r\ne,f\rg,h\r\n")
+    with pytest.raises(ValueError, match=re.escape("f.csv:3: new-line character seen")):
+        with decoded_lines("f.csv", fh) as lines:
+            list(csv.reader(lines))
+    # so does a reader's own check, raised after the line it read
+    with pytest.raises(ValueError, match=re.escape("f.csv:2: no good")):
+        with decoded_lines("f.csv", io.BytesIO(b"a\nb\nc\n")) as lines:
+            next(lines), next(lines)
+            raise ValueError("no good")
+    # a carriage return in a quoted field is kept, as a newline is
+    fh = io.BytesIO(b'a,"b\rc\nd"\r\ne,f\n')
+    with decoded_lines("f.csv", fh) as lines:
+        assert list(csv.reader(lines)) == [["a", "b\rc\nd"], ["e", "f"]]
 
 
 def test_checksum_is_the_sha256_of_the_file_bytes(tmp_path, data_dir):

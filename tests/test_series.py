@@ -554,7 +554,8 @@ CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 
 @st.composite
 def series_sets(draw):
-    keys = draw(st.lists(st.tuples(CSV_TEXT, CSV_TEXT.filter(bool)),
+    # the reader refuses an empty city or feature in a series it builds
+    keys = draw(st.lists(st.tuples(CSV_TEXT.filter(bool), CSV_TEXT.filter(bool)),
                          min_size=1, max_size=4, unique=True))
     out = []
     for city, feature in keys:
@@ -643,6 +644,15 @@ def test_read_series_csv_refuses_an_empty_feature_only_in_a_series_it_builds(tmp
     for features in (None, [""]):  # heatmap --feature "" asks for [""]
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: feature must be nonempty")):
             read_series_csv(path, features=features)
+
+
+def test_read_series_csv_refuses_an_empty_city_only_in_a_series_it_builds(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("date,city,feature,value\n2020-03-01,A,x,0.1\n2020-03-01,,x,0.2\n")
+    assert read_series_csv(path, cities=["A"]) == [CitySeries("A", "x", D(2020, 3, 1), (0.1,))]
+    for cities in (None, [""]):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: city must be nonempty")):
+            read_series_csv(path, cities=cities)
 
 
 @pytest.mark.parametrize("dates, message", [

@@ -1,3 +1,4 @@
+import codecs
 import datetime as dt
 import json
 import random
@@ -556,6 +557,15 @@ def test_a_corpus_line_that_is_no_utf8_is_malformed(tmp_path, newline):
     assert (reader.posts_read, reader.malformed) == (2, 1)
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: 'utf-8' codec can't decode")):
         list(read_corpus(path))
+
+
+def test_a_leading_byte_order_mark_is_skipped_in_a_corpus(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(codecs.BOM_UTF8 + b'{"id": "a", "date": "2020-03-01", "city": "X", '
+                     b'"text": "hi"}\n')
+    reader = read_corpus(path, skip_malformed=True)
+    assert [p.id for p in reader] == ["a"]
+    assert reader.malformed == 0
 
 
 def test_read_corpus_malformed_handling(tmp_path):
